@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test fault chaos recovery replication netserve failover scrub bench bench-json bench-smoke verify
+.PHONY: test fault chaos recovery replication netserve failover scrub bench bench-json bench-smoke bench-selftest verify
 
 test:
 	$(PYTEST) -x -q
@@ -106,4 +106,10 @@ bench-smoke:
 		benchmarks/test_e26_failover.py \
 		benchmarks/test_e27_scrub.py -k smoke
 
-verify: test fault chaos recovery replication netserve failover scrub bench-smoke
+# The benchmark harness's own unit tests (spec parsing, the compare
+# rule, workload generators, the harness plumbing): `python3 -m bench`
+# judges every PR, so it is tested like the code it judges.
+bench-selftest:
+	$(PYTEST) bench/tests -q
+
+verify: test fault chaos recovery replication netserve failover scrub bench-smoke bench-selftest

@@ -202,6 +202,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
     report = LoadReport()
     db = load_from_file(args.database, mode="lenient", report=report)
     print(report)
+    return _report_recovered(args, db, report)
+
+
+def _report_recovered(args: argparse.Namespace, db, report) -> int:
     print(
         f"recovered: {len(db.document)} document nodes, "
         f"{len(db.subjects.roles)} roles, {len(db.subjects.users)} users, "
@@ -223,7 +227,6 @@ def _recover_from_wal(args: argparse.Namespace, wal_dir: str) -> int:
     from .wal import recover as wal_recover
 
     result = wal_recover(wal_dir, repair=args.write)
-    db = result.database
     print(result.report)
     if result.checkpoint is not None:
         print(
@@ -235,15 +238,7 @@ def _recover_from_wal(args: argparse.Namespace, wal_dir: str) -> int:
         f"replayed {result.replayed} commit record(s) up to "
         f"lsn {result.last_lsn}; recovered version {result.version}"
     )
-    print(
-        f"recovered: {len(db.document)} document nodes, "
-        f"{len(db.subjects.roles)} roles, {len(db.subjects.users)} users, "
-        f"{len(db.policy)} rules"
-    )
-    if args.write:
-        _save(db, args.database)
-        print(f"rewrote {args.database} with the recovered state")
-    return 0 if result.report.clean else 4
+    return _report_recovered(args, result.database, result.report)
 
 
 def cmd_wal_inspect(args: argparse.Namespace) -> int:
@@ -294,7 +289,7 @@ def cmd_wal_inspect(args: argparse.Namespace) -> int:
             print(f"  lsn {record.lsn}: {record.kind}{extra} "
                   f"({record.length} bytes, crc ok)")
     if scan.torn is not None:
-        print(f"TORN: {scan.torn}")
+        print(f"TORN [{scan.torn.kind}]: {scan.torn}")
         return 4
     print("log is clean")
     return 0

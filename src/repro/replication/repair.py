@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from ..errors import RepairError
 from ..scrub import Scrubber
-from ..storage import state_digest
+from ..storage import _fsync_directory, state_digest
 from ..testing.diskfaults import disk
 from ..wal.log import (
     QUARANTINE_SUFFIX,
@@ -92,13 +92,29 @@ class RepairReport:
     last_lsn: int = 0
 
 
-def _fsync_dir(directory: str) -> None:
-    """Make renames inside ``directory`` durable."""
-    fd = os.open(directory, os.O_RDONLY)
+def _digest(database) -> str:
+    return state_digest(database.document, database.subjects, database.policy)
+
+
+def _require_clean(directory: str, what: str, reason: str) -> None:
+    """Deep-scrub ``directory`` (every record CRC, every checkpoint
+    digest); any non-benign finding is a :class:`RepairError`."""
+    scrub = Scrubber(directory, deep=True).run()
+    if not scrub.clean:
+        raise RepairError(
+            f"{what} is damaged, refusing to use it: "
+            + "; ".join(str(f) for f in scrub.findings if not f.benign),
+            reason=reason,
+        )
+
+
+def _recover(directory: str, scheme, what: str, reason: str):
     try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+        return recover(directory, scheme=scheme)
+    except Exception as exc:
+        raise RepairError(
+            f"{what} does not recover: {exc}", reason=reason
+        ) from exc
 
 
 def _copy_file(source: str, target: str) -> int:
@@ -169,26 +185,12 @@ def repair_from_peer(
     # 1. The peer must be healthy -- every record CRC, every checkpoint
     #    digest.  (Benign tail damage on a live peer is acceptable: the
     #    torn-tail rule owns it and recovery will cut it.)
-    peer_scrub = Scrubber(peer_directory, deep=True).run()
-    if not peer_scrub.clean:
-        raise RepairError(
-            f"peer {peer_directory} is damaged, refusing to copy from it: "
-            + "; ".join(str(f) for f in peer_scrub.findings if not f.benign),
-            reason="peer-damaged",
-        )
-
+    peer = f"peer {peer_directory}"
+    _require_clean(peer_directory, peer, "peer-damaged")
     expected_digest: Optional[str] = None
     if verify_state:
-        try:
-            peer_result = recover(peer_directory, scheme=scheme)
-        except Exception as exc:
-            raise RepairError(
-                f"peer {peer_directory} does not recover: {exc}",
-                reason="peer-damaged",
-            ) from exc
-        peer_db = peer_result.database
-        expected_digest = state_digest(
-            peer_db.document, peer_db.subjects, peer_db.policy
+        expected_digest = _digest(
+            _recover(peer_directory, scheme, peer, "peer-damaged").database
         )
 
     # 2. Stage the copy on the damaged node's own filesystem.
@@ -215,26 +217,10 @@ def repair_from_peer(
 
         # 3. The staged bytes must themselves scrub clean and recover
         #    to the peer's state.
-        staged_scrub = Scrubber(staging, deep=True).run()
-        if not staged_scrub.clean:
-            raise RepairError(
-                "staged copy is damaged (disk fault during staging?): "
-                + "; ".join(
-                    str(f) for f in staged_scrub.findings if not f.benign
-                ),
-                reason="stage-damaged",
-            )
-        try:
-            staged_result = recover(staging, scheme=scheme)
-        except Exception as exc:
-            raise RepairError(
-                f"staged copy does not recover: {exc}",
-                reason="stage-damaged",
-            ) from exc
-        staged_db = staged_result.database
-        report.digest = state_digest(
-            staged_db.document, staged_db.subjects, staged_db.policy
-        )
+        staged = "staged copy (disk fault during staging?)"
+        _require_clean(staging, staged, "stage-damaged")
+        staged_result = _recover(staging, scheme, staged, "stage-damaged")
+        report.digest = _digest(staged_result.database)
         report.epoch = staged_result.epoch
         report.last_lsn = staged_result.last_lsn
         if expected_digest is not None:
@@ -267,7 +253,7 @@ def repair_from_peer(
                 os.replace(
                     os.path.join(staging, name), os.path.join(directory, name)
                 )
-            _fsync_dir(directory)
+            _fsync_directory(directory)
         except OSError as exc:
             raise RepairError(
                 f"installing the repaired files failed: {exc}",

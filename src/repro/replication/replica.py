@@ -49,12 +49,12 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ReplicaDiverged, WalStreamGap
-from ..security.session import Session
+from ..security.session import Session, SessionCache
 from ..serving.dedup import DedupTable
 from ..serving.rwlock import RWLock
 from ..storage import snapshot_digest, state_digest
 from ..testing.faults import InjectedFault, kill_point
-from ..wal import WalStream, apply_record, recover, scan_directory
+from ..wal import WalStream, apply_record, recover, tail_lsn
 from ..xpath.values import NodeSet, XPathValue
 
 __all__ = ["Replica"]
@@ -106,8 +106,7 @@ class Replica:
         self._scheme = scheme
         self._clock = clock
         self._lock = RWLock()
-        self._sessions: Dict[str, Session] = {}
-        self._sessions_lock = threading.Lock()
+        self._sessions = SessionCache(lambda user: self._database.login(user))
         self._database = None
         self._stream: Optional[WalStream] = None
         self._applied_lsn = 0
@@ -127,12 +126,8 @@ class Replica:
             "fenced_records": 0,  # stale-epoch records refused
             "retargets": 0,  # times re-pointed at a new primary's log
         }
-        if not self._lock.acquire_write(None):  # pragma: no cover
-            raise RuntimeError("replica lock unavailable at construction")
-        try:
+        with self._lock.write_locked():
             self._catch_up_locked()
-        finally:
-            self._lock.release_write()
 
     # ------------------------------------------------------------------
     # introspection
@@ -202,10 +197,10 @@ class Replica:
         Args:
             primary_lsn: the primary's last lsn when the caller already
                 knows it (e.g. from ``WriteAheadLog.lsn``); omitted, the
-                log directory is scanned for its last usable record.
+                newest segment is read for its last usable record.
         """
         if primary_lsn is None:
-            primary_lsn = scan_directory(self._directory).last_lsn
+            primary_lsn = tail_lsn(self._directory)
         return max(0, primary_lsn - self._applied_lsn)
 
     def stats(self) -> Dict[str, Any]:
@@ -243,14 +238,10 @@ class Replica:
         Raises:
             RecoveryError: the directory holds nothing recoverable.
         """
-        if not self._lock.acquire_write(None):  # pragma: no cover
-            raise RuntimeError("replica lock unavailable")
-        try:
+        with self._lock.write_locked():
             before = self._applied_lsn
             self._catch_up_locked()
             return max(0, self._applied_lsn - before)
-        finally:
-            self._lock.release_write()
 
     def _catch_up_locked(self) -> None:
         # recover() is lenient and repair=False: it never writes to the
@@ -269,8 +260,7 @@ class Replica:
         self._quarantine_reason = None
         self._epoch = max(self._epoch, result.epoch)
         self._dedup.seed(result.dedup.items())
-        with self._sessions_lock:
-            self._sessions.clear()
+        self._sessions.clear()
         self._stats["catchups"] += 1
         self._last_beat = self._clock()
 
@@ -298,12 +288,8 @@ class Replica:
                 replica object itself stays consistent: records applied
                 before the kill remain applied and acknowledged).
         """
-        if not self._lock.acquire_write(None):  # pragma: no cover
-            raise RuntimeError("replica lock unavailable")
-        try:
+        with self._lock.write_locked():
             return self._poll_locked(max_records)
-        finally:
-            self._lock.release_write()
 
     def _poll_locked(self, max_records: Optional[int]) -> int:
         if self.quarantined:
@@ -385,8 +371,7 @@ class Replica:
         if replaced is not database:
             replaced.set_read_only(True)
             self._database = replaced
-            with self._sessions_lock:
-                self._sessions.clear()
+            self._sessions.clear()
             database = replaced
         if record.kind in ("update", "admin", "state"):
             stamped = int(payload["version"])
@@ -452,16 +437,12 @@ class Replica:
         Raises:
             RecoveryError: the new directory holds nothing recoverable.
         """
-        if not self._lock.acquire_write(None):  # pragma: no cover
-            raise RuntimeError("replica lock unavailable")
-        try:
+        with self._lock.write_locked():
             before = self._applied_lsn
             self._directory = os.path.abspath(directory)
             self._stats["retargets"] += 1
             self._catch_up_locked()
             return max(0, self._applied_lsn - before)
-        finally:
-            self._lock.release_write()
 
     def _quarantine(
         self, reason: str, expected: str = "", actual: str = ""
@@ -503,30 +484,17 @@ class Replica:
         Raises:
             ReplicaDiverged: the replica is quarantined.
         """
-        if not self._lock.acquire_read(None):  # pragma: no cover
-            raise RuntimeError("replica lock unavailable")
-        try:
+        with self._lock.read_locked():
             if self.quarantined:
                 raise ReplicaDiverged(
                     f"replica {self._id} is quarantined "
                     f"({self._quarantine_reason}); diverged state is "
                     f"never served"
                 )
-            session = self._session(user)
-            result = fn(session)
+            result = fn(self._sessions.get(user))
             version = self._database.version
-        finally:
-            self._lock.release_read()
         self._stats["reads"] += 1
         return result, version
-
-    def _session(self, user: str) -> Session:
-        with self._sessions_lock:
-            session = self._sessions.get(user)
-            if session is None:
-                session = self._database.login(user)
-                self._sessions[user] = session
-            return session
 
     def view(self, user: str):
         """The user's authorized view on the replica's current state."""

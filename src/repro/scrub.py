@@ -10,20 +10,15 @@ integrity headers -- on a resumable cursor with a per-step byte budget,
 holding no database lock across I/O, so a serving primary can verify
 its own disk in the background.
 
-What scrub concludes about damage it finds:
+What scrub concludes about damage it finds (the scrubber column of
+:mod:`repro.wal.frame`'s verdict table):
 
-- Damage at the live tail of the *last* segment with nothing decodable
-  after it is an **in-flight append** (or a crash's torn tail) -- the
-  torn-tail rule owns it; scrub reports it as benign and never
-  quarantines a live writer's tail.
-- Damage with an intact record *behind* it (or damage in a non-last
-  segment) is **non-tail corruption** -- a crash cannot produce it.
-  The segment is quarantined (sidecar marker, see
-  :data:`repro.wal.QUARANTINE_SUFFIX`): recovery refuses to replay
-  past it in strict mode, a :class:`~repro.wal.WalStream` raises a gap
-  instead of serving it, and re-opening the log for writing is refused
-  until anti-entropy repair (:func:`repro.replication.repair_from_peer`)
-  replaces the damage from a healthy peer.
+- A damaged WAL segment is either the live writer's tail -- benign, the
+  torn-tail rule owns it -- or **non-tail corruption**, which is
+  quarantined (sidecar marker, see :data:`repro.wal.QUARANTINE_SUFFIX`)
+  until anti-entropy repair
+  (:func:`repro.replication.repair_from_peer`) replaces it from a
+  healthy peer.
 - A checkpoint whose integrity header is missing, or (deep mode) whose
   recomputed SHA-256 disagrees with the recorded one, is reported;
   recovery's newest-first fallback already skips it, and repair
@@ -39,23 +34,21 @@ background pass (``scrub_interval``) and surfaces the counters under
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from .storage import _split_integrity, snapshot_digest
+from .storage import _check_integrity, snapshot_digest
 from .testing.diskfaults import disk
+from .wal.frame import FrameReader
 from .wal.log import (
     Checkpoint,
     _segment_files,
-    classify_damage,
     list_checkpoints,
+    quarantine_non_tail,
     quarantine_reason,
-    quarantine_segment,
-    scan_segment,
 )
 
 __all__ = [
@@ -225,15 +218,13 @@ class Scrubber:
                 if self._cursor is None
                 or os.path.basename(path) > os.path.basename(self._cursor)
             ]
-            last_path = files[-1][1] if files else None
             spent = 0
             for first_lsn, path in pending:
                 if budget is not None and spent >= budget:
                     self._fold(report)
                     return report  # budget exhausted; resume next step
-                spent += self._verify_segment(
-                    path, first_lsn, path == last_path, report
-                )
+                later = tuple(p for first, p in files if first > first_lsn)
+                spent += self._verify_segment(path, first_lsn, later, report)
                 self._cursor = path
             for checkpoint in list_checkpoints(self._directory):
                 spent += self._verify_checkpoint(checkpoint, report)
@@ -253,9 +244,10 @@ class Scrubber:
         self._counters["segments_quarantined"] += len(report.quarantined)
 
     def _verify_segment(
-        self, path: str, first_lsn: int, is_last: bool, report: ScrubReport
+        self, path: str, first_lsn: int, later: tuple, report: ScrubReport
     ) -> int:
-        """CRC-verify one segment; returns the bytes it cost."""
+        """CRC-verify one segment (``later`` = the segment files behind
+        it); returns the bytes it cost."""
         existing = quarantine_reason(path)
         if existing is not None:
             report.findings.append(
@@ -270,13 +262,14 @@ class Scrubber:
             size = os.path.getsize(path)
         except OSError:
             return 0  # pruned between the listing and now
-        records, torn = scan_segment(path, expect_lsn=first_lsn)
-        report.records_verified += len(records)
+        reader = FrameReader(path, 0, first_lsn)
+        report.records_verified += sum(1 for _record in reader)
         report.bytes_verified += size
+        torn = reader.damage
         if torn is None:
             report.segments_verified += 1
             return size
-        if torn.reason.startswith("segment unreadable"):
+        if torn.kind == "unreadable":
             # A failing read proves the device is sick, not the bytes:
             # report, let the failure detector own the disk, re-check
             # on the next pass.
@@ -285,32 +278,16 @@ class Scrubber:
                 ScrubFinding(path, "wal-segment", torn.reason, torn.offset)
             )
             return 0
-        damage = classify_damage(torn)
-        if is_last and damage.tail:
-            # The live writer's tail: an in-flight append or a crash's
-            # torn tail.  The torn-tail rule owns it; a scrubber that
-            # quarantined this would false-positive on every mid-append
-            # race with the writer.
-            report.findings.append(
-                ScrubFinding(
-                    path, "wal-segment", torn.reason, torn.offset,
-                    benign=True,
-                )
-            )
-            return size
-        reason = (
-            f"{torn.reason} at offset {torn.offset}"
-            + (
-                f" (non-tail: intact record at offset "
-                f"{damage.resync_offset}, lsn {damage.resync_lsn})"
-                if not damage.tail and damage.resync_offset
-                else " (damage in a non-last segment)"
-            )
-        )
-        quarantine_segment(path, reason)
+        # The tail rule: damage in the last segment with nothing intact
+        # behind it is the live writer's in-flight append or a crash's
+        # torn tail -- benign, or every mid-append race with the writer
+        # would false-positive.  Anything else is quarantined.
+        why = quarantine_non_tail(replace(torn, dropped_segments=later))
         report.findings.append(
             ScrubFinding(
-                path, "wal-segment", reason, torn.offset, quarantined=True
+                path, "wal-segment",
+                f"{torn.reason} ({why})" if why else torn.reason,
+                torn.offset, quarantined=bool(why), benign=not why,
             )
         )
         return size
@@ -319,54 +296,41 @@ class Scrubber:
         self, checkpoint: Checkpoint, report: ScrubReport
     ) -> int:
         """Verify one snapshot's integrity header; returns bytes read."""
+        cost, failure = 256, None  # shallow: the header line only
         if not self._deep:
             if snapshot_digest(checkpoint.path) is None:
-                self._counters["checkpoint_failures"] += 1
+                cost, failure = 0, "missing or unreadable integrity header"
+        else:
+            try:
+                with disk.open(
+                    checkpoint.path, "r", encoding="utf-8"
+                ) as handle:
+                    text = handle.read()
+            except OSError as exc:
+                self._counters["read_errors"] += 1
                 report.findings.append(
                     ScrubFinding(
-                        checkpoint.path, "checkpoint",
-                        "missing or unreadable integrity header",
+                        checkpoint.path, "checkpoint", f"unreadable ({exc})"
                     )
                 )
                 return 0
-            report.checkpoints_verified += 1
-            return 256  # header line only
-        try:
-            with disk.open(checkpoint.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            self._counters["read_errors"] += 1
-            report.findings.append(
-                ScrubFinding(
-                    checkpoint.path, "checkpoint", f"unreadable ({exc})"
-                )
-            )
-            return 0
-        cost = len(text)
-        report.bytes_verified += cost
-        recorded, body = _split_integrity(text)
-        if recorded is None:
-            self._counters["checkpoint_failures"] += 1
-            report.findings.append(
-                ScrubFinding(
-                    checkpoint.path, "checkpoint", "no integrity header"
-                )
-            )
-            return cost
-        actual = hashlib.sha256(
-            body.rstrip("\n").encode("utf-8")
-        ).hexdigest()
-        if actual != recorded:
-            self._counters["checkpoint_failures"] += 1
-            report.findings.append(
-                ScrubFinding(
-                    checkpoint.path, "checkpoint",
+            cost = len(text)
+            report.bytes_verified += cost
+            recorded, actual, _body = _check_integrity(text)
+            if recorded is None:
+                failure = "no integrity header"
+            elif actual != recorded:
+                failure = (
                     f"sha256 mismatch (recorded {recorded[:12]}..., "
-                    f"actual {actual[:12]}...)",
+                    f"actual {actual[:12]}...)"
                 )
+        if failure is None:
+            report.checkpoints_verified += 1
+        else:
+            self._counters["checkpoint_failures"] += 1
+            report.findings.append(
+                ScrubFinding(checkpoint.path, "checkpoint", failure)
             )
-            return cost
-        report.checkpoints_verified += 1
         return cost
 
 

@@ -14,9 +14,10 @@ user does flows through their view:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
-
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable, List, Optional, Union
 
 from ..xmltree.labels import NodeId
 from ..xmltree.serializer import render_tree, serialize
@@ -27,7 +28,11 @@ from .privileges import Privilege
 from .view import View
 from .write import SecureUpdateResult, SecureWriteExecutor
 
-__all__ = ["ExplainEntry", "Session"]
+__all__ = ["ExplainEntry", "SESSION_CACHE_SIZE", "Session", "SessionCache"]
+
+#: Served sessions a server or replica keeps: each pins its user's view,
+#: so the bound is :class:`~repro.security.viewcache.ViewCache`'s 128.
+SESSION_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -246,3 +251,44 @@ class Session:
                 ),
             )
         return result
+
+
+class SessionCache:
+    """The served sessions of one server or replica: a thread-safe LRU
+    of :data:`SESSION_CACHE_SIZE` logins, keyed by user.
+
+    A cached user keeps one session (and its per-version view) across
+    requests; past the bound the least recently served user is dropped
+    and simply logs in again on their next request -- a session holds
+    nothing that is not re-derived from the database.
+
+    Args:
+        login: ``user -> Session`` for a miss (called under the cache
+            lock, so one user never gets two live sessions).
+    """
+
+    def __init__(self, login: Callable[[str], Session]) -> None:
+        self._login = login
+        self._sessions: "OrderedDict[str, Session]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, user: str) -> Session:
+        """The user's session, logging in on a miss."""
+        with self._lock:
+            session = self._sessions.get(user)
+            if session is None:
+                session = self._sessions[user] = self._login(user)
+                if len(self._sessions) > SESSION_CACHE_SIZE:
+                    self._sessions.popitem(last=False)
+            else:
+                self._sessions.move_to_end(user)
+            return session
+
+    def clear(self) -> None:
+        """Drop every session (the database underneath was replaced)."""
+        with self._lock:
+            self._sessions.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._sessions)

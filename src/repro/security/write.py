@@ -196,9 +196,8 @@ class SecureWriteExecutor:
         """Apply an operation on behalf of the view's user.
 
         The input source document is not mutated; the result carries the
-        new source.  For scripts, each operation sees the view derived
-        *before* the script -- callers wanting per-operation view refresh
-        (the session layer does) should apply operations one at a time.
+        new source.  For scripts, each operation after the first selects
+        on the view re-derived against its predecessor's result.
 
         Scripts are transactional: every operation applies to a fresh
         copy of the source, so a failure at any point -- a strict-mode
@@ -234,6 +233,10 @@ class SecureWriteExecutor:
             current_view = view
             for index, op in enumerate(operation):
                 op_name = type(op).__name__
+                if index:
+                    # Only an operation that follows another needs the
+                    # view re-derived against its predecessor's result.
+                    current_view = _rebase_view(current_view, result.document)
                 try:
                     if checkpoint is not None:
                         checkpoint()
@@ -263,7 +266,6 @@ class SecureWriteExecutor:
                         savepoint=result.document,
                     ) from exc
                 result = result.merge(step)
-                current_view = _rebase_view(current_view, step.document)
             return result
         if checkpoint is not None:
             checkpoint()

@@ -75,7 +75,7 @@ from ..errors import (
     WalWriteError,
 )
 from ..security.database import SecureXMLDatabase
-from ..security.session import Session
+from ..security.session import Session, SessionCache
 from ..security.write import AccessDenied, SecureUpdateResult
 from ..xpath.values import NodeSet, XPathValue
 from ..xupdate.operations import UpdateScript, XUpdateOperation
@@ -225,8 +225,7 @@ class DatabaseServer:
         self._lock = RWLock()
         self._dedup = DedupTable(dedup_capacity)
         self._fenced_at: Optional[int] = None
-        self._sessions: Dict[str, Session] = {}
-        self._sessions_lock = threading.Lock()
+        self._sessions = SessionCache(database.login)
         self._counters_lock = threading.Lock()
         self._counters: Dict[str, int] = {
             "reads": 0,  # read requests served
@@ -437,12 +436,7 @@ class DatabaseServer:
         read/write discipline; use :meth:`SecureXMLDatabase.login` for
         an unmanaged session.
         """
-        with self._sessions_lock:
-            session = self._sessions.get(user)
-            if session is None:
-                session = self._database.login(user)
-                self._sessions[user] = session
-            return session
+        return self._sessions.get(user)
 
     # ------------------------------------------------------------------
     # reads (shared lock)

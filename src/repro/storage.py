@@ -76,6 +76,13 @@ _FORMAT_VERSION = "1"
 
 logger = logging.getLogger("repro.storage")
 
+#: ``OSError``s that are the caller's mistake (or already classified),
+#: not the device's: they propagate as they are.
+_NOT_DISK_FAULTS = (
+    DiskError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    PermissionError,
+)
+
 #: Integrity header: a processing instruction carrying the SHA-256 of
 #: the rest of the snapshot, written as the file's first line.  Old
 #: files without it still load (the check is skipped).
@@ -157,6 +164,10 @@ def dump_state(
         element("document", *doc_children),
         attributes={"version": _FORMAT_VERSION},
     )
+    return _serialize_bundle(bundle)
+
+
+def _serialize_bundle(bundle: Fragment) -> str:
     carrier = XMLDocument()
     bundle.attach(carrier, carrier.document_node.nid)
     return serialize(carrier, indent="  ")
@@ -176,8 +187,7 @@ def state_digest(
     against the primary's checkpoint snapshots without shipping either
     state anywhere.
     """
-    body = dump_state(document, subjects, policy)
-    return hashlib.sha256(body.rstrip("\n").encode("utf-8")).hexdigest()
+    return _body_digest(dump_state(document, subjects, policy))
 
 
 def dump_database(db: SecureXMLDatabase) -> str:
@@ -192,8 +202,7 @@ def dump_database(db: SecureXMLDatabase) -> str:
     hand-written fixtures) load with the check skipped.
     """
     body = dump_state(db.document, db.subjects, db.policy)
-    digest = hashlib.sha256(body.rstrip("\n").encode("utf-8")).hexdigest()
-    return f'<?repro-integrity sha256="{digest}"?>\n{body}'
+    return f'<?repro-integrity sha256="{_body_digest(body)}"?>\n{body}'
 
 
 def snapshot_digest(path: str) -> Optional[str]:
@@ -208,16 +217,24 @@ def snapshot_digest(path: str) -> Optional[str]:
             first = handle.readline()
     except OSError:
         return None
-    match = _INTEGRITY_RE.match(first)
-    return match.group(1) if match else None
+    return _check_integrity(first)[0]
 
 
-def _split_integrity(text: str) -> Tuple[Optional[str], str]:
-    """Split off the integrity header: (recorded digest or None, body)."""
+def _body_digest(body: str) -> str:
+    """The SHA-256 an integrity header records for a snapshot body."""
+    return hashlib.sha256(body.rstrip("\n").encode("utf-8")).hexdigest()
+
+
+def _check_integrity(text: str) -> Tuple[Optional[str], Optional[str], str]:
+    """Split off the integrity header and recompute the body's digest:
+    ``(recorded, actual, body)``, both digests None without a header.
+    What a mismatch means (raise, report, scrub finding) is the
+    caller's policy."""
     match = _INTEGRITY_RE.match(text)
     if match is None:
-        return None, text
-    return match.group(1), text[match.end():]
+        return None, None, text
+    body = text[match.end():]
+    return match.group(1), _body_digest(body), body
 
 
 def backup_path(path: str, index: int = 1) -> str:
@@ -264,8 +281,20 @@ def save_to_file(
 
 
 def _write_atomically(
-    payload: str, path: str, backup: bool, backup_count: int = 1
+    payload: str,
+    path: str,
+    backup: bool,
+    backup_count: int = 1,
+    *,
+    kill: str = "mid-write",
+    op: str = "save",
 ) -> None:
+    """The one temp + fsync + rename + directory-fsync writer, shared by
+    :func:`save_to_file` and the write-ahead log's checkpoint snapshots.
+
+    ``kill`` names the kill-point consulted after roughly half the
+    payload; ``op`` labels a classified disk error.
+    """
     if backup_count < 1:
         raise ValueError("backup_count must be >= 1")
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -277,7 +306,7 @@ def _write_atomically(
             half = len(payload) // 2
             handle.write(payload[:half])
             handle.flush()
-            kill_point("mid-write", path=path)
+            kill_point(kill, path=path)
             handle.write(payload[half:])
             handle.flush()
             disk.fsync(handle)
@@ -286,22 +315,15 @@ def _write_atomically(
         kill_point("before-rename", path=path)
         os.replace(temp_path, path)
         _fsync_directory(directory)
-    except (DiskError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError):
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(temp_path)
-        raise
-    except OSError as exc:
-        # A raw disk failure never escapes unclassified: the atomic
-        # write guarantees path still holds the previous complete
-        # database, and the classified error says whether reclaiming
-        # space can help.
-        with contextlib.suppress(OSError):
-            os.unlink(temp_path)
-        raise classify_disk_error(exc, path=path, op="save") from exc
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp_path)
+        if isinstance(exc, OSError) and not isinstance(exc, _NOT_DISK_FAULTS):
+            # A raw disk failure never escapes unclassified: the atomic
+            # write guarantees path still holds the previous complete
+            # content, and the classified error says whether reclaiming
+            # space can help.
+            raise classify_disk_error(exc, path=path, op=op) from exc
         raise
 
 
@@ -429,24 +451,20 @@ def load_database(
     else:
         report.source = source
 
-    recorded, text = _split_integrity(text)
-    if recorded is not None:
-        actual = hashlib.sha256(
-            text.rstrip("\n").encode("utf-8")
-        ).hexdigest()
-        if actual != recorded:
-            if not lenient:
-                raise StorageCorrupt(
-                    f"{source}: integrity check failed (header sha256 "
-                    f"{recorded[:12]}..., content {actual[:12]}...); the "
-                    f"file was modified or damaged after it was written; "
-                    f"restore from the .bak sibling if one exists"
-                )
-            report.add(
-                "file",
-                f"sha256 integrity mismatch (recorded {recorded[:12]}..., "
-                f"actual {actual[:12]}...); loaded what was readable",
+    recorded, actual, text = _check_integrity(text)
+    if actual != recorded:
+        if not lenient:
+            raise StorageCorrupt(
+                f"{source}: integrity check failed (header sha256 "
+                f"{recorded[:12]}..., content {actual[:12]}...); the "
+                f"file was modified or damaged after it was written; "
+                f"restore from the .bak sibling if one exists"
             )
+        report.add(
+            "file",
+            f"sha256 integrity mismatch (recorded {recorded[:12]}..., "
+            f"actual {actual[:12]}...); loaded what was readable",
+        )
 
     try:
         root = _parse_root(text, "securedb", source)
@@ -530,10 +548,9 @@ def load_from_file(
     try:
         with disk.open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except (DiskError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError):
-        raise
     except OSError as exc:
+        if isinstance(exc, _NOT_DISK_FAULTS):
+            raise
         raise classify_disk_error(exc, path=path, op="read") from exc
     return load_database(text, scheme, mode=mode, report=report, source=path)
 
@@ -564,9 +581,7 @@ def dump_administration(admin: AdministeredPolicy) -> str:
     bundle = element(
         "administration", *grants, attributes={"owner": admin.owner}
     )
-    carrier = XMLDocument()
-    bundle.attach(carrier, carrier.document_node.nid)
-    return serialize(carrier, indent="  ")
+    return _serialize_bundle(bundle)
 
 
 def load_administration(
@@ -681,9 +696,7 @@ def dump_collection(collection: SecureCollection) -> str:
         *documents,
         attributes={"version": _FORMAT_VERSION},
     )
-    carrier = XMLDocument()
-    bundle.attach(carrier, carrier.document_node.nid)
-    return serialize(carrier, indent="  ")
+    return _serialize_bundle(bundle)
 
 
 def _load_subjects(

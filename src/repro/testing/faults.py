@@ -19,7 +19,8 @@ Named kill-points:
 ``mid-write``      storage, after roughly half the payload is written
                    to the temp file (a torn write)
 ``before-rename``  storage, after the temp file is durable but before
-                   the atomic rename installs it
+                   the atomic rename installs it (checkpoint snapshots
+                   pass it too: same atomic writer)
 =================  =====================================================
 
 Durability kill-points (ISSUE 5) -- the write-ahead log and checkpoint

@@ -30,6 +30,7 @@ See DESIGN.md section 10 for the record format, the fsync policies and
 the torn-tail rule.
 """
 
+from .frame import FrameReader
 from .log import (
     Checkpoint,
     DamageClass,
@@ -47,6 +48,7 @@ from .log import (
     quarantined_segments,
     scan_directory,
     scan_segment,
+    tail_lsn,
 )
 from .recover import (
     RecoveryResult,
@@ -58,6 +60,7 @@ from .recover import (
 __all__ = [
     "Checkpoint",
     "DamageClass",
+    "FrameReader",
     "FsyncPolicy",
     "QUARANTINE_SUFFIX",
     "RecoveryResult",
@@ -76,4 +79,5 @@ __all__ = [
     "recover",
     "scan_directory",
     "scan_segment",
+    "tail_lsn",
 ]

@@ -9,18 +9,13 @@ commit **before** installing the new document, and crash recovery
 (:mod:`repro.wal.recover`) replays the committed prefix through the
 real secure executor path.
 
-On-disk format
---------------
+Record kinds
+------------
 
-Each segment starts with the magic line ``REPROWAL1\\n`` and holds a
-sequence of length-prefixed, checksummed records::
-
-    [4 bytes big-endian payload length]
-    [4 bytes big-endian CRC-32 of the payload]
-    [payload: UTF-8 JSON object]
-
-Every payload carries a global, strictly increasing ``lsn`` and a
-``kind``:
+The segment byte format -- magic, length/CRC frames, and what each
+kind of damage means to each consumer -- is :mod:`repro.wal.frame`'s
+alone.  Every payload carries a global, strictly increasing ``lsn``
+and a ``kind``:
 
 =================  ====================================================
 ``update``         a session commit: post-commit ``version``, ``user``,
@@ -34,10 +29,8 @@ Every payload carries a global, strictly increasing ``lsn`` and a
 ``checkpoint``     a snapshot boundary: ``version`` + snapshot filename
 =================  ====================================================
 
-Torn-tail rule: a record whose length prefix overruns the file, whose
-CRC does not match, or whose ``lsn`` breaks the sequence marks the end
-of the usable log; everything from its first byte on is an artifact of
-the crash and is truncated (never replayed).
+The torn-tail rule, and how a live follower and the scrubber read the
+same damage instead, is tabulated once in :mod:`repro.wal.frame`.
 
 Fencing epochs: a log opened with ``epoch=N > 0`` stamps ``"epoch": N``
 into every record it appends, and its checkpoint snapshots carry the
@@ -66,15 +59,11 @@ snapshot write.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
-import struct
-import tempfile
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (
@@ -83,9 +72,16 @@ from ..errors import (
     WalWriteError,
     classify_disk_error,
 )
+from ..storage import (
+    _fsync_directory,
+    _write_atomically,
+    dump_database,
+    dump_state,
+)
 from ..testing.diskfaults import disk
 from ..testing.faults import kill_point
 from ..xupdate.serializer import XUpdateSerializeError, dump_xupdate
+from .frame import MAGIC, FrameReader, TornTail, WalRecord, encode_frame
 
 __all__ = [
     "Checkpoint",
@@ -99,16 +95,16 @@ __all__ = [
     "WriteAheadLog",
     "classify_damage",
     "list_checkpoints",
+    "quarantine_non_tail",
     "quarantine_reason",
     "quarantine_segment",
     "quarantined_segments",
     "scan_directory",
     "scan_segment",
+    "tail_lsn",
+    "truncate_torn_tail",
 ]
 
-MAGIC = b"REPROWAL1\n"
-_HEADER = struct.Struct(">II")
-_MAX_RECORD = 1 << 28  # 256 MiB: anything larger is a corrupt length
 _SEGMENT_RE = re.compile(r"^segment-(\d{10})\.wal$")
 _CHECKPOINT_RE = re.compile(
     r"^checkpoint-(\d{10})-(\d{10})(?:-e(\d+))?\.xml$"
@@ -158,67 +154,6 @@ class FsyncPolicy:
         if self.kind == "batch":
             return f"batch({self.batch_records},{self.batch_ms:g})"
         return self.kind
-
-
-@dataclass(frozen=True)
-class WalRecord:
-    """One decoded log record.
-
-    Attributes:
-        lsn: the record's log sequence number.
-        kind: record kind (see module docstring).
-        payload: the full decoded JSON object (``lsn``/``kind``
-            included).
-        segment: path of the segment file holding the record.
-        offset: byte offset of the record's header in the segment.
-        length: total on-disk size (header + payload).
-    """
-
-    lsn: int
-    kind: str
-    payload: Dict[str, Any]
-    segment: str
-    offset: int
-    length: int
-
-    @property
-    def epoch(self) -> int:
-        """The fencing epoch the record was written under (0 for
-        records that predate epochs -- the compat default)."""
-        return int(self.payload.get("epoch", 0))
-
-
-@dataclass(frozen=True)
-class TornTail:
-    """Where -- and why -- the usable log ends early.
-
-    Attributes:
-        segment: segment file holding the damage.
-        offset: byte offset of the first unusable byte.
-        reason: human-readable diagnosis (short read, CRC mismatch,
-            lsn discontinuity, ...).
-        dropped_bytes: bytes from ``offset`` to the end of that
-            segment.
-        dropped_segments: later segment files (unreachable once the
-            log is cut here).
-    """
-
-    segment: str
-    offset: int
-    reason: str
-    dropped_bytes: int
-    dropped_segments: Tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        extra = (
-            f" (+{len(self.dropped_segments)} later segment(s))"
-            if self.dropped_segments
-            else ""
-        )
-        return (
-            f"torn tail at {os.path.basename(self.segment)}:{self.offset}: "
-            f"{self.reason}; {self.dropped_bytes} byte(s) dropped{extra}"
-        )
 
 
 @dataclass(frozen=True)
@@ -276,76 +211,18 @@ def scan_segment(
 
     Returns:
         ``(records, torn)``: the records readable in order, and the
-        torn-tail description if the segment did not end cleanly
-        (damage is *reported*, not raised -- strictness is the
-        caller's policy decision).
+        reader's verdict if the segment did not end cleanly (damage is
+        *reported*, not raised -- strictness is the caller's policy
+        decision).
     """
-    records: List[WalRecord] = []
-    try:
-        with disk.open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        # EIO on a scan degrades like damage at offset 0: the caller's
-        # strictness policy decides whether that raises or truncates.
-        return records, TornTail(path, 0, f"segment unreadable ({exc})", 0)
-    size = len(data)
-
-    def torn_at(offset: int, reason: str) -> TornTail:
-        return TornTail(path, offset, reason, size - offset)
-
-    if not data.startswith(MAGIC):
-        return records, torn_at(0, "bad segment magic")
-    offset = len(MAGIC)
-    next_lsn = expect_lsn
-    while offset < size:
-        if size - offset < _HEADER.size:
-            return records, torn_at(
-                offset, f"short record header ({size - offset} byte(s))"
-            )
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length > _MAX_RECORD:
-            return records, torn_at(
-                offset, f"implausible record length {length}"
-            )
-        start = offset + _HEADER.size
-        if size - start < length:
-            return records, torn_at(
-                offset,
-                f"record payload truncated ({size - start} of {length} "
-                f"byte(s))",
-            )
-        payload_bytes = data[start:start + length]
-        if zlib.crc32(payload_bytes) & 0xFFFFFFFF != crc:
-            return records, torn_at(offset, "CRC mismatch")
-        try:
-            payload = json.loads(payload_bytes.decode("utf-8"))
-            lsn = int(payload["lsn"])
-            kind = str(payload["kind"])
-        except Exception as exc:
-            return records, torn_at(offset, f"undecodable payload ({exc})")
-        if next_lsn is not None and lsn != next_lsn:
-            return records, torn_at(
-                offset, f"lsn discontinuity (found {lsn}, expected {next_lsn})"
-            )
-        records.append(
-            WalRecord(lsn, kind, payload, path, offset, _HEADER.size + length)
-        )
-        next_lsn = lsn + 1
-        offset = start + length
-    return records, None
+    reader = FrameReader(path, 0, expect_lsn)
+    return list(reader), reader.damage
 
 
 @dataclass(frozen=True)
 class DamageClass:
-    """What kind of damage a :class:`TornTail` describes (ISSUE 10).
-
-    The torn-tail rule is only safe for damage a *crash* can produce:
-    an interrupted append leaves garbage at the very end of the log
-    with nothing decodable after it.  Damage with an intact record
-    *behind* it -- bit rot at rest, a flipped length field, a hole
-    punched mid-segment -- is not a crash artifact, and truncating
-    there would silently drop acknowledged commits that are still
-    perfectly readable.
+    """The tail rule's reading of a :class:`TornTail` (see
+    :mod:`repro.wal.frame`).
 
     Attributes:
         tail: True when the damage is consistent with a crash
@@ -366,51 +243,61 @@ class DamageClass:
 def classify_damage(torn: TornTail) -> DamageClass:
     """Distinguish a crash's torn tail from non-tail corruption.
 
-    Scans the damaged segment forward from the reported offset for any
-    intact record -- plausible length prefix, matching CRC, decodable
-    JSON payload with an lsn.  Finding one proves the damage is *not*
-    the end of what was ever written (a crash cannot write valid
-    records after the point where it died), so the torn-tail rule must
-    not truncate there.  Damage that drops whole later segments is
-    non-tail by definition.
-
-    The scan is cheap for genuine torn tails (only the short in-flight
-    remainder is examined) and bounded by the segment size for rot.
+    The dead-log reading of a verdict: an intact frame past the damage
+    (:meth:`TornTail.resync`) proves the damage is *not* the end of
+    what was ever written, so the torn-tail rule must not truncate
+    there.  Damage that drops whole later segments is non-tail by
+    definition, and a segment that cannot be read proves nothing either
+    way -- non-tail, so nobody truncates damage they cannot see.
     """
-    if torn.dropped_segments:
+    if torn.dropped_segments or torn.kind == "unreadable":
         return DamageClass(tail=False)
     try:
-        with disk.open(torn.segment, "rb") as handle:
-            data = handle.read()
+        intact = torn.resync()
     except OSError:
-        # Unreadable now: nothing provable either way; treat as
-        # non-tail so nobody truncates based on damage they cannot see.
         return DamageClass(tail=False)
-    size = len(data)
-    offset = max(torn.offset + 1, len(MAGIC))
-    while offset <= size - _HEADER.size:
-        # Candidate payloads open with '{' (every record is a JSON
-        # object); checking one byte first keeps the scan linear-ish.
-        begin = offset + _HEADER.size
-        if begin < size and data[begin] != 0x7B:
-            offset += 1
-            continue
-        length, crc = _HEADER.unpack_from(data, offset)
-        if 0 < length <= _MAX_RECORD and begin + length <= size:
-            payload_bytes = data[begin:begin + length]
-            if zlib.crc32(payload_bytes) & 0xFFFFFFFF == crc:
-                try:
-                    payload = json.loads(payload_bytes.decode("utf-8"))
-                    lsn = int(payload["lsn"])
-                    str(payload["kind"])
-                except Exception:
-                    lsn = 0
-                if lsn > 0:
-                    return DamageClass(
-                        tail=False, resync_offset=offset, resync_lsn=lsn
-                    )
-        offset += 1
-    return DamageClass(tail=True)
+    if intact is None:
+        return DamageClass(tail=True)
+    return DamageClass(
+        tail=False, resync_offset=intact.offset, resync_lsn=intact.lsn
+    )
+
+
+def quarantine_non_tail(torn: TornTail) -> str:
+    """Apply the tail rule to a verdict: ``""`` for a crash's torn tail
+    (the caller may truncate it); otherwise the segment is quarantined
+    -- no writer truncates it, no stream serves it -- and the returned
+    diagnosis says what proves the damage is not a tail."""
+    damage = classify_damage(torn)
+    if damage.tail:
+        return ""
+    if damage.resync_lsn:
+        why = (
+            f"non-tail corruption: an intact record (lsn "
+            f"{damage.resync_lsn}) follows at offset {damage.resync_offset}"
+        )
+    elif torn.dropped_segments:
+        why = "non-tail corruption: damage in a non-last segment"
+    else:
+        why = "non-tail corruption: the segment cannot be read"
+    quarantine_segment(torn.segment, f"{torn} ({why})")
+    return why
+
+
+def truncate_torn_tail(torn: TornTail) -> None:
+    """Make the torn-tail rule physical truth: cut the last segment at
+    the verdict's offset (a segment torn at byte 0 is removed), so the
+    directory re-opens for appending.  Only for damage
+    :func:`classify_damage` calls a tail -- which never has later
+    segments behind it."""
+    if torn.offset == 0:
+        with contextlib.suppress(OSError):
+            os.unlink(torn.segment)
+    else:
+        with open(torn.segment, "r+b") as handle:
+            handle.truncate(torn.offset)
+            handle.flush()
+            os.fsync(handle.fileno())
 
 
 def quarantine_segment(path: str, reason: str) -> str:
@@ -482,22 +369,33 @@ def scan_directory(directory: str) -> ScanResult:
                 f"segment starts at lsn {first_lsn}, expected {expect}",
                 os.path.getsize(path),
                 tuple(p for _l, p in files[index + 1:]),
+                kind="lsn",
             )
             return result
         records, torn = scan_segment(path, expect_lsn=expect)
         result.records.extend(records)
         expect = records[-1].lsn + 1 if records else (expect or first_lsn)
         if torn is not None:
-            later = tuple(p for _l, p in files[index + 1:])
-            result.torn = TornTail(
-                torn.segment,
-                torn.offset,
-                torn.reason,
-                torn.dropped_bytes,
-                later,
+            result.torn = replace(
+                torn,
+                dropped_segments=tuple(p for _l, p in files[index + 1:]),
             )
             return result
     return result
+
+
+def tail_lsn(directory: str) -> int:
+    """The last usable lsn on disk (0 for an empty log), learned from
+    the newest segment alone and without keeping a record: a segment's
+    filename carries its first lsn, so nothing older needs decoding."""
+    files = _segment_files(directory)
+    if not files:
+        return 0
+    first_lsn, path = files[-1]
+    last = first_lsn - 1
+    for record in FrameReader(path, 0, first_lsn):
+        last = record.lsn
+    return last
 
 
 def list_checkpoints(directory: str) -> List[Checkpoint]:
@@ -529,11 +427,10 @@ class WalStream:
     tails a directory another process (or thread) is still appending
     to: :meth:`poll` returns every record past the cursor that is
     fully durable on disk right now, and the cursor advances so the
-    next poll picks up where this one stopped.  The same torn-tail
-    rule applies, reinterpreted for a live writer: an undecodable tail
-    is *in flight* (a half-flushed append, or one the writer's crash
-    will truncate), so the stream stops in front of it and retries on
-    the next poll rather than reporting damage.
+    next poll picks up where this one stopped.  An undecodable tail is
+    *in flight* here, not damage (the live-follower column of
+    :mod:`repro.wal.frame`'s table): the stream stops in front of it
+    and retries on the next poll.
 
     Segment rotation is followed transparently.  Checkpoint retention
     is the one thing a follower cannot survive incrementally: when the
@@ -602,27 +499,21 @@ class WalStream:
             files = _segment_files(self._directory)
             if not files:
                 if self._next_lsn > 1:
-                    raise WalStreamGap(
-                        f"{self._directory}: log vanished under the stream "
-                        f"(needed lsn {self._next_lsn})",
-                        next_lsn=self._next_lsn,
-                    )
+                    raise self._gap("log vanished under the stream")
                 break  # nothing written yet
             candidates = [
                 (first, path) for first, path in files
                 if first <= self._next_lsn
             ]
             if not candidates:
-                raise WalStreamGap(
-                    f"{self._directory}: lsn {self._next_lsn} pruned away "
-                    f"(oldest retained segment starts at {files[0][0]})",
-                    next_lsn=self._next_lsn,
-                    oldest_available=files[0][0],
+                raise self._gap(
+                    f"lsn {self._next_lsn} pruned away (oldest retained "
+                    f"segment starts at {files[0][0]})"
                 )
             first_lsn, path = candidates[-1]
             if path != self._segment:
-                self._segment, self._offset = path, len(MAGIC)
-            progressed = self._drain_segment(first_lsn, out, max_records)
+                self._segment, self._offset = path, 0
+            self._drain_segment(first_lsn, out, max_records)
             if self._in_flight is not None:
                 break  # stopped in front of an in-flight append
             successor = next(
@@ -631,111 +522,68 @@ class WalStream:
             )
             if successor is None:
                 break  # caught up at the live tail
-            if not progressed and successor == self._segment:
-                break  # defensive: never spin on one segment
-            self._segment, self._offset = successor, len(MAGIC)
+            self._segment, self._offset = successor, 0
         return out
 
-    def _oldest_available(self) -> int:
-        """The first lsn still listed on disk (0 = directory empty)."""
+    def _gap(self, why: str) -> WalStreamGap:
+        """The cursor's position is gone: a gap naming the lsn needed
+        and the retention horizon re-listed now, so the follower knows
+        where to re-seed."""
         try:
             files = _segment_files(self._directory)
         except OSError:
-            return 0
-        return files[0][0] if files else 0
+            files = []
+        return WalStreamGap(
+            f"{self._directory}: {why} (needed lsn {self._next_lsn})",
+            next_lsn=self._next_lsn,
+            oldest_available=files[0][0] if files else 0,
+        )
 
     def _drain_segment(
         self, first_lsn: int, out: List[WalRecord], max_records: Optional[int]
-    ) -> bool:
-        """Decode records at the cursor until end-of-segment, damage,
-        or ``max_records``; returns True when the cursor moved."""
+    ) -> None:
+        """Deliver records at the cursor until end-of-segment, damage,
+        or ``max_records``, then read the reader's verdict as a live
+        follower does."""
         path = self._segment
         if os.path.exists(path + QUARANTINE_SUFFIX):
             # Scrub found non-tail corruption here: a follower must
             # never replay past (or out of) a quarantined segment.
-            raise WalStreamGap(
-                f"{path}: segment quarantined "
-                f"({quarantine_reason(path) or 'corruption detected'})",
-                next_lsn=self._next_lsn,
-                oldest_available=self._oldest_available(),
+            raise self._gap(
+                f"{os.path.basename(path)} is quarantined "
+                f"({quarantine_reason(path) or 'corruption detected'})"
             )
-        try:
-            with disk.open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            # Pruned between the listing and the open (or the device
-            # refused the read): surface as a gap with the retention
-            # horizon re-listed, so the follower knows where to re-seed.
-            raise WalStreamGap(
-                f"{path}: segment vanished under the stream",
-                next_lsn=self._next_lsn,
-                oldest_available=self._oldest_available(),
-            )
-        size = len(data)
-        if size < len(MAGIC) or not data.startswith(MAGIC):
-            # A just-created segment whose magic is still in flight.
-            self._in_flight = TornTail(path, 0, "segment header in flight", size)
-            return False
-        if size < self._offset:
-            # The segment shrank behind the cursor: the writer crashed
-            # and truncated history we already consumed.  Incremental
-            # progress is impossible; re-seed from a checkpoint.
-            raise WalStreamGap(
-                f"{path}: segment truncated behind the stream cursor "
-                f"(size {size} < cursor offset {self._offset})",
-                next_lsn=self._next_lsn,
-                oldest_available=self._oldest_available(),
-            )
-        moved = False
-        expect = first_lsn if self._offset == len(MAGIC) else self._next_lsn
-        offset = self._offset
-        while offset < size:
+        reader = FrameReader(
+            path,
+            self._offset,
+            first_lsn if self._offset <= len(MAGIC) else self._next_lsn,
+        )
+        for record in reader:
+            if record.lsn >= self._next_lsn:
+                out.append(record)
+                self._next_lsn = record.lsn + 1
+            self._offset = reader.offset
             if max_records is not None and len(out) >= max_records:
-                break
-            if size - offset < _HEADER.size:
-                self._in_flight = TornTail(
-                    path, offset, "record header in flight", size - offset
-                )
-                break
-            length, crc = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            if length > _MAX_RECORD or size - start < length:
-                self._in_flight = TornTail(
-                    path, offset, "record payload in flight", size - offset
-                )
-                break
-            payload_bytes = data[start:start + length]
-            if zlib.crc32(payload_bytes) & 0xFFFFFFFF != crc:
-                self._in_flight = TornTail(
-                    path, offset, "record checksum in flight", size - offset
-                )
-                break
-            try:
-                payload = json.loads(payload_bytes.decode("utf-8"))
-                lsn = int(payload["lsn"])
-                kind = str(payload["kind"])
-            except Exception:
-                self._in_flight = TornTail(
-                    path, offset, "record payload undecodable", size - offset
-                )
-                break
-            if lsn != expect:
-                raise WalStreamGap(
-                    f"{path}: lsn discontinuity under the stream (found "
-                    f"{lsn} at offset {offset}, expected {expect})",
-                    next_lsn=self._next_lsn,
-                )
-            record_length = _HEADER.size + length
-            if lsn >= self._next_lsn:
-                out.append(
-                    WalRecord(lsn, kind, payload, path, offset, record_length)
-                )
-                self._next_lsn = lsn + 1
-            offset = start + length
-            self._offset = offset
-            expect = lsn + 1
-            moved = True
-        return moved
+                return
+        damage = reader.damage
+        if damage is None:
+            self._offset = reader.offset  # past an empty segment's magic
+        elif (
+            damage.kind in ("unreadable", "lsn")
+            or damage.offset < self._offset
+        ):
+            # Pruned between the listing and the open, rewritten, or
+            # truncated behind the cursor by a crashed writer: history
+            # we stand on is gone, so incremental progress is
+            # impossible -- re-seed from a checkpoint.
+            raise self._gap(
+                f"{os.path.basename(path)}: {damage.reason} under the "
+                f"stream cursor at offset {self._offset}"
+            )
+        else:
+            # A half-flushed append (or one the writer's crash will
+            # truncate): stop in front of it, retry on the next poll.
+            self._in_flight = damage
 
 
 # ---------------------------------------------------------------------------
@@ -855,31 +703,19 @@ class WriteAheadLog:
                     f"-- run repro.wal.recover(..., repair=True) before "
                     f"reopening the log for writing"
                 )
-            damage = classify_damage(scan.torn)
-            if not damage.tail:
-                # Intact records exist past the damage: this is bit rot
-                # (or a hole), not a crash's torn tail.  Truncating
-                # would silently drop the readable commits behind it --
-                # quarantine and demand repair instead.
-                quarantine_segment(
-                    scan.torn.segment,
-                    f"{scan.torn} (intact record at offset "
-                    f"{damage.resync_offset}, lsn {damage.resync_lsn})",
-                )
+            why = quarantine_non_tail(scan.torn)
+            if why:
+                # Truncating would silently drop the readable commits
+                # behind the damage -- demand repair instead.
                 raise WalCorruptionError(
-                    f"{self._directory}: {scan.torn}; an intact record "
-                    f"(lsn {damage.resync_lsn}) follows the damage, so "
-                    f"this is non-tail corruption -- the segment is "
-                    f"quarantined; repair from a healthy peer before "
+                    f"{self._directory}: {scan.torn}; {why} -- the segment "
+                    f"is quarantined; repair from a healthy peer before "
                     f"reopening the log for writing"
                 )
             # A torn tail in the last segment is the normal signature of
             # a crash mid-append: cut it off and continue after the
             # committed prefix.
-            with open(scan.torn.segment, "r+b") as handle:
-                handle.truncate(scan.torn.offset)
-                handle.flush()
-                os.fsync(handle.fileno())
+            truncate_torn_tail(scan.torn)
             self._stats["torn_tail_repaired"] += 1
         if scan.segments:
             current = scan.segments[-1]
@@ -935,10 +771,7 @@ class WriteAheadLog:
                     f"log at {self._directory} is fenced ({self._failed}); "
                     f"a fenced log never resumes appending"
                 )
-            if self._handle is not None:
-                with contextlib.suppress(OSError, ValueError):
-                    self._handle.close()
-            self._handle = None
+            self.close()
             self._failed = None
             self._failed_disk = None
             self._pending = 0
@@ -1072,10 +905,7 @@ class WriteAheadLog:
             # and post-epoch logs that never failed over stay
             # byte-compatible; readers use payload.get("epoch", 0).
             record["epoch"] = self._epoch
-        buf = json.dumps(
-            record, ensure_ascii=False, separators=(",", ":")
-        ).encode("utf-8")
-        header = _HEADER.pack(len(buf), zlib.crc32(buf) & 0xFFFFFFFF)
+        header, buf = encode_frame(record)
         half = len(buf) // 2
         handle = self._handle
         if handle is None:
@@ -1090,17 +920,9 @@ class WriteAheadLog:
             kill_point("wal-mid-record", lsn=lsn, kind=kind)
             handle.write(buf[half:])
             handle.flush()
-        except OSError as exc:
-            self._failed_disk = classify_disk_error(
-                exc, path=self._segment_path, op="append"
-            )
-            raise WalWriteError(
-                f"append of lsn {lsn} failed mid-record: {exc}",
-                disk=self._failed_disk,
-            ) from exc
-        except ValueError as exc:  # closed handle
-            raise WalWriteError(
-                f"append of lsn {lsn} failed mid-record: {exc}"
+        except (OSError, ValueError) as exc:
+            raise self._poison(
+                f"append of lsn {lsn} mid-record", exc, "append"
             ) from exc
         self._failed = None
         self._failed_disk = None
@@ -1134,28 +956,38 @@ class WriteAheadLog:
                 return
         self._fsync_now()
 
+    def _poison(self, what: str, exc: Exception, op: str) -> WalWriteError:
+        """Stop trusting the writer after the disk refused ``what``, and
+        build the error to raise.  An ``OSError`` is classified (full
+        vs failing device) and keeps riding every later refusal; a
+        ``ValueError`` is a closed handle."""
+        self._failed = f"{what} failed: {exc}"
+        self._failed_disk = (
+            classify_disk_error(exc, path=self._segment_path, op=op)
+            if isinstance(exc, OSError) else None
+        )
+        return WalWriteError(
+            f"{what} at {self._segment_path} failed: {exc}",
+            disk=self._failed_disk,
+        )
+
     def _fsync_now(self) -> None:
         try:
             disk.fsync(self._handle)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             # After a failed fsync the kernel may have dropped the dirty
             # pages; the only safe stance is to stop trusting the tail.
-            self._failed = f"fsync failed: {exc}"
-            self._failed_disk = classify_disk_error(
-                exc, path=self._segment_path, op="fsync"
-            )
-            raise WalWriteError(
-                f"fsync of {self._segment_path} failed: {exc}",
-                disk=self._failed_disk,
-            ) from exc
-        except ValueError as exc:  # closed handle
-            self._failed = f"fsync failed: {exc}"
-            raise WalWriteError(
-                f"fsync of {self._segment_path} failed: {exc}"
-            ) from exc
+            raise self._poison("fsync", exc, "fsync") from exc
         self._pending = 0
         self._last_sync = self._clock()
         self._stats["fsyncs"] += 1
+
+    def _sync_locked(self) -> bool:
+        if self._handle is None or not self._pending:
+            return False
+        self._handle.flush()
+        self._fsync_now()
+        return True
 
     def sync(self) -> None:
         """Force any pending appends to stable storage.
@@ -1165,9 +997,7 @@ class WriteAheadLog:
                 afterwards).
         """
         with self._lock:
-            if self._handle is not None and self._pending:
-                self._handle.flush()
-                self._fsync_now()
+            self._sync_locked()
 
     # ------------------------------------------------------------------
     # group commit
@@ -1233,35 +1063,9 @@ class WriteAheadLog:
                 afterwards; none of the group may be acknowledged).
         """
         with self._lock:
-            if self._handle is None or not self._pending:
-                return False
-            self._handle.flush()
-            self._fsync_now()
-            self._stats["group_syncs"] += 1
-            return True
-
-    def append_many(self, payloads) -> List[int]:
-        """Append several records with one fsync for the whole batch.
-
-        The multi-record form of :meth:`append`: every payload is
-        written (each individually checksummed and lsn-stamped), then a
-        single fsync makes the batch durable.  Returns the lsns in
-        order.
-
-        Raises:
-            WalWriteError: an append or the batch fsync failed; records
-                written before the failure follow the normal torn-tail
-                rule on recovery.
-        """
-        with self._lock:
-            ident = threading.get_ident()
-            self._group_threads.add(ident)
-            try:
-                lsns = [self._append_locked(payload) for payload in payloads]
-            finally:
-                self._group_threads.discard(ident)
-            self.sync_group()
-            return lsns
+            synced = self._sync_locked()
+            self._stats["group_syncs"] += synced
+            return synced
 
     def _rotate_locked(self) -> None:
         try:
@@ -1274,13 +1078,8 @@ class WriteAheadLog:
         except OSError as exc:
             # A rotation that cannot open/seed the next segment leaves
             # no trustworthy writer; poison it like a failed append.
-            self._failed = f"rotation failed: {exc}"
-            self._failed_disk = classify_disk_error(
-                exc, path=self._directory, op="rotate"
-            )
-            raise WalWriteError(
-                f"segment rotation at lsn {self._lsn} failed: {exc}",
-                disk=self._failed_disk,
+            raise self._poison(
+                f"segment rotation at lsn {self._lsn}", exc, "rotate"
             ) from exc
         self._stats["rotations"] += 1
 
@@ -1338,8 +1137,6 @@ class WriteAheadLog:
                 if changes is not None and not changes.conservative:
                     payload["touched"] = len(changes.touched_roots())
                 return payload
-        from ..storage import dump_state
-
         with self._lock:
             self._stats["state_fallbacks"] += 1
         return {
@@ -1399,8 +1196,6 @@ class WriteAheadLog:
         Returns:
             The snapshot file path.
         """
-        from ..storage import dump_database
-
         with database._commit_lock:  # freeze the commit point
             with self._lock:
                 self.sync()  # the log must cover everything pre-snapshot
@@ -1411,7 +1206,10 @@ class WriteAheadLog:
                     self._directory,
                     f"checkpoint-{lsn:010d}-{version:010d}{suffix}.xml",
                 )
-                self._write_snapshot(payload, path)
+                _write_atomically(
+                    payload, path, backup=False,
+                    kill="checkpoint-mid-snapshot", op="checkpoint",
+                )
                 self._rotate_locked()
                 self._append_locked(
                     {
@@ -1424,32 +1222,6 @@ class WriteAheadLog:
                 self._stats["checkpoints"] += 1
                 self._prune_locked()
         return path
-
-    def _write_snapshot(self, payload: str, path: str) -> None:
-        fd, temp_path = tempfile.mkstemp(
-            dir=self._directory,
-            prefix=os.path.basename(path) + ".",
-            suffix=".tmp",
-        )
-        try:
-            with disk.wrap(os.fdopen(fd, "w", encoding="utf-8"), temp_path) as handle:
-                half = len(payload) // 2
-                handle.write(payload[:half])
-                handle.flush()
-                kill_point("checkpoint-mid-snapshot", path=path)
-                handle.write(payload[half:])
-                handle.flush()
-                disk.fsync(handle)
-            os.replace(temp_path, path)
-            _fsync_directory(self._directory)
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                os.unlink(temp_path)
-            raise classify_disk_error(exc, path=path, op="checkpoint") from exc
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(temp_path)
-            raise
 
     def _prune_locked(self) -> None:
         checkpoints = list_checkpoints(self._directory)
@@ -1467,10 +1239,3 @@ class WriteAheadLog:
                 with contextlib.suppress(OSError):
                     os.unlink(path)
 
-
-def _fsync_directory(directory: str) -> None:
-    """Directory fsync, degrading to a logged best-effort (see
-    :func:`repro.storage._fsync_directory`, which this defers to)."""
-    from ..storage import _fsync_directory as fsync_dir
-
-    fsync_dir(directory)

@@ -34,25 +34,23 @@ record carrying an ``idem`` annotation contributes its
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..errors import RecoveryError, WalCorruptionError
-from ..storage import LoadReport, load_database
-from ..testing.diskfaults import disk
+from ..storage import LoadReport, load_database, load_from_file
 from ..xmltree.labels import NumberingScheme
 from ..xupdate.parser import parse_xupdate
 from .log import (
     Checkpoint,
     TornTail,
     WalRecord,
-    classify_damage,
     list_checkpoints,
-    quarantine_segment,
+    quarantine_non_tail,
     quarantined_segments,
     scan_directory,
+    truncate_torn_tail,
 )
 
 __all__ = [
@@ -153,37 +151,21 @@ def recover(
 
     scan = scan_directory(directory)
     result.torn = scan.torn
-    damage = None
+    non_tail = ""
     if scan.torn is not None:
-        damage = classify_damage(scan.torn)
-        if not damage.tail:
-            # Non-tail corruption: intact records exist past the damage
-            # (bit rot, a flipped length field, dropped segments).  The
-            # torn-tail rule must not swallow this -- quarantine the
-            # segment so no writer truncates it and no stream serves it.
-            quarantine_segment(
-                scan.torn.segment,
-                f"{scan.torn} (non-tail: intact record at offset "
-                f"{damage.resync_offset}, lsn {damage.resync_lsn})",
-            )
+        # The torn-tail rule must not swallow non-tail corruption (bit
+        # rot, a flipped length field, dropped segments).
+        non_tail = quarantine_non_tail(scan.torn)
+        if non_tail:
             quarantined.add(scan.torn.segment)
+        detail = f"; {non_tail} -- segment quarantined" if non_tail else ""
         if strict:
-            detail = (
-                "" if damage.tail
-                else (
-                    f"; non-tail corruption (intact lsn "
-                    f"{damage.resync_lsn} follows) -- segment quarantined"
-                )
-            )
             raise WalCorruptionError(f"{directory}: {scan.torn}{detail}")
-        if damage.tail:
-            result.report.add("wal", str(scan.torn))
-        else:
-            result.report.add(
-                "wal",
-                f"{scan.torn}; non-tail corruption -- segment "
-                f"quarantined, replay stops at the damage",
-            )
+        result.report.add(
+            "wal",
+            f"{scan.torn}{detail}"
+            + (", replay stops at the damage" if non_tail else ""),
+        )
 
     checkpoint, database = load_newest_checkpoint(
         directory, scheme=scheme, strict=strict, report=result.report
@@ -196,6 +178,13 @@ def recover(
         key = applied.payload.get("idem")
         if key is not None:
             result.dedup[str(key)] = summary
+
+    def stop(message: str, cause: Optional[Exception] = None) -> None:
+        """The replay cannot go past this record: strict mode raises,
+        lenient mode reports and keeps the last consistent point."""
+        if strict:
+            raise RecoveryError(message) from cause
+        result.report.add("wal", message + "; stopping here")
 
     for record in scan.records:
         if record.lsn <= start_lsn:
@@ -214,13 +203,10 @@ def recover(
         # as epoch 0 -- a regression only exists once something newer
         # was already seen.)
         if record.epoch < result.epoch:
-            message = (
+            stop(
                 f"lsn {record.lsn} carries stale epoch {record.epoch} "
                 f"after epoch {result.epoch} was observed"
             )
-            if strict:
-                raise RecoveryError(message)
-            result.report.add("wal", message + "; stopping here")
             break
         result.epoch = record.epoch
         # The recovery invariant, checked *before* applying: a replayed
@@ -229,41 +215,35 @@ def recover(
         # the current version disagrees with the log it sits in.  The
         # divergent record is never applied -- lenient mode stops at the
         # last consistent point, strict mode raises.
-        if record.kind in ("update", "admin") and database is not None:
-            stamped = int(record.payload["version"])
-            if stamped != database.version + 1:
-                message = (
-                    f"lsn {record.lsn} is stamped version {stamped}, but "
-                    f"the database stands at {database.version}"
-                )
-                if strict:
-                    raise RecoveryError(message)
-                result.report.add("wal", message + "; stopping here")
-                break
+        stamped = int(record.payload.get("version", 0))
+        if (
+            record.kind in ("update", "admin")
+            and database is not None
+            and stamped != database.version + 1
+        ):
+            stop(
+                f"lsn {record.lsn} is stamped version {stamped}, but "
+                f"the database stands at {database.version}"
+            )
+            break
         try:
             database = apply_record(
                 database, record, scheme, result_sink=remember
             )
         except Exception as exc:
-            message = (
-                f"replay of lsn {record.lsn} ({record.kind}) failed: {exc}"
+            stop(
+                f"replay of lsn {record.lsn} ({record.kind}) failed: {exc}",
+                exc,
             )
-            if strict:
-                raise RecoveryError(message) from exc
-            result.report.add("wal", message + "; stopping here")
             break
         if record.kind in ("update", "admin", "state"):
             result.replayed += 1
-            stamped = int(record.payload["version"])
             if database.version != stamped:
-                message = (
+                stop(
                     f"replay of lsn {record.lsn} left the database at "
                     f"version {database.version}, but the record is "
                     f"stamped {stamped}"
                 )
-                if strict:
-                    raise RecoveryError(message)
-                result.report.add("wal", message + "; stopping here")
                 break
         result.last_lsn = record.lsn
 
@@ -273,7 +253,7 @@ def recover(
             f"state record; nothing to recover"
         )
     if repair and scan.torn is not None:
-        if damage is not None and not damage.tail:
+        if non_tail:
             # Truncating non-tail damage would destroy the intact
             # committed records behind it; repair here means
             # anti-entropy from a healthy peer, never the saw.
@@ -284,7 +264,7 @@ def recover(
                 "(repro.replication.repair_from_peer)",
             )
         else:
-            _repair_tail(scan.torn)
+            truncate_torn_tail(scan.torn)
             result.report.add("wal", "torn tail physically truncated (repair)")
     result.database = database
     return result
@@ -329,12 +309,7 @@ def load_newest_checkpoint(
     checkpoints = list_checkpoints(directory)
     for index, checkpoint in enumerate(reversed(checkpoints)):
         try:
-            with disk.open(checkpoint.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            database = load_database(
-                text, scheme, mode="strict",
-                source=os.path.basename(checkpoint.path),
-            )
+            database = load_from_file(checkpoint.path, scheme)
         except Exception as exc:
             message = (
                 f"checkpoint {os.path.basename(checkpoint.path)} failed to "
@@ -406,34 +381,24 @@ def apply_record(
             f"lsn {record.lsn} ({kind}) needs a database to replay onto, "
             f"but no checkpoint loaded and no state record preceded it"
         )
-    if kind == "update":
-        session = database.login(payload["user"])
-        outcome = session.execute(
-            parse_xupdate(payload["script"]),
-            strict=bool(payload.get("strict", False)),
-        )
-        if result_sink is not None:
-            result_sink(
-                record,
-                {
-                    "fully_applied": bool(outcome.fully_applied),
-                    "selected": len(outcome.selected),
-                    "affected": len(outcome.affected),
-                    "denied": len(outcome.denials),
-                    "version": database.version,
-                },
+    if kind in ("update", "admin"):
+        script = parse_xupdate(payload["script"])
+        if kind == "update":
+            outcome = database.login(payload["user"]).execute(
+                script, strict=bool(payload.get("strict", False))
             )
-        return database
-    if kind == "admin":
-        outcome = database.admin_update(parse_xupdate(payload["script"]))
+            applied, denied = bool(outcome.fully_applied), outcome.denials
+        else:
+            outcome = database.admin_update(script)
+            applied, denied = True, outcome.denied
         if result_sink is not None:
             result_sink(
                 record,
                 {
-                    "fully_applied": True,
+                    "fully_applied": applied,
                     "selected": len(outcome.selected),
                     "affected": len(outcome.affected),
-                    "denied": len(outcome.denied),
+                    "denied": len(denied),
                     "version": database.version,
                 },
             )
@@ -477,21 +442,3 @@ def _apply_policy(policy, op: str, args) -> None:
     else:
         raise RecoveryError(f"unknown policy event {op!r}")
 
-
-# ---------------------------------------------------------------------------
-# repair
-# ---------------------------------------------------------------------------
-def _repair_tail(torn: TornTail) -> None:
-    """Make the damage physical truth: cut the torn segment and drop
-    the unreachable ones, so the directory re-opens for appending."""
-    if torn.offset == 0:
-        with contextlib.suppress(OSError):
-            os.unlink(torn.segment)
-    else:
-        with open(torn.segment, "r+b") as handle:
-            handle.truncate(torn.offset)
-            handle.flush()
-            os.fsync(handle.fileno())
-    for path in torn.dropped_segments:
-        with contextlib.suppress(OSError):
-            os.unlink(path)

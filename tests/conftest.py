@@ -24,6 +24,24 @@ def _reset_faults():
 
 
 @pytest.fixture
+def bytes_read(monkeypatch):
+    """Every byte count returned by a read through the ``disk`` seam
+    (:class:`repro.testing.diskfaults.FaultyFile`), in call order."""
+    from repro.testing.diskfaults import FaultyFile
+
+    counts = []
+    real = FaultyFile.read
+
+    def counting(self, size=-1):
+        data = real(self, size)
+        counts.append(len(data))
+        return data
+
+    monkeypatch.setattr(FaultyFile, "read", counting)
+    return counts
+
+
+@pytest.fixture
 def doc():
     """The figure-2 medical document, fresh per test."""
     return medical_document()

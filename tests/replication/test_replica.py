@@ -1,5 +1,7 @@
 """Replica: seeding, following, catch-up, divergence, read-only serving."""
 
+import os
+
 import pytest
 
 from repro.errors import ReadOnlyReplica, ReplicaDiverged
@@ -102,6 +104,49 @@ class TestReadOnlyServing:
         replica.query("w1", "count(/log/*)")
         stats = replica.stats()
         assert stats["reads"] == 2
+
+    def test_served_sessions_are_a_bounded_lru(self, tmp_path):
+        """The replica shares the server's session bound: identity
+        holds while cached, and an evicted user is served correctly."""
+        from repro.security.session import SESSION_CACHE_SIZE
+
+        crowd = [f"u{i}" for i in range(SESSION_CACHE_SIZE + 1)]
+        db = editors_database(users=crowd)
+        wal = WriteAheadLog(str(tmp_path / "crowd.wal"))
+        db.attach_wal(wal)
+        wal.checkpoint(db)
+        replica = Replica(wal.directory)
+
+        def session_of(user):
+            return replica.serve(user, lambda session: session)[0]
+
+        first = session_of("u0")
+        assert session_of("u0") is first
+        for user in crowd[1:]:
+            session_of(user)  # one more user than the cache holds
+        assert len(replica._sessions) == SESSION_CACHE_SIZE
+        assert session_of("u0") is not first
+        assert replica.read_xml("u0") == db.login("u0").read_xml()
+
+    def test_lag_reads_only_the_newest_segment(self, tmp_path, bytes_read):
+        """``lag()`` learns the primary's tail lsn from the last
+        segment, not by decoding the whole retained log."""
+        db = editors_database()
+        wal = WriteAheadLog(str(tmp_path / "long.wal"), segment_bytes=512)
+        db.attach_wal(wal)
+        wal.checkpoint(db)
+        replica = Replica(wal.directory)
+        for i in range(12):
+            db.login("w1").execute(append_script(f"e{i}"))
+        segments = sorted(
+            name for name in os.listdir(wal.directory)
+            if name.startswith("segment-")
+        )
+        assert len(segments) > 3
+        del bytes_read[:]
+        assert replica.lag() == 12
+        newest = os.path.join(wal.directory, segments[-1])
+        assert sum(bytes_read) == os.path.getsize(newest)
 
     def test_stats_expose_replica_health(self, primary):
         replica = Replica(primary.wal.directory)

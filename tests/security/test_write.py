@@ -302,6 +302,34 @@ class TestStrictModeAndScripts:
         result = sx.apply(view, script)
         assert serialize(result.document) == "<r><c/></r>"
 
+    def test_view_is_rebased_only_between_operations(self, monkeypatch):
+        """A one-op ``Session.execute`` builds no view inside the
+        executor (there is no next operation to select for); a two-op
+        script still selects op 2 on op 1's result."""
+        from repro.security import SecureXMLDatabase
+
+        doc, policy = make_db(
+            "<r><a/></r>",
+            [("read", "//node()"), ("update", "//node()")],
+        )
+        session = SecureXMLDatabase(doc, policy.subjects, policy).login("u")
+        session.view()  # warm: only builds inside execute() count below
+        builds = []
+        real = ViewBuilder.build
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ViewBuilder, "build", counting)
+        session.execute(UpdateScript((Rename("//a", "b"),)))
+        assert builds == []
+        result = session.execute(
+            UpdateScript((Rename("//b", "c"), Rename("//c", "d")))
+        )
+        assert len(builds) == 1
+        assert serialize(result.document) == "<r><d/></r>"
+
     def test_script_merges_denials(self, sx, builder):
         doc, policy = make_db(
             "<r><a/><keep/></r>",

@@ -54,6 +54,26 @@ class TestReads:
         assert server.session("laporte") is server.session("laporte")
         assert server.session("laporte") is not server.session("beaufort")
 
+    def test_served_sessions_are_a_bounded_lru(self, db, clock):
+        from repro.security.session import SESSION_CACHE_SIZE
+
+        crowd = [f"visitor{i}" for i in range(SESSION_CACHE_SIZE)]
+        for name in crowd:
+            db.subjects.add_user(name, member_of="secretary")
+        server = make_server(db, clock)
+        first = server.session("laporte")
+        expected = server.read_xml("laporte")
+        for name in crowd[:-1]:
+            server.session(name)
+        assert server.session("laporte") is first  # cached, and now newest
+        server.session(crowd[-1])  # one past the bound: oldest visitor goes
+        assert len(server._sessions) == SESSION_CACHE_SIZE
+        assert server.session("laporte") is first
+        for name in crowd:
+            server.session(name)  # pushes laporte out
+        assert server.session("laporte") is not first
+        assert server.read_xml("laporte") == expected
+
     def test_read_respects_the_default_deadline(self, db, clock):
         server = make_server(db, clock, default_deadline=1.0)
         server.read_xml("laporte")  # within budget
