@@ -11,8 +11,9 @@ test:
 
 # Crash-safety lane: every named kill-point in the executor and the
 # storage layer is injected and the atomicity invariant asserted.
-# Differential mode is armed so every compiled XPath evaluation in the
-# lane is re-checked against the AST interpreter (xpath/compiler.py).
+# Differential mode is armed so every XPath evaluation in the lane
+# (all compiled: xpath/compiler.py is the only executor) is re-checked
+# against the AST interpreter kept as repro.testing.xpath_oracle.
 fault:
 	REPRO_XPATH_DIFFERENTIAL=1 $(PYTEST) -x -q -m fault
 
@@ -69,7 +70,9 @@ bench:
 # Machine-readable benchmark results for regression tracking, one file
 # per experiment (always written to the repo root, so reruns overwrite
 # in place instead of scattering) -- E20..E24 accumulate the perf
-# trajectory across PRs.
+# trajectory across PRs.  E23 writes none: its raw rounds measured the
+# two-executor fork, and `python3 -m bench trace`'s per-shape table is
+# its successor.
 bench-json:
 	$(PYTEST) -q benchmarks/test_e20_view_maintenance.py \
 		--benchmark-json=$(CURDIR)/BENCH_E20.json
@@ -78,8 +81,6 @@ bench-json:
 	rm -f $(CURDIR)/BENCH_E22.json
 	REPRO_BENCH_SERIES_JSON=$(CURDIR)/BENCH_E22.json \
 		$(PYTEST) -q -s benchmarks/test_e22_wal.py
-	$(PYTEST) -q benchmarks/test_e23_compiled_policy.py \
-		--benchmark-json=$(CURDIR)/BENCH_E23.json
 	rm -f $(CURDIR)/BENCH_E24.json
 	REPRO_BENCH_SERIES_JSON=$(CURDIR)/BENCH_E24.json \
 		$(PYTEST) -q -s benchmarks/test_e24_replication.py

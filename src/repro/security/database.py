@@ -387,7 +387,9 @@ class SecureXMLDatabase:
         :attr:`repro.security.perm.PermissionResolver.stats` and
         :attr:`repro.security.viewcache.ViewCache.stats` (prefixed
         ``view_``), e.g. ``view_hits`` / ``view_incremental_patches`` /
-        ``full_resolves``, plus the degradation ledger:
+        ``full_resolves``, plus ``rules_compiled`` (compiled-cache
+        misses of the one XPath engine that rule paths, queries and
+        XUpdate PATHs share) and the degradation ledger:
         ``degraded_rebuilds`` (resolver path-patches and view patches
         that raised and were re-derived from scratch, summed) and
         ``degraded_view_serves`` (reads that fell all the way back
@@ -395,6 +397,7 @@ class SecureXMLDatabase:
         """
         out = {"version": self._version, "read_only": self._read_only}
         out.update(self._resolver.stats)
+        out["rules_compiled"] = self._engine.paths_compiled
         if self._view_cache is not None:
             out.update(
                 {f"view_{k}": v for k, v in self._view_cache.stats.items()}

@@ -59,7 +59,6 @@ from typing import (
 
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import NodeId, document_order_key
-from ..xpath.compiler import CompiledXPath
 from ..xpath.engine import XPathEngine
 from ..xpath.skeleton import PathSkeleton, analyze_path
 from .policy import ACCEPT, Policy, SecurityRule
@@ -167,14 +166,6 @@ class PermissionResolver:
             (see :meth:`note_commit`).
         max_tables: bound on the shared-table cache (LRU-evicted); one
             entry per distinct permission fingerprint.
-        compile_rules: evaluate rule paths through the engine's
-            compiled closure pipelines
-            (:meth:`~repro.xpath.engine.XPathEngine.compile_evaluator`)
-            instead of re-interpreting the AST per evaluation.  The
-            compiled evaluators are cached policy-wide here, so every
-            consumer of the resolver (view building, write checks,
-            XUpdate) hits the same warm cache.  Off only for the E23
-            ablation.
     """
 
     def __init__(
@@ -182,7 +173,6 @@ class PermissionResolver:
         engine: Optional[XPathEngine] = None,
         cache_paths: bool = False,
         max_tables: int = 256,
-        compile_rules: bool = True,
     ) -> None:
         self._engine = engine if engine is not None else XPathEngine(
             lone_variable_name_test=True, star_matches_text=True
@@ -200,11 +190,6 @@ class PermissionResolver:
         self._max_tables = max_tables
         self._tables: "OrderedDict[Fingerprint, _TableEntry]" = OrderedDict()
         self._skeletons: Dict[str, Optional[PathSkeleton]] = {}
-        # Policy-wide compiled-rule cache: one CompiledXPath per rule
-        # path string, shared by every resolve across all users and
-        # documents (compiled evaluators are document-independent).
-        self._compile_rules = compile_rules
-        self._compiled_rules: Dict[str, CompiledXPath] = {}
         # Concurrent readers share these caches and commit maintenance
         # rewrites them; an RLock because resolve_cached -> resolve ->
         # _select_rule_path nests.
@@ -222,7 +207,6 @@ class PermissionResolver:
             "full_resolves": 0,  # re-resolves with no carried state
             "conservative_commits": 0,  # commits without a usable change-set
             "degraded_rebuilds": 0,  # patches that raised; dropped, re-derived
-            "rules_compiled": 0,  # distinct rule paths compiled to closures
             "static_decisions": 0,  # checks answered by the NFA decider
             "static_fallbacks": 0,  # checks that fell back to table lookup
         }
@@ -253,23 +237,8 @@ class PermissionResolver:
         return (rules, user if user_dependent else None)
 
     # ------------------------------------------------------------------
-    # path selection (compiled + cached)
+    # path selection (cached)
     # ------------------------------------------------------------------
-    def _select_path(
-        self, doc: XMLDocument, path: str, variables: Dict[str, str]
-    ):
-        """One rule-path evaluation, compiled unless ablated."""
-        if not self._compile_rules:
-            return self._engine.select(doc, path, variables=variables)
-        compiled = self._compiled_rules.get(path)
-        if compiled is None:
-            compiled = self._engine.compile_evaluator(path)
-            with self._lock:
-                if path not in self._compiled_rules:
-                    self._compiled_rules[path] = compiled
-                    self.stats["rules_compiled"] += 1
-        return compiled.select(doc, variables=variables)
-
     def _select_rule_path(
         self,
         doc: XMLDocument,
@@ -279,7 +248,7 @@ class PermissionResolver:
         """Evaluate one rule path, caching user-independent paths."""
         if not self._cache_paths or "$" in path:
             self.stats["path_evals"] += 1
-            return self._select_path(doc, path, variables)
+            return self._engine.select(doc, path, variables=variables)
         with self._lock:
             entry = self._path_cache.get(doc)
             if entry is None or entry[0] != doc.mutation_stamp:
@@ -288,7 +257,9 @@ class PermissionResolver:
             cached = entry[1].get(path)
             if cached is None:
                 self.stats["path_evals"] += 1
-                cached = tuple(self._select_path(doc, path, variables))
+                cached = tuple(
+                    self._engine.select(doc, path, variables=variables)
+                )
                 entry[1][path] = cached
             else:
                 self.stats["path_cache_hits"] += 1
@@ -341,7 +312,7 @@ class PermissionResolver:
                 del self._tables[fp]
             return
         labels = changes.labels
-        star_text = getattr(self._engine, "star_matches_text", False)
+        star_text = self._engine.star_matches_text
         if entry is not None and entry[0] == old_doc.mutation_stamp:
             carried: Dict[str, Tuple[NodeId, ...]] = {}
             for path, nodes in entry[1].items():
@@ -418,9 +389,7 @@ class PermissionResolver:
         """
         from .static import decider_for
 
-        decider = decider_for(
-            policy, user, getattr(self._engine, "star_matches_text", False)
-        )
+        decider = decider_for(policy, user, self._engine.star_matches_text)
         outcome = decider.decide(doc, nid, privilege)
         if outcome is None:
             self.stats["static_fallbacks"] += 1

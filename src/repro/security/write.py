@@ -175,7 +175,7 @@ class SecureWriteExecutor:
         decider = decider_for(
             view.policy,
             view.user,
-            getattr(self._executor.engine, "star_matches_text", False),
+            self._executor.engine.star_matches_text,
         )
 
         def check(nid: NodeId, privilege: Privilege) -> bool:

@@ -1,8 +1,11 @@
 """XPath 1.0 engine: the paper's query language (section 3.4).
 
-A from-scratch lexer, parser and evaluator for the XPath 1.0 subset the
+A from-scratch lexer, parser and compiler for the XPath 1.0 subset the
 model needs (all axes, predicates, the core function library,
-variables).  The facade is :class:`XPathEngine`.
+variables): lexer -> AST -> closure pipeline, one executor for rule
+paths, queries and XUpdate PATHs alike.  The facade is
+:class:`XPathEngine`; the AST interpreter it once ran lives on only as
+the test oracle :mod:`repro.testing.xpath_oracle`.
 """
 
 from .ast import (
@@ -24,13 +27,14 @@ from .ast import (
 )
 from .compiler import (
     CompiledXPath,
+    Context,
     XPathDifferentialError,
+    XPathEvaluationError,
     compile_expr,
     differential_enabled,
     set_differential,
 )
 from .engine import XPathEngine
-from .evaluator import Context, XPathEvaluationError, evaluate
 from .functions import CORE_FUNCTIONS, XPathFunction, XPathFunctionError
 from .lexer import Token, XPathSyntaxError, tokenize
 from .parser import parse_xpath
@@ -72,7 +76,6 @@ __all__ = [
     "XPathFunctionError",
     "XPathSyntaxError",
     "XPathValue",
-    "evaluate",
     "is_node_set",
     "number_to_string",
     "parse_xpath",

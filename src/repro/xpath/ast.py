@@ -4,7 +4,7 @@ The paper treats ``xpath(p, n, v)`` as a black-box predicate whose axioms
 live in its Prolog prototype (section 3.4).  Here the language gets a
 real front end: this module defines the AST the
 :mod:`repro.xpath.parser` produces and the
-:mod:`repro.xpath.evaluator` consumes.
+:mod:`repro.xpath.compiler` consumes.
 
 Covered grammar (XPath 1.0, REC-xpath-19991116): location paths over all
 thirteen axes, name and kind node tests, predicates, the full expression

@@ -1,19 +1,27 @@
-"""XPath compilation: AST -> reusable closure pipeline.
+"""The XPath executor: AST -> reusable closure pipeline.
 
-The interpreted evaluator (:mod:`repro.xpath.evaluator`) re-walks the
-AST on every evaluation: each step re-dispatches on axis and node-test
-types, every predicate is re-inspected, and the ``//name`` fast path is
-re-detected per call.  This module performs all of that analysis once,
-at compile time, following lxml's pattern of compiling an XPath string
-into a reusable, shareable evaluator object:
+This is the one operational reading of the paper's ``xpath(p, n, v)``
+predicate (section 3.4): rule paths on the source (axiom 14), queries
+on the view (axioms 15-17) and XUpdate PATHs on the view (axioms
+18-25) all run the closures built here, reached through
+:meth:`repro.xpath.engine.XPathEngine.compile_evaluator`.  Evaluation
+follows the spec's data model: a :class:`Context` holds a node, a
+proximity position and a size; location steps map each context node to
+an axis sequence filtered by a node test and predicates; results of
+node-set expressions are in document order without duplicates.
+
+A plain AST walk would re-dispatch on axis and node-test types at
+every step of every evaluation, re-inspect every predicate and
+re-detect the ``//name`` fast path per call.  This module performs all
+of that analysis once, at compile time, following lxml's pattern of
+compiling an XPath string into a reusable, shareable evaluator object:
 
 - **per-step closures**: axis traversal, node test and predicates are
   resolved to concrete closures; evaluation is a fold over the step
   pipeline with an early exit on an empty intermediate node-set;
 - **axis fusion**: the ``//`` desugar pair ``descendant-or-self::node()
   / child::T`` compiles to a single descendant scan (answered from the
-  document's label/kind indexes when available, exactly like the
-  interpreter's fast path);
+  document's label/kind indexes when available);
 - **constant folding**: a predicate whose expression is context-free
   (literals, numbers, arithmetic/comparisons over them) is folded at
   compile time -- ``[3]`` becomes a slice, ``[true-valued]`` disappears,
@@ -23,32 +31,58 @@ into a reusable, shareable evaluator object:
 
 Compiled evaluators are pure closures over immutable AST data: they are
 thread-safe and reusable across documents, like lxml's ``XPath``
-objects.  Paper-compat options (``lone_variable_name_test``,
-``star_matches_text``) are baked in at compile time, so a compiled
-evaluator must only be run under contexts carrying the same options --
-:meth:`repro.xpath.engine.XPathEngine.compile_evaluator` guarantees
-this by compiling with the engine's own configuration.
+objects.
+
+Paper-compat options
+--------------------
+
+Two deliberate extensions (off by default, enabled by the security
+layer) mirror the paper's policy syntax.  Both exist at compile time
+only -- they are baked into the closures and remembered on the
+:class:`CompiledXPath`; a :class:`Context` carries neither, so a
+compiled path cannot be run under the wrong reading.
+
+``lone_variable_name_test``: rule 5 of the example policy writes
+``/patients/descendant-or-self::*[$USER]`` with the intent "elements
+*named* by the session user's login".  Under strict XPath 1.0 semantics
+``[$USER]`` is ``boolean(string)`` -- true for any non-empty login --
+which cannot be what the paper means.  With the option on, a predicate
+consisting of exactly one variable reference is evaluated as
+``name() = $var``, matching the paper's reading.  DESIGN.md records
+this as a documented interpretation.
+
+``star_matches_text``: the paper's example policy writes ``//*`` for
+"the whole document" and ``//diagnosis/*`` for "the content of
+diagnosis elements" -- its printed views (section 4.4.1) show text
+nodes being granted/denied by these rules, so the paper's Prolog XPath
+clearly lets ``*`` match text nodes.  Standard XPath 1.0 restricts
+``*`` to the principal node type (elements).  With the option on, a
+lone ``*`` name test also matches text and comment nodes;
+attribute-axis behaviour is unchanged.
 
 Differential mode
 -----------------
 
-Compiled evaluation is an optimization, never a semantics fork.  With
-differential mode enabled (the ``REPRO_XPATH_DIFFERENTIAL`` environment
-variable, or :func:`set_differential`) every compiled evaluation also
-runs the interpreted evaluator on the same context and raises
-:class:`XPathDifferentialError` on any disagreement.  ``make fault``
-runs the fault lane with the mode armed, so every secure-write
-kill-point schedule doubles as a compiled-vs-interpreted equivalence
-check.
+The AST interpreter this pipeline replaced survives as a test oracle,
+:mod:`repro.testing.xpath_oracle`.  With differential mode enabled (the
+``REPRO_XPATH_DIFFERENTIAL`` environment variable, or
+:func:`set_differential`) every compiled evaluation also runs the
+oracle on the same context, under the flags the path was compiled
+with, and raises :class:`XPathDifferentialError` on any disagreement;
+the oracle module is imported only then.  ``make fault`` runs the fault
+lane with the mode armed, so every secure-write kill-point schedule
+doubles as a compiled-vs-oracle equivalence check, and
+``tests/xpath/conftest.py`` arms it for the whole XPath spec suite.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from types import SimpleNamespace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
+from ..xmltree.document import XMLDocument
 from ..xmltree.labels import DOCUMENT_ID, NodeId
 from ..xmltree.node import NodeKind
 from .ast import (
@@ -61,42 +95,71 @@ from .ast import (
     LocationPath,
     NameTest,
     Negate,
+    NodeTest,
     NumberLiteral,
     PathExpr,
     Step,
     UnionExpr,
     VariableRef,
 )
-from .evaluator import (
-    Context,
-    XPathEvaluationError,
-    _arithmetic,
-    _compare_equality,
-    _compare_relational,
-    _indexed_candidates,
-    evaluate as _interpret,
-)
-from .functions import XPathFunctionError
+from .functions import CORE_FUNCTIONS, XPathFunction, XPathFunctionError
 from .values import (
     NodeSet,
     XPathValue,
+    arithmetic,
+    compare_equality,
+    compare_relational,
     is_node_set,
     sort_document_order,
     to_boolean,
+    to_number,
     to_string,
 )
 
 __all__ = [
+    "CompatFlags",
     "CompiledXPath",
+    "Context",
     "XPathDifferentialError",
+    "XPathEvaluationError",
     "compile_expr",
     "differential_enabled",
     "set_differential",
 ]
 
 
+class XPathEvaluationError(ValueError):
+    """Type errors and unknown names raised during evaluation."""
+
+
+@dataclass
+class Context:
+    """One XPath evaluation context.
+
+    Attributes:
+        doc: the document being queried.
+        node: the context node.
+        position: 1-based proximity position.
+        size: context size.
+        variables: variable bindings (``USER`` etc.); values are XPath
+            values.
+        functions: the function library in effect.
+    """
+
+    doc: XMLDocument
+    node: NodeId
+    position: int = 1
+    size: int = 1
+    variables: Mapping[str, XPathValue] = field(default_factory=dict)
+    functions: Mapping[str, XPathFunction] = field(default_factory=lambda: CORE_FUNCTIONS)
+
+    def at(self, node: NodeId, position: int, size: int) -> "Context":
+        """A sibling context at another node/position/size."""
+        return replace(self, node=node, position=position, size=size)
+
+
 class XPathDifferentialError(AssertionError):
-    """Compiled and interpreted evaluation disagreed (differential mode)."""
+    """Compiled evaluation and the oracle disagreed (differential mode)."""
 
 
 #: Differential mode switch; armed from the environment so `make fault`
@@ -109,13 +172,13 @@ _DIFFERENTIAL = os.environ.get("REPRO_XPATH_DIFFERENTIAL", "").strip().lower() n
 
 
 def set_differential(enabled: bool) -> None:
-    """Toggle compiled-vs-interpreted checking for every evaluation."""
+    """Toggle compiled-vs-oracle checking for every evaluation."""
     global _DIFFERENTIAL
     _DIFFERENTIAL = bool(enabled)
 
 
 def differential_enabled() -> bool:
-    """Whether every compiled evaluation is checked against the interpreter."""
+    """Whether every compiled evaluation is checked against the oracle."""
     return _DIFFERENTIAL
 
 
@@ -142,14 +205,12 @@ _StepFn = Callable[[NodeSet, Context], NodeSet]
 _PredFn = Callable[[NodeSet, Context], NodeSet]
 
 
-class _Flags(SimpleNamespace):
-    """Compile-time paper-compat configuration (baked into closures)."""
+class CompatFlags(NamedTuple):
+    """The paper-compat readings one path is compiled under (baked into
+    its closures; see the module docstring)."""
 
-    def __init__(self, lone_variable_name_test: bool, star_matches_text: bool):
-        super().__init__(
-            lone_variable_name_test=lone_variable_name_test,
-            star_matches_text=star_matches_text,
-        )
+    lone_variable_name_test: bool = False
+    star_matches_text: bool = False
 
 
 class CompiledXPath:
@@ -158,10 +219,11 @@ class CompiledXPath:
     Thread-safe and reusable across documents (the lxml ``XPath``-object
     pattern).  Call it with a :class:`Context`, or use the
     :meth:`evaluate` / :meth:`select` conveniences when the compiling
-    engine supplied a context factory.
+    engine supplied a context factory.  ``flags`` remembers the
+    paper-compat readings baked in, for the differential oracle.
     """
 
-    __slots__ = ("path", "expr", "_fn", "_context_factory")
+    __slots__ = ("path", "expr", "flags", "_fn", "_context_factory")
 
     def __init__(
         self,
@@ -169,17 +231,23 @@ class CompiledXPath:
         expr: Expr,
         fn: _ExprFn,
         context_factory=None,
+        flags: CompatFlags = CompatFlags(),
     ) -> None:
         self.path = path
         self.expr = expr
         self._fn = fn
         self._context_factory = context_factory
+        self.flags = flags
 
     def __call__(self, ctx: Context) -> XPathValue:
         """Evaluate in an existing context (differential-checked)."""
         result = self._fn(ctx)
         if _DIFFERENTIAL:
-            expected = _interpret(self.expr, ctx)
+            # The only import of the oracle under src/: a process that
+            # never arms differential mode never loads the interpreter.
+            from ..testing.xpath_oracle import evaluate as _interpret
+
+            expected = _interpret(self.expr, ctx, self.flags)
             if not _values_agree(result, expected):
                 raise XPathDifferentialError(
                     f"compiled evaluation of {self.path!r} diverged: "
@@ -222,26 +290,27 @@ def compile_expr(
     Args:
         expr: the parsed AST.
         lone_variable_name_test: bake in the paper-compat ``[$var]``
-            reading (must match the contexts the result will run under).
+            reading (see the module docstring).
         star_matches_text: bake in the paper-compat lone-``*`` reading.
         path: source string, for error messages (defaults to
             ``str(expr)``).
         context_factory: optional ``(doc, context_node, variables) ->
             Context`` enabling :meth:`CompiledXPath.evaluate`.
     """
-    flags = _Flags(lone_variable_name_test, star_matches_text)
+    flags = CompatFlags(lone_variable_name_test, star_matches_text)
     return CompiledXPath(
         path if path is not None else str(expr),
         expr,
         _compile(expr, flags),
         context_factory,
+        flags,
     )
 
 
 # ---------------------------------------------------------------------------
 # expression compilation
 # ---------------------------------------------------------------------------
-def _compile(expr: Expr, flags: _Flags) -> _ExprFn:
+def _compile(expr: Expr, flags: CompatFlags) -> _ExprFn:
     if isinstance(expr, LocationPath):
         pipeline = _compile_steps(expr.steps, flags)
         if expr.absolute:
@@ -270,6 +339,8 @@ def _compile(expr: Expr, flags: _Flags) -> _ExprFn:
                 raise XPathEvaluationError("predicates apply only to node-sets")
             nodes: NodeSet = base
             for pred in pred_fns:
+                if not nodes:  # as on a step: no candidate, no evaluation
+                    break
                 nodes = pred(nodes, ctx)
             return nodes
 
@@ -290,8 +361,6 @@ def _compile(expr: Expr, flags: _Flags) -> _ExprFn:
         return _compile_binary(expr, flags)
     if isinstance(expr, Negate):
         operand_fn = _compile(expr.operand, flags)
-        from .values import to_number
-
         return lambda ctx: -to_number(operand_fn(ctx), ctx.doc)
     if isinstance(expr, Literal):
         value = expr.value
@@ -331,7 +400,7 @@ _RELATIONAL = frozenset({"<", "<=", ">", ">="})
 _ARITHMETIC = frozenset({"+", "-", "*", "div", "mod"})
 
 
-def _compile_binary(expr: BinaryOp, flags: _Flags) -> _ExprFn:
+def _compile_binary(expr: BinaryOp, flags: CompatFlags) -> _ExprFn:
     op = expr.op
     left_fn = _compile(expr.left, flags)
     right_fn = _compile(expr.right, flags)
@@ -340,31 +409,27 @@ def _compile_binary(expr: BinaryOp, flags: _Flags) -> _ExprFn:
     if op == "and":
         return lambda ctx: to_boolean(left_fn(ctx)) and to_boolean(right_fn(ctx))
     if op in ("=", "!="):
-        return lambda ctx: _compare_equality(op, left_fn(ctx), right_fn(ctx), ctx)
+        return lambda ctx: compare_equality(op, left_fn(ctx), right_fn(ctx), ctx.doc)
     if op in _RELATIONAL:
-        return lambda ctx: _compare_relational(op, left_fn(ctx), right_fn(ctx), ctx)
+        return lambda ctx: compare_relational(op, left_fn(ctx), right_fn(ctx), ctx.doc)
     if op in _ARITHMETIC:
-        return lambda ctx: _arithmetic(op, left_fn(ctx), right_fn(ctx), ctx)
+        return lambda ctx: arithmetic(op, left_fn(ctx), right_fn(ctx), ctx.doc)
     raise XPathEvaluationError(f"unknown operator {op!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
 # constant folding
 # ---------------------------------------------------------------------------
-#: Dummy context for folding: the evaluator's scalar arithmetic and
-#: comparisons consult ``ctx.doc`` only for node-set operands, which a
-#: constant expression can never produce.
-_FOLD_CTX = SimpleNamespace(doc=None)
-
-
 def _fold_constant(expr: Expr) -> Optional[XPathValue]:
     """The value of a context-free constant expression, or None.
 
     Folds literals, numbers, unary minus and the binary operators over
-    already-constant operands.  ``or``/``and`` fold only when the left
-    operand decides the outcome (mirroring the interpreter's
-    short-circuit, so a non-constant right side is never skipped when
-    the interpreter would evaluate it).  Variables, functions and
+    already-constant operands (the operators consult their document
+    argument only for node-set operands, which a constant expression
+    can never produce, so folding passes None).  ``or``/``and`` fold
+    only when the left operand decides the outcome (mirroring the
+    run-time short-circuit, so a non-constant right side is never
+    skipped when evaluation would reach it).  Variables, functions and
     anything touching the document never fold.
     """
     if isinstance(expr, Literal):
@@ -375,8 +440,6 @@ def _fold_constant(expr: Expr) -> Optional[XPathValue]:
         operand = _fold_constant(expr.operand)
         if operand is None or is_node_set(operand):
             return None
-        from .values import to_number
-
         return -to_number(operand, None)
     if isinstance(expr, BinaryOp):
         left = _fold_constant(expr.left)
@@ -392,11 +455,11 @@ def _fold_constant(expr: Expr) -> Optional[XPathValue]:
         if expr.op == "or" or expr.op == "and":
             return to_boolean(right)
         if expr.op in ("=", "!="):
-            return _compare_equality(expr.op, left, right, _FOLD_CTX)
+            return compare_equality(expr.op, left, right, None)
         if expr.op in _RELATIONAL:
-            return _compare_relational(expr.op, left, right, _FOLD_CTX)
+            return compare_relational(expr.op, left, right, None)
         if expr.op in _ARITHMETIC:
-            return _arithmetic(expr.op, left, right, _FOLD_CTX)
+            return arithmetic(expr.op, left, right, None)
     return None
 
 
@@ -404,7 +467,7 @@ def _fold_constant(expr: Expr) -> Optional[XPathValue]:
 # steps
 # ---------------------------------------------------------------------------
 def _compile_steps(
-    steps: Tuple[Step, ...], flags: _Flags
+    steps: Tuple[Step, ...], flags: CompatFlags
 ) -> Callable[[NodeSet, Context], NodeSet]:
     """Compile a step sequence into one pipeline closure.
 
@@ -445,27 +508,21 @@ def _compile_steps(
     return pipeline
 
 
-def _compile_fused_descendant(test, flags: _Flags) -> _StepFn:
+def _compile_fused_descendant(test, flags: CompatFlags) -> _StepFn:
     """The fused ``//T`` scan: label/kind-indexed when the document
     supports it, a single strict-descendant walk otherwise.  Equivalent
     to ``descendant-or-self::node()`` followed by ``child::T`` because
     the children of a node's descendant-or-self set are exactly its
     strict (non-attribute) descendants."""
     test_fn = _compile_test("child", test, flags)
+    indexed = _compile_index_lookup(test, flags)
 
     def fused(current: NodeSet, ctx: Context) -> NodeSet:
         doc = ctx.doc
-        if hasattr(doc, "nodes_with_label"):
-            candidates = _indexed_candidates(ctx, test)
-            if candidates is not None:
-                return sort_document_order(
-                    [
-                        n
-                        for n in candidates
-                        for c in current
-                        if c.is_ancestor_of(n)
-                    ]
-                )
+        if indexed is not None and hasattr(doc, "nodes_with_label"):
+            return sort_document_order(
+                [n for n in indexed(doc) for c in current if c.is_ancestor_of(n)]
+            )
         if test_fn is None:
             gathered = [n for c in current for n in doc.descendants(c)]
         else:
@@ -478,6 +535,35 @@ def _compile_fused_descendant(test, flags: _Flags) -> _StepFn:
         return sort_document_order(gathered)
 
     return fused
+
+
+#: What the paper-compat lone ``*`` matches off the attribute axis.
+_STAR_KINDS = (NodeKind.ELEMENT, NodeKind.TEXT, NodeKind.COMMENT)
+#: Kind tests answerable from the document's kind index.
+_INDEXED_KINDS = {
+    "text": (NodeKind.TEXT,),
+    "comment": (NodeKind.COMMENT,),
+    "node": _STAR_KINDS + (NodeKind.PROCESSING_INSTRUCTION,),
+}
+
+
+def _compile_index_lookup(
+    test: NodeTest, flags: CompatFlags
+) -> Optional[Callable[[XMLDocument], Set[NodeId]]]:
+    """``doc -> candidate set`` for a ``//``-pair's child test, answered
+    from the document's label/kind indexes -- or None when the test
+    cannot be (``processing-instruction('target')``), and the generic
+    descendant walk runs."""
+    if isinstance(test, NameTest):
+        if not test.is_wildcard:
+            name = test.name
+            return lambda doc: doc.nodes_with_label(name)
+        kinds = _STAR_KINDS if flags.star_matches_text else (NodeKind.ELEMENT,)
+    else:
+        kinds = _INDEXED_KINDS.get(test.kind)
+        if kinds is None:
+            return None
+    return lambda doc: set().union(*(doc.nodes_with_kind(k) for k in kinds))
 
 
 def _parent_axis(doc, node: NodeId) -> List[NodeId]:
@@ -503,7 +589,7 @@ _AXIS_FNS = {
 }
 
 
-def _compile_step(step: Step, flags: _Flags) -> _StepFn:
+def _compile_step(step: Step, flags: CompatFlags) -> _StepFn:
     axis_fn = _AXIS_FNS.get(step.axis)
     if axis_fn is None:
         raise XPathEvaluationError(f"unknown axis {step.axis!r}")
@@ -528,7 +614,7 @@ def _compile_step(step: Step, flags: _Flags) -> _StepFn:
     return run
 
 
-def _compile_test(axis: str, test, flags: _Flags) -> Optional[Callable]:
+def _compile_test(axis: str, test, flags: CompatFlags) -> Optional[Callable]:
     """Compile a node test to ``(ctx, node) -> bool``; None = match-all."""
     if isinstance(test, KindTest):
         kind = test.kind
@@ -554,8 +640,7 @@ def _compile_test(axis: str, test, flags: _Flags) -> Optional[Callable]:
     principal = NodeKind.ATTRIBUTE if axis == "attribute" else NodeKind.ELEMENT
     if test.is_wildcard:
         if flags.star_matches_text and axis != "attribute":
-            star_kinds = (NodeKind.ELEMENT, NodeKind.TEXT, NodeKind.COMMENT)
-            return lambda ctx, n: ctx.doc.kind(n) in star_kinds
+            return lambda ctx, n: ctx.doc.kind(n) in _STAR_KINDS
         return lambda ctx, n: ctx.doc.kind(n) is principal
     name = test.name
     return (
@@ -577,7 +662,7 @@ _NAMEABLE = (NodeKind.ELEMENT, NodeKind.ATTRIBUTE)
 
 
 def _compile_predicates(
-    predicates: Tuple[Expr, ...], flags: _Flags
+    predicates: Tuple[Expr, ...], flags: CompatFlags
 ) -> List[_PredFn]:
     fns: List[_PredFn] = []
     for predicate in predicates:
@@ -587,7 +672,7 @@ def _compile_predicates(
     return fns
 
 
-def _compile_predicate(predicate: Expr, flags: _Flags) -> Optional[_PredFn]:
+def _compile_predicate(predicate: Expr, flags: CompatFlags) -> Optional[_PredFn]:
     """One predicate as a filter closure, or None when it folds to
     "keep everything"."""
     # Paper-compat extension: a lone $var predicate reads name() = $var.
@@ -622,17 +707,9 @@ def _compile_predicate(predicate: Expr, flags: _Flags) -> Optional[_PredFn]:
         size = len(nodes)
         kept: List[NodeId] = []
         for index, node in enumerate(nodes, start=1):
-            sub = Context(
-                doc=ctx.doc,
-                node=node,
-                position=index,
-                size=size,
-                variables=ctx.variables,
-                functions=ctx.functions,
-                lone_variable_name_test=ctx.lone_variable_name_test,
-                star_matches_text=ctx.star_matches_text,
+            value = predicate_fn(
+                Context(ctx.doc, node, index, size, ctx.variables, ctx.functions)
             )
-            value = predicate_fn(sub)
             if isinstance(value, float) and not isinstance(value, bool):
                 if value == float(index):
                     kept.append(node)

@@ -1,7 +1,9 @@
 """The :class:`XPathEngine` facade and the paper's ``xpath/3`` predicate.
 
-The engine bundles a function library and the paper-compat options, and
-exposes the two operations the rest of the system needs:
+The engine bundles a function library, the paper-compat options and
+the one compiled-evaluator cache.  Every operation is a thin call into
+:meth:`XPathEngine.compile_evaluator`, so every consumer runs the same
+closure pipeline (:mod:`repro.xpath.compiler`):
 
 - :meth:`XPathEngine.evaluate` -- full XPath evaluation to any value
   type (used by queries);
@@ -16,16 +18,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import DOCUMENT_ID, NodeId
 from .ast import Expr
-from .compiler import CompiledXPath, compile_expr
-from .evaluator import Context, XPathEvaluationError, evaluate
+from .compiler import CompiledXPath, Context, compile_expr
 from .functions import CORE_FUNCTIONS, XPathFunction
 from .parser import parse_xpath
-from .values import NodeSet, XPathValue, is_node_set
+from .values import NodeSet, XPathValue
 
 __all__ = ["XPathEngine"]
 
@@ -41,12 +42,12 @@ class XPathEngine:
             library (same call signature as core functions).
         lone_variable_name_test: enable the paper-compat reading of a
             lone ``[$var]`` predicate as ``[name() = $var]`` (see
-            :mod:`repro.xpath.evaluator`).  The security layer turns
+            :mod:`repro.xpath.compiler`).  The security layer turns
             this on so the paper's example policy works verbatim.
         star_matches_text: enable the paper-compat reading of a lone
             ``*`` name test as matching text and comment nodes too (the
             paper's policy uses ``//*`` to cover text content; see
-            :mod:`repro.xpath.evaluator`).
+            :mod:`repro.xpath.compiler`).
     """
 
     def __init__(
@@ -63,6 +64,7 @@ class XPathEngine:
         self._star_matches_text = star_matches_text
         self._compiled: "OrderedDict[str, CompiledXPath]" = OrderedDict()
         self._compiled_lock = threading.Lock()
+        self._paths_compiled = 0
 
     @property
     def star_matches_text(self) -> bool:
@@ -76,6 +78,12 @@ class XPathEngine:
         """Whether the paper-compat ``[$var]`` reading is enabled."""
         return self._lone_variable_name_test
 
+    @property
+    def paths_compiled(self) -> int:
+        """Compiled-cache misses so far: how many paths this engine has
+        compiled (``rules_compiled`` in ``SecureXMLDatabase.stats()``)."""
+        return self._paths_compiled
+
     def _context(
         self,
         doc: XMLDocument,
@@ -87,8 +95,6 @@ class XPathEngine:
             node=context_node if context_node is not None else DOCUMENT_ID,
             variables=dict(variables or {}),
             functions=self._functions,
-            lone_variable_name_test=self._lone_variable_name_test,
-            star_matches_text=self._star_matches_text,
         )
 
     def compile(self, path: str) -> Expr:
@@ -102,31 +108,27 @@ class XPathEngine:
         paper-compat options, are cached per engine (LRU, bounded) and
         are safe to share across threads and documents -- the lxml
         pattern of compiling an XPath string once and reusing the
-        evaluator object.  Under differential mode (``make fault``)
-        every call re-checks the compiled result against the
-        interpreter.
+        evaluator object.  It is the only compiled cache: compiling
+        costs microseconds per path, so no consumer keeps its own.
+        Under differential mode (``make fault``) every call re-checks
+        the result against :mod:`repro.testing.xpath_oracle`.
         """
         with self._compiled_lock:
             compiled = self._compiled.get(path)
             if compiled is not None:
                 self._compiled.move_to_end(path)
                 return compiled
-        compiled = compile_expr(
-            self.compile(path),
-            lone_variable_name_test=self._lone_variable_name_test,
-            star_matches_text=self._star_matches_text,
-            path=path,
-            context_factory=self._context,
-        )
-        with self._compiled_lock:
-            existing = self._compiled.get(path)
-            if existing is not None:
-                self._compiled.move_to_end(path)
-                return existing
-            self._compiled[path] = compiled
-            while len(self._compiled) > _COMPILED_CACHE_SIZE:
+            compiled = self._compiled[path] = compile_expr(
+                self.compile(path),
+                lone_variable_name_test=self._lone_variable_name_test,
+                star_matches_text=self._star_matches_text,
+                path=path,
+                context_factory=self._context,
+            )
+            self._paths_compiled += 1
+            if len(self._compiled) > _COMPILED_CACHE_SIZE:
                 self._compiled.popitem(last=False)
-        return compiled
+            return compiled
 
     def evaluate(
         self,
@@ -143,8 +145,7 @@ class XPathEngine:
             context_node: context node; defaults to the document node.
             variables: variable bindings such as ``{"USER": "robert"}``.
         """
-        ctx = self._context(doc, context_node, variables)
-        return evaluate(self.compile(path), ctx)
+        return self.compile_evaluator(path).evaluate(doc, context_node, variables)
 
     def select(
         self,
@@ -161,13 +162,7 @@ class XPathEngine:
         Raises:
             XPathEvaluationError: if the expression yields a non-node-set.
         """
-        value = self.evaluate(doc, path, context_node, variables)
-        if not is_node_set(value):
-            raise XPathEvaluationError(
-                f"path {path!r} evaluated to {type(value).__name__}, "
-                "expected a node-set"
-            )
-        return value
+        return self.compile_evaluator(path).select(doc, context_node, variables)
 
     def xpath_facts(
         self,

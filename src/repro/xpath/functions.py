@@ -1,6 +1,6 @@
 """The XPath 1.0 core function library (spec section 4).
 
-Each function receives the evaluation :class:`~repro.xpath.evaluator.Context`
+Each function receives the evaluation :class:`~repro.xpath.compiler.Context`
 and already-evaluated argument values, and returns an XPath value.  The
 registry is a plain dict so an engine instance can be extended with
 extra functions without monkey-patching.
@@ -22,7 +22,7 @@ from .values import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .evaluator import Context
+    from .compiler import Context
 
 __all__ = ["XPathFunction", "XPathFunctionError", "CORE_FUNCTIONS"]
 

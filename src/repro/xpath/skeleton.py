@@ -158,7 +158,7 @@ class PathSkeleton:
 def _test_matches(
     doc: XMLDocument, nid: NodeId, test, star_matches_text: bool
 ) -> bool:
-    """Replicates the evaluator's ``_matches_test`` for the child axis
+    """Replicates the compiler's ``_compile_test`` for the child axis
     (principal node type: element)."""
     node = doc.node(nid)
     if isinstance(test, KindTest):

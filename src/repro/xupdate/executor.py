@@ -97,15 +97,13 @@ class XUpdateExecutor:
         path: str,
         variables: Optional[Mapping[str, XPathValue]] = None,
     ) -> List[NodeId]:
-        """Resolve a PATH parameter through a compiled evaluator.
+        """Resolve a PATH parameter to the node-set it addresses.
 
         Operation paths repeat across scripts, retries, and secure
         re-checks; the engine's compiled-evaluator cache makes every
         evaluation after the first skip parsing *and* AST dispatch.
         """
-        return self._engine.compile_evaluator(path).select(
-            doc, variables=variables
-        )
+        return self._engine.select(doc, path, variables=variables)
 
     def apply(
         self,

@@ -101,6 +101,17 @@ class TestZeroMaterialization:
         assert not session.can("insert", next(iter(db.document.all_nodes())))
         assert db.stats()["static_fallbacks"] == before
 
+    def test_rules_compiled_counts_engine_cache_misses(self, db):
+        # The second rung compiles each rule path once, into the
+        # engine's cache (the only compiled cache there is); resolving
+        # the same policy again compiles nothing.
+        db.resolver.resolve(db.document, db.policy, "robert")
+        compiled = db.stats()["rules_compiled"]
+        assert compiled > 0
+        assert compiled == db.engine.paths_compiled
+        db.resolver.resolve(db.document, db.policy, "robert")
+        assert db.stats()["rules_compiled"] == compiled
+
 
 class TestEligibilityTagging:
     def test_rule_eligibility(self, db):

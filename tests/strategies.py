@@ -16,6 +16,7 @@ from repro.xmltree import (
     element,
     text,
 )
+from repro.xpath import AXES
 
 #: Small label alphabet keeps collisions (same-named siblings, rule
 #: paths matching several nodes) frequent, which is where bugs live.
@@ -140,3 +141,114 @@ def secure_databases(draw, max_depth: int = 3, max_children: int = 3):
     subjects = build_subjects()
     policy = build_policy(subjects, draw(policy_rules()))
     return SecureXMLDatabase(doc, subjects, policy)
+
+
+# ----------------------------------------------------------------------
+# random XPath expressions (compiled-vs-oracle differential property)
+# ----------------------------------------------------------------------
+XPATH_AXES = tuple(sorted(AXES))
+_NODE_TESTS = LABELS + (
+    "*", "*", "node()", "text()", "comment()",
+    "processing-instruction()", "processing-instruction('a')",
+)
+#: ``$v`` is bound by the property (to a string that is also a label);
+#: ``$unbound`` never is, so both executors must raise on reaching it.
+_VARIABLES = ("$v", "$v", "$v", "$v", "$v", "$unbound")
+_NUMBERS = ("0", "1", "2", "3", "1.5", "0.0", "10")
+_BINARY_OPS = (
+    "=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "div", "mod", "and", "or",
+)
+#: Core functions by the argument kinds they take: N = node-set,
+#: S = any scalar-or-node-set expression.  Optional-argument forms are
+#: listed separately; ``frobnicate`` is unknown to every library.
+_FUNCTIONS = (
+    ("last", ""), ("position", ""), ("true", ""), ("false", ""),
+    ("count", "N"), ("sum", "N"), ("name", ""), ("name", "N"),
+    ("local-name", ""), ("local-name", "N"), ("string", ""), ("string", "S"),
+    ("number", ""), ("number", "S"), ("boolean", "S"), ("not", "S"),
+    ("string-length", ""), ("string-length", "S"),
+    ("normalize-space", ""), ("normalize-space", "S"),
+    ("concat", "SS"), ("concat", "SSS"), ("starts-with", "SS"),
+    ("contains", "SS"), ("substring-before", "SS"), ("substring-after", "SS"),
+    ("substring", "SS"), ("substring", "SSS"), ("translate", "SSS"),
+    ("floor", "S"), ("ceiling", "S"), ("round", "S"),
+    ("count", "S"), ("concat", "S"), ("frobnicate", ""),
+)
+
+
+@st.composite
+def _xpath_steps(draw, depth: int) -> str:
+    """One to three steps joined by ``/`` or ``//``, each with up to
+    two predicates."""
+    parts = []
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        if index:
+            parts.append(draw(st.sampled_from(("/", "/", "//"))))
+        shape = draw(st.integers(min_value=0, max_value=9))
+        if shape == 0:
+            parts.append(draw(st.sampled_from((".", ".."))))
+            continue
+        test = draw(st.sampled_from(_NODE_TESTS))
+        if shape <= 4:  # abbreviated child step
+            step = test
+        else:
+            step = f"{draw(st.sampled_from(XPATH_AXES))}::{test}"
+        if depth > 0:
+            for _ in range(draw(st.sampled_from((0, 0, 0, 1, 1, 2)))):
+                step += f"[{draw(xpath_expressions(max_depth=depth - 1))}]"
+        parts.append(step)
+    return "".join(parts)
+
+
+@st.composite
+def _xpath_node_sets(draw, depth: int) -> str:
+    """An expression that (when well-typed) yields a node-set."""
+    shape = draw(st.integers(min_value=0, max_value=11 if depth > 0 else 7))
+    if shape == 0:
+        return "/"
+    if shape <= 7:
+        prefix = draw(st.sampled_from(("", "", "/", "/", "//", ".//")))
+        return prefix + draw(_xpath_steps(depth))
+    inner = draw(_xpath_node_sets(depth - 1))
+    if shape == 8:
+        return f"{inner} | {draw(_xpath_node_sets(depth - 1))}"
+    if shape == 9:  # filter expression
+        return f"({inner})[{draw(xpath_expressions(max_depth=depth - 1))}]"
+    if shape == 10:  # path continuing from a filter expression
+        joiner = draw(st.sampled_from(("/", "//")))
+        return f"({inner}){joiner}{draw(_xpath_steps(depth - 1))}"
+    return draw(st.sampled_from(_VARIABLES))  # ill-typed: a string variable
+
+
+@st.composite
+def xpath_expressions(draw, max_depth: int = 3) -> str:
+    """A random XPath 1.0 expression string over the whole grammar:
+    13 axes x name/kind tests x nested predicates x every binary
+    operator, unary minus, the core function library, ``$v``,
+    absolute/relative/``//`` paths, unions and filter expressions.
+
+    Mostly well-typed, with a deliberate minority of type errors,
+    unknown functions, bad arities and unbound variables, so error
+    agreement between executors is exercised too.
+    """
+    shape = draw(st.integers(min_value=0, max_value=11 if max_depth > 0 else 5))
+    if shape <= 2:
+        return draw(_xpath_node_sets(max_depth))
+    if shape == 3:
+        return draw(st.sampled_from(_NUMBERS))
+    if shape == 4:
+        return "'" + draw(st.sampled_from(LABELS + TEXTS + ("", "1", " 2 "))) + "'"
+    if shape == 5:
+        return draw(st.sampled_from(_VARIABLES))
+    sub = xpath_expressions(max_depth=max_depth - 1)
+    if shape <= 8:
+        op = draw(st.sampled_from(_BINARY_OPS))
+        return f"({draw(sub)}) {op} ({draw(sub)})"
+    if shape == 9:
+        return f"-({draw(sub)})"
+    name, kinds = draw(st.sampled_from(_FUNCTIONS))
+    args = [
+        draw(_xpath_node_sets(max_depth - 1) if kind == "N" else sub)
+        for kind in kinds
+    ]
+    return f"{name}({', '.join(args)})"

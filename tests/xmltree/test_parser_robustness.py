@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.xmltree import XMLSyntaxError, parse_xml, serialize
-from repro.xpath import XPathSyntaxError, parse_xpath
-from repro.xpath.evaluator import XPathEvaluationError
+from repro.xpath import XPathEvaluationError, XPathSyntaxError, parse_xpath
 
 
 @given(st.text(max_size=200))

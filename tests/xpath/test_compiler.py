@@ -1,40 +1,35 @@
-"""The XPath compiler: compiled == interpreted, folding, caching.
+"""The XPath compiler: compiled == oracle, folding, caching.
 
-The compiled closure pipeline must be observationally identical to the
-AST interpreter on every expression it accepts -- same values, same
-errors.  The battery below covers the E15/E18 path shapes the policy
-layer evaluates plus the compiler's own special cases (fusion, constant
-folding, paper-compat predicates); the differential fault-lane tests
-arm the always-on runtime check and prove it actually fires.
+The compiled closure pipeline -- the only executor ``XPathEngine`` has
+-- must be observationally identical to the AST interpreter kept as
+``repro.testing.xpath_oracle`` on every expression it accepts: same
+values, same errors.  Every comparison below names the oracle
+explicitly (``engine.evaluate`` is itself compiled, so comparing
+against it would be ``x == x``).  The battery covers the E15/E18 path
+shapes the policy layer evaluates plus the compiler's own special cases
+(fusion, constant folding, paper-compat predicates); the differential
+tests prove the runtime check ``conftest.py`` arms for this whole
+directory actually fires.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core import medical_document
+from repro.testing import xpath_oracle
 from repro.xmltree import parse_xml
-from repro.xpath import (
-    XPathEngine,
-    XPathEvaluationError,
-    evaluate,
-)
+from repro.xpath import XPathEngine, XPathEvaluationError
 from repro.xpath.compiler import (
     CompiledXPath,
     XPathDifferentialError,
-    compile_expr,
     differential_enabled,
     set_differential,
 )
-
-
-@pytest.fixture
-def differential():
-    """Arm the compiled-vs-interpreted runtime check for one test."""
-    before = differential_enabled()
-    set_differential(True)
-    yield
-    set_differential(before)
 
 
 @pytest.fixture
@@ -99,7 +94,7 @@ PATHS = (
 @pytest.mark.parametrize("path", list(PATHS))
 def test_compiled_matches_interpreted(engine, doc, path):
     compiled = engine.compile_evaluator(path)
-    expected = engine.evaluate(doc, path)
+    expected = xpath_oracle.evaluate_path(engine, doc, path)
     got = compiled.evaluate(doc)
     if isinstance(expected, float) and math.isnan(expected):
         assert math.isnan(got)
@@ -112,16 +107,16 @@ def test_compiled_from_context_node(engine, doc):
     for path in ("diagnosis/item", "ancestor::*", "self::patient", ".//item"):
         assert engine.compile_evaluator(path).evaluate(
             doc, context_node=patient
-        ) == engine.evaluate(doc, path, context_node=patient)
+        ) == xpath_oracle.evaluate_path(engine, doc, path, context_node=patient)
 
 
 def test_compiled_variables(engine, doc):
     path = "//patient[name = $who]/diagnosis"
     compiled = engine.compile_evaluator(path)
     for who in ("robert", "martin", "nobody"):
-        assert compiled.evaluate(doc, variables={"who": who}) == engine.evaluate(
-            doc, path, variables={"who": who}
-        )
+        assert compiled.evaluate(
+            doc, variables={"who": who}
+        ) == xpath_oracle.evaluate_path(engine, doc, path, variables={"who": who})
 
 
 def test_unbound_variable_raises(engine, doc):
@@ -139,8 +134,10 @@ def test_paper_compat_lone_variable_predicate(paper_engine, doc):
     path = "/patients/*[$USER]/descendant-or-self::*"
     compiled = paper_engine.compile_evaluator(path)
     for user in ("patient", "name", "nobody"):
-        assert compiled.select(doc, variables={"USER": user}) == (
-            paper_engine.select(doc, path, variables={"USER": user})
+        assert compiled.select(
+            doc, variables={"USER": user}
+        ) == xpath_oracle.evaluate_path(
+            paper_engine, doc, path, variables={"USER": user}
         )
 
 
@@ -148,30 +145,26 @@ def test_paper_compat_star_matches_text(paper_engine, doc):
     for path in ("//*", "/patients/*", "//patient/*"):
         assert paper_engine.compile_evaluator(path).select(
             doc
-        ) == paper_engine.select(doc, path)
+        ) == xpath_oracle.evaluate_path(paper_engine, doc, path)
 
 
 class TestConstantFolding:
     def test_positive_integer_position_slices(self, engine, doc):
         # [2] and [1+1] both fold to the same positional slice.
-        assert engine.compile_evaluator("//patient[2]").select(
-            doc
-        ) == engine.select(doc, "//patient[2]")
-        assert engine.compile_evaluator("//patient[1 + 1]").select(
-            doc
-        ) == engine.select(doc, "//patient[2]")
+        second = xpath_oracle.evaluate_path(engine, doc, "//patient[2]")
+        assert len(second) == 1
+        assert engine.compile_evaluator("//patient[2]").select(doc) == second
+        assert engine.compile_evaluator("//patient[1 + 1]").select(doc) == second
 
     def test_out_of_domain_positions_select_nothing(self, engine, doc):
         for pred in ("0", "-1", "2.5", "99", "0 div 0"):
             assert engine.compile_evaluator(f"//patient[{pred}]").select(doc) == []
 
     def test_constant_boolean_predicates(self, engine, doc):
-        assert engine.compile_evaluator("//patient[true()]").select(
-            doc
-        ) == engine.select(doc, "//patient")
-        assert engine.compile_evaluator("//patient[1 = 1]").select(
-            doc
-        ) == engine.select(doc, "//patient")
+        everyone = xpath_oracle.evaluate_path(engine, doc, "//patient")
+        assert len(everyone) == 2
+        assert engine.compile_evaluator("//patient[true()]").select(doc) == everyone
+        assert engine.compile_evaluator("//patient[1 = 1]").select(doc) == everyone
         assert engine.compile_evaluator("//patient[1 = 2]").select(doc) == []
         assert engine.compile_evaluator("//patient['']").select(doc) == []
 
@@ -180,7 +173,7 @@ class TestConstantFolding:
         # later predicate never sees a node -- exactly the interpreter's
         # behaviour (predicates run per candidate, zero candidates).
         path = "//patient[1 = 2][frobnicate()]"
-        assert engine.evaluate(doc, path) == []
+        assert xpath_oracle.evaluate_path(engine, doc, path) == []
         assert engine.compile_evaluator(path).evaluate(doc) == []
         with pytest.raises(XPathEvaluationError, match="unknown function"):
             engine.compile_evaluator("//patient[frobnicate()]").evaluate(doc)
@@ -228,10 +221,20 @@ class TestDifferentialMode:
         assert compiled.evaluate(doc) == -math.inf
 
     def test_toggle_is_restored(self, engine, doc):
-        # The fixture restored the flag; a broken closure passes silently.
-        assert not differential_enabled()
-        broken = CompiledXPath("//x", engine.compile("//x"), lambda ctx: [], None)
-        assert broken(engine._context(doc, None, None)) == []
+        # Disarmed, a broken closure passes silently; re-armed (what
+        # conftest.py's fixture does around every test here), it cannot.
+        path = "//patient"
+        broken = CompiledXPath(path, engine.compile(path), lambda ctx: [], None)
+        ctx = engine._context(doc, None, None)
+        assert differential_enabled()
+        set_differential(False)
+        try:
+            assert not differential_enabled()
+            assert broken(ctx) == []
+        finally:
+            set_differential(True)
+        with pytest.raises(XPathDifferentialError, match="diverged"):
+            broken(ctx)
 
 
 @pytest.mark.fault
@@ -256,9 +259,41 @@ def test_fused_descendant_scan_matches_generic(engine):
     # against a document whose shape exercises deep nesting.
     doc = medical_document()
     for path in ("//*", "//text()", "//node()"):
-        assert engine.compile_evaluator(path).select(doc) == engine.select(doc, path)
+        assert engine.compile_evaluator(path).select(
+            doc
+        ) == xpath_oracle.evaluate_path(engine, doc, path)
     # Descendant scan from a non-root context set.
     inner = engine.select(doc, "/*/*")[0]
     assert engine.compile_evaluator(".//*").evaluate(
         doc, context_node=inner
-    ) == engine.evaluate(doc, ".//*", context_node=inner)
+    ) == xpath_oracle.evaluate_path(engine, doc, ".//*", context_node=inner)
+
+
+class TestOracleStaysOutOfServingProcesses:
+    """The oracle is loaded by arming differential mode and by nothing
+    else: fresh interpreters, so this process's own imports don't count."""
+
+    QUERY = (
+        "from repro.core import hospital_database; "
+        "hospital_database().login('laporte').query('count(//diagnosis)')"
+    )
+
+    @staticmethod
+    def _oracle_loaded(code, differential):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, REPRO_XPATH_DIFFERENTIAL=differential)
+        probe = "; import sys; print('repro.testing.xpath_oracle' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code + probe],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip() == "True"
+
+    def test_serving_entry_points_do_not_import_it(self):
+        entry_points = "import repro.cli, repro.netserve, repro.replication"
+        assert not self._oracle_loaded(entry_points, "")
+
+    def test_a_query_loads_it_only_under_differential_mode(self):
+        assert not self._oracle_loaded(self.QUERY, "")
+        assert self._oracle_loaded(self.QUERY, "1")

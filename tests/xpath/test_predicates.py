@@ -4,7 +4,7 @@ boolean coercion, nesting, and the paper-compat lone-variable test."""
 import pytest
 
 from repro.xmltree import parse_xml
-from repro.xpath import XPathEngine
+from repro.xpath import XPathEngine, XPathEvaluationError
 
 
 @pytest.fixture
@@ -140,6 +140,17 @@ class TestLoneVariableExtension:
             doc, "/lib/book[$USER or false()]", variables={"USER": "x"}
         )
         assert len(got) == 3
+
+    def test_enabled_is_never_evaluated_without_a_candidate(self, doc):
+        # [$var] reads name() = $var: like any predicate it runs per
+        # candidate, so an unbound variable is reached only through a
+        # node -- on a step and on a filter expression alike (the
+        # grammar fuzzer found the oracle raising eagerly here).
+        engine = XPathEngine(lone_variable_name_test=True)
+        assert engine.select(doc, "/lib/nope[$unbound]") == []
+        assert engine.select(doc, "(/lib/nope)[$unbound]") == []
+        with pytest.raises(XPathEvaluationError, match="unbound variable"):
+            engine.select(doc, "/lib/book[$unbound]")
 
 
 class TestStarMatchesText:
