@@ -9,14 +9,20 @@ refused?" without re-deriving axioms by hand.
 
 from __future__ import annotations
 
-import itertools
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Deque, Iterator, List, Optional
 
 from ..xmltree.labels import NodeId
 from .privileges import Privilege
 
-__all__ = ["AuditRecord", "AuditLog", "REJECTION_EVENTS"]
+__all__ = ["AUDIT_LOG_SIZE", "AuditRecord", "AuditLog", "REJECTION_EVENTS"]
+
+#: Records an :class:`AuditLog` retains: a serving process records every
+#: decision of every commit, so an unbounded log is memory that grows
+#: for as long as the server runs.
+AUDIT_LOG_SIZE = 4096
 
 #: Serving-layer rejection events the log accepts (ISSUE 4): a request
 #: shed by admission control, expired against its deadline, or given
@@ -24,7 +30,7 @@ __all__ = ["AuditRecord", "AuditLog", "REJECTION_EVENTS"]
 REJECTION_EVENTS = ("shed", "deadline", "retry-exhausted", "fenced")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     """One access decision (or transaction event).
 
@@ -82,11 +88,22 @@ class AuditRecord:
 
 
 class AuditLog:
-    """An in-memory, append-only decision log."""
+    """An in-memory decision log, bounded to the most recent
+    :data:`AUDIT_LOG_SIZE` records.
+
+    ``sequence`` numbers keep counting from 1 across evictions, so a
+    gap before the oldest retained record is visible (and counted by
+    :attr:`dropped`); ``len()``, iteration and the filters below cover
+    the retained records.
+    """
 
     def __init__(self) -> None:
-        self._records: List[AuditRecord] = []
-        self._sequence = itertools.count(1)
+        self._records: Deque[AuditRecord] = deque(maxlen=AUDIT_LOG_SIZE)
+        # Request threads record rejections while the writer records
+        # decisions; a deque cannot be iterated while it is appended to.
+        self._lock = threading.Lock()
+        self._sequence = 0  # of the newest record
+        self._cleared = 0  # of the newest record clear() discarded
 
     def record(
         self,
@@ -99,8 +116,7 @@ class AuditLog:
         reason: str = "",
     ) -> AuditRecord:
         """Append one decision and return the stored record."""
-        entry = AuditRecord(
-            sequence=next(self._sequence),
+        return self._append(
             user=user,
             operation=operation,
             path=path,
@@ -109,8 +125,6 @@ class AuditLog:
             allowed=allowed,
             reason=reason,
         )
-        self._records.append(entry)
-        return entry
 
     def record_abort(
         self,
@@ -131,8 +145,7 @@ class AuditLog:
             operation_index: zero-based index of the failing operation.
             rolled_back: completed operations undone by the rollback.
         """
-        entry = AuditRecord(
-            sequence=next(self._sequence),
+        return self._append(
             user=user,
             operation=operation,
             path=path,
@@ -141,8 +154,6 @@ class AuditLog:
             event="abort",
             rolled_back=rolled_back,
         )
-        self._records.append(entry)
-        return entry
 
     def record_rejected(
         self,
@@ -169,8 +180,7 @@ class AuditLog:
                 f"unknown rejection event {event!r}; "
                 f"known: {', '.join(REJECTION_EVENTS)}"
             )
-        entry = AuditRecord(
-            sequence=next(self._sequence),
+        return self._append(
             user=user,
             operation=operation,
             path=path,
@@ -178,19 +188,35 @@ class AuditLog:
             reason=reason,
             event=event,
         )
-        self._records.append(entry)
+
+    def _append(self, **fields) -> AuditRecord:
+        with self._lock:
+            self._sequence += 1
+            entry = AuditRecord(sequence=self._sequence, **fields)
+            self._records.append(entry)
         return entry
+
+    def _retained(self) -> List[AuditRecord]:
+        with self._lock:
+            return list(self._records)
+
+    @property
+    def dropped(self) -> int:
+        """Records evicted to keep the log within its bound (since the
+        last :meth:`clear`)."""
+        with self._lock:
+            return self._sequence - self._cleared - len(self._records)
 
     def aborts(self) -> List[AuditRecord]:
         """Only the script-abort events."""
-        return [r for r in self._records if r.event == "abort"]
+        return [r for r in self._retained() if r.event == "abort"]
 
     def rejections(self, event: Optional[str] = None) -> List[AuditRecord]:
         """Serving-layer rejection records, optionally filtered to one
         of :data:`REJECTION_EVENTS`."""
         return [
             r
-            for r in self._records
+            for r in self._retained()
             if r.event in REJECTION_EVENTS
             and (event is None or r.event == event)
         ]
@@ -199,16 +225,18 @@ class AuditLog:
         return len(self._records)
 
     def __iter__(self) -> Iterator[AuditRecord]:
-        return iter(self._records)
+        return iter(self._retained())
 
     def denials(self) -> List[AuditRecord]:
         """Only the refused decisions."""
-        return [r for r in self._records if not r.allowed]
+        return [r for r in self._retained() if not r.allowed]
 
     def for_user(self, user: str) -> List[AuditRecord]:
         """All decisions concerning one user."""
-        return [r for r in self._records if r.user == user]
+        return [r for r in self._retained() if r.user == user]
 
     def clear(self) -> None:
         """Drop all records (testing convenience)."""
-        self._records.clear()
+        with self._lock:
+            self._records.clear()
+            self._cleared = self._sequence

@@ -58,7 +58,7 @@ from typing import (
 )
 
 from ..xmltree.document import XMLDocument
-from ..xmltree.labels import NodeId, document_order_key
+from ..xmltree.labels import NodeId, order_index, subtree_span
 from ..xpath.engine import XPathEngine
 from ..xpath.skeleton import PathSkeleton, analyze_path
 from .policy import ACCEPT, Policy, SecurityRule
@@ -76,13 +76,14 @@ class PermissionTable:
     Attributes:
         user: the subject the table was derived for.
         granted: privilege -> set of node ids on which it is held.
-        winning_rule: (privilege, node) -> the rule that decided the
-            outcome (for audit and the policy-explanation API).
+        winning_rule: privilege -> node -> the rule that decided the
+            outcome; read only by :meth:`explain` (the
+            policy-explanation API).
     """
 
     user: str
     granted: Dict[Privilege, Set[NodeId]] = field(default_factory=dict)
-    winning_rule: Dict[Tuple[Privilege, NodeId], SecurityRule] = field(
+    winning_rule: Dict[Privilege, Dict[NodeId, SecurityRule]] = field(
         default_factory=dict
     )
 
@@ -96,7 +97,7 @@ class PermissionTable:
 
     def explain(self, nid: NodeId, privilege: Privilege) -> Optional[SecurityRule]:
         """The rule that decided this (privilege, node), if any matched."""
-        return self.winning_rule.get((privilege, nid))
+        return self.winning_rule.get(privilege, {}).get(nid)
 
     def facts(self) -> Set[Tuple[str, NodeId, str]]:
         """The ``perm(s, n, r)`` facts as tuples, for the formal layer."""
@@ -424,25 +425,18 @@ class PermissionResolver:
         table = PermissionTable(user=user)
         variables = {"USER": user}
         wanted = tuple(privileges) if privileges is not None else tuple(Privilege)
-        effects: Dict[Privilege, Dict[NodeId, SecurityRule]] = {
-            p: {} for p in wanted
-        }
         for privilege in wanted:
             # Priority order: later rules overwrite earlier outcomes on
             # the nodes they address -- the operational form of "no
             # subsequent deny" in axiom 14.
+            outcome: Dict[NodeId, SecurityRule] = {}
             for rule in policy.rules_for(user, privilege):
                 selected = self._select_rule_path(doc, rule.path, variables)
-                outcome = effects[privilege]
-                for nid in selected:
-                    outcome[nid] = rule
-        for privilege in wanted:
-            granted: Set[NodeId] = set()
-            for nid, rule in effects[privilege].items():
-                table.winning_rule[(privilege, nid)] = rule
-                if rule.effect == ACCEPT:
-                    granted.add(nid)
-            table.granted[privilege] = granted
+                outcome.update(dict.fromkeys(selected, rule))
+            table.winning_rule[privilege] = outcome
+            table.granted[privilege] = {
+                nid for nid, rule in outcome.items() if rule.effect == ACCEPT
+            }
         return table
 
     def resolve_cached(
@@ -490,32 +484,34 @@ def _patch_selection(
 ) -> Tuple[NodeId, ...]:
     """Maintain one patchable path selection across a commit.
 
-    Entries inside removed/touched regions are dropped, then every node
-    inside touched regions is re-matched by its label chain (the
-    :meth:`PathSkeleton.matches` NFA) -- cost proportional to the
-    updated regions, never the document.
+    Each touched root's subtree is cut out of the (document-ordered)
+    selection as one contiguous run, then every node inside the touched
+    regions is re-matched by its label chain (the
+    :meth:`PathSkeleton.matches` NFA) and merged back in at its place --
+    work proportional to the updated regions, never the document; the
+    rest of the selection only moves as a block.  Returns ``nodes``
+    itself when the commit left the selection alone.
     """
-    touched = changes.added | changes.relabelled | changes.removed
-    surviving = [
-        nid
-        for nid in nodes
-        if nid in new_doc
-        and not any(
-            root == nid or root.is_ancestor_of(nid) for root in touched
-        )
-    ]
+    regrown = changes.added | changes.relabelled
+    patched = list(nodes)
+    changed = False
+    for root in regrown | changes.removed:
+        lo, hi = subtree_span(patched, root)
+        if lo < hi:
+            del patched[lo:hi]
+            changed = True
     candidates: Set[NodeId] = set()
-    for root in changes.added | changes.relabelled:
+    for root in regrown:
         if root in new_doc:
             candidates.update(new_doc.subtree(root))
     for nid in changes.revalued:
         if nid in new_doc:
             candidates.add(nid)
-    matched = [
-        nid
-        for nid in candidates
-        if skeleton.matches(new_doc, nid, star_matches_text)
-    ]
-    return tuple(
-        sorted(set(surviving) | set(matched), key=document_order_key)
-    )
+    for nid in candidates:
+        if skeleton.matches(new_doc, nid, star_matches_text):
+            at = order_index(patched, nid)
+            # A revalued node lies outside the cuts: it may still be there.
+            if at == len(patched) or patched[at] != nid:
+                patched.insert(at, nid)
+                changed = True
+    return tuple(patched) if changed else nodes

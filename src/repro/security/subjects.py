@@ -116,9 +116,12 @@ class SubjectHierarchy:
         for name in (subject, parent):
             if name not in self._subjects:
                 raise SubjectError(f"unknown subject {name!r}")
-        if subject == parent or parent in self.ancestors(subject):
+        # Checked by walking up from these two names only: the global
+        # closure is invalidated by every declaration, and rebuilding it
+        # here would make loading n subjects quadratic.
+        if subject == parent or parent in self._walk_up(subject):
             pass  # redundant but harmless
-        elif subject in self.ancestors(parent):
+        elif subject in self._walk_up(parent):
             raise SubjectError(
                 f"isa({subject!r}, {parent!r}) would create a cycle"
             )
@@ -192,6 +195,18 @@ class SubjectHierarchy:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _walk_up(self, name: str) -> Set[str]:
+        """``ancestors(name)`` computed from the explicit facts alone,
+        without building (or needing) the global closure."""
+        seen = {name}
+        frontier = [name]
+        while frontier:
+            for parent in self._parents[frontier.pop()]:
+                if parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
+        return seen
+
     def _closure_map(self) -> Dict[str, FrozenSet[str]]:
         if self._closure is None:
             closure: Dict[str, FrozenSet[str]] = {}

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..xmltree.document import XMLDocument
-from ..xmltree.labels import DOCUMENT_ID, NodeId
+from ..xmltree.labels import DOCUMENT_ID, NodeId, document_order_key
 from ..xmltree.node import RESTRICTED, NodeKind
 from ..xupdate.changeset import ChangeSet
 from .perm import Fingerprint, PermissionTable
@@ -232,8 +232,8 @@ class ViewCache:
             if parent != DOCUMENT_ID and parent not in new_doc:
                 # Parent not selected => no descendant can be (axioms
                 # 16-17 require the parent in the view).  The parent is
-                # either clean (its absence is still correct) or an
-                # earlier, shallower dirty root that already resynced.
+                # clean -- a dirty one would have covered this root --
+                # so its absence is still correct.
                 continue
             # ...and regrow it under the new table, top-down.
             stack = [root]
@@ -271,10 +271,12 @@ class ViewCache:
 
 
 def _minimal_roots(dirty: Set[NodeId]) -> List[NodeId]:
-    """Shallowest-first dirty roots with nested roots removed (a
-    resynced subtree already covers every descendant root)."""
+    """The dirty roots in document order with nested roots removed (a
+    resynced subtree already covers every descendant root).  In
+    document order a node's descendants follow it immediately, so only
+    the last root kept can cover the next."""
     kept: List[NodeId] = []
-    for nid in sorted(dirty, key=lambda n: n.level):
-        if not any(k == nid or k.is_ancestor_of(nid) for k in kept):
+    for nid in sorted(dirty, key=document_order_key):
+        if not (kept and kept[-1].is_ancestor_of(nid)):
             kept.append(nid)
     return kept

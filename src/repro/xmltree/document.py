@@ -24,6 +24,7 @@ from .labels import (
     NumberingScheme,
     PersistentDeweyScheme,
     RenumberingRequired,
+    order_index,
 )
 from .node import Node, NodeKind
 
@@ -59,7 +60,10 @@ class XMLDocument:
     def __init__(self, scheme: Optional[NumberingScheme] = None) -> None:
         self._scheme = scheme if scheme is not None else PersistentDeweyScheme()
         self._nodes: Dict[NodeId, Node] = {DOCUMENT_ID: _DOCUMENT_NODE}
-        # All children (attributes included) per parent, in document order.
+        # All children (attributes included) per parent.  Invariant: each
+        # list is strictly increasing under document_order_key, which is
+        # what lets every lookup and insertion bisect (order_index)
+        # instead of scan.
         self._children: Dict[NodeId, List[NodeId]] = {DOCUMENT_ID: []}
         #: Number of renumbering episodes performed (0 unless the naive
         #: scheme is in use); read by benchmark E13.
@@ -355,7 +359,7 @@ class XMLDocument:
             raise DocumentError("attributes have no sibling order to insert into")
         self._check_can_contain(parent, kind)
         kids = self._children[parent]
-        i = kids.index(sibling)
+        i = order_index(kids, sibling)
         before = kids[i - 1] if i > 0 else None
         nid = self._fresh_child_id(parent, before, sibling)
         self._install(Node(nid, kind, label, value))
@@ -376,7 +380,7 @@ class XMLDocument:
             raise DocumentError("attributes have no sibling order to insert into")
         self._check_can_contain(parent, kind)
         kids = self._children[parent]
-        i = kids.index(sibling)
+        i = order_index(kids, sibling)
         after = kids[i + 1] if i + 1 < len(kids) else None
         nid = self._fresh_child_id(parent, sibling, after)
         self._install(Node(nid, kind, label, value))
@@ -431,10 +435,8 @@ class XMLDocument:
         for r in removed:
             self._nodes.pop(r, None)
             self._children.pop(r, None)
-        parent = nid.parent()
-        kids = self._children.get(parent)
-        if kids is not None and nid in kids:
-            kids.remove(nid)
+        kids = self._children[nid.parent()]
+        del kids[order_index(kids, nid)]
         self.mutation_stamp += 1
         return len(removed)
 
@@ -574,17 +576,14 @@ class XMLDocument:
         self._renumber_children(parent)
 
     def _install(self, node: Node) -> None:
-        parent = node.nid.parent()
-        kids = self._children.setdefault(parent, [])
-        # Insert preserving document order (labels are ordered, so a
-        # bisect on the component would also work; linear keeps it simple
-        # and the lists are short in practice).
-        index = len(kids)
-        for i, existing in enumerate(kids):
-            if node.nid < existing:
-                index = i
-                break
-        kids.insert(index, node.nid)
-        self._nodes[node.nid] = node
-        self._children.setdefault(node.nid, [])
+        nid = node.nid
+        kids = self._children.setdefault(nid.parent(), [])
+        # Keep the sibling list strictly increasing: appending (loading,
+        # append_child) is O(1), anything else a bisect on the stored key.
+        if not kids or kids[-1] < nid:
+            kids.append(nid)
+        else:
+            kids.insert(order_index(kids, nid), nid)
+        self._nodes[nid] = node
+        self._children.setdefault(nid, [])
         self.mutation_stamp += 1

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import itertools
 import string
+from bisect import bisect_left
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -49,10 +49,31 @@ __all__ = [
     "LSDXScheme",
     "RenumberingScheme",
     "document_order_key",
+    "order_index",
+    "subtree_span",
 ]
 
 
-@dataclass(frozen=True, order=False)
+#: Key tags.  Components of mixed types never occur within one document,
+#: but tagging them (rationals first) keeps comparisons total anyway; no
+#: component is ever tagged ``_END``, which therefore bounds a subtree.
+_RATIONAL, _OTHER, _END = 0, 1, 2
+
+
+def _key_part(component: object) -> Tuple[int, object]:
+    """One component's two slots of the document-order key: its tag and
+    the component itself -- an integral rational as a plain ``int``, so
+    that comparing two keys never leaves C."""
+    if isinstance(component, (Fraction, int)):
+        if component.denominator == 1:
+            return (_RATIONAL, component.numerator)
+        return (_RATIONAL, component)
+    return (_OTHER, component)
+
+
+_set = object.__setattr__
+
+
 class NodeId:
     """A node identifier: an immutable path of ordering components.
 
@@ -62,9 +83,49 @@ class NodeId:
     default scheme uses :class:`fractions.Fraction`, the LSDX scheme uses
     strings.  Document order is depth-first pre-order, which for path
     labels is exactly the lexicographic order of the component tuples.
+
+    Every index in the system is keyed or ordered by these ids, so an id
+    computes its hash and its document-order key once, at construction:
+    hashing returns a stored ``int`` and comparing two ids compares two
+    stored tuples.  The key is flat -- ``(tag, component, tag, component,
+    ...)`` -- hence an id is a proper ancestor of another exactly when
+    its key is a proper prefix of the other's, and the ids below a node
+    are a contiguous run of any key-ordered sequence.
     """
 
+    __slots__ = ("components", "_key", "_hash")
+
     components: Tuple[object, ...]
+
+    def __init__(self, components: Tuple[object, ...]) -> None:
+        key: Tuple[object, ...] = ()
+        for component in components:
+            key += _key_part(component)
+        _set(self, "components", components)
+        _set(self, "_key", key)
+        # == hash(components): an integral Fraction hashes like its int.
+        _set(self, "_hash", hash(key[1::2]))
+
+    @classmethod
+    def _derived(
+        cls, components: Tuple[object, ...], key: Tuple[object, ...]
+    ) -> "NodeId":
+        """An id whose key the caller cut from, or grew onto, a
+        relative's -- ``parent``/``child`` skip the per-component pass."""
+        nid = object.__new__(cls)
+        _set(nid, "components", components)
+        _set(nid, "_key", key)
+        _set(nid, "_hash", hash(key[1::2]))
+        return nid
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (NodeId, (self.components,))
 
     # -- structure ---------------------------------------------------------
     @property
@@ -83,13 +144,15 @@ class NodeId:
         Raises:
             ValueError: if called on the document node, which has no parent.
         """
-        if self.is_document:
+        if not self.components:
             raise ValueError("the document node has no parent")
-        return NodeId(self.components[:-1])
+        return NodeId._derived(self.components[:-1], self._key[:-2])
 
     def child(self, component: object) -> "NodeId":
         """Return the id for a child of this node with the given component."""
-        return NodeId(self.components + (component,))
+        return NodeId._derived(
+            self.components + (component,), self._key + _key_part(component)
+        )
 
     def ancestors(self) -> Iterator["NodeId"]:
         """Yield proper ancestors from parent up to the document node."""
@@ -100,30 +163,36 @@ class NodeId:
 
     def is_ancestor_of(self, other: "NodeId") -> bool:
         """True if this node is a *proper* ancestor of ``other``."""
-        n = len(self.components)
-        return n < len(other.components) and other.components[:n] == self.components
+        key = self._key
+        n = len(key)
+        return n < len(other._key) and other._key[:n] == key
 
     def is_descendant_of(self, other: "NodeId") -> bool:
         """True if this node is a *proper* descendant of ``other``."""
         return other.is_ancestor_of(self)
 
-    # -- ordering ----------------------------------------------------------
-    def _order_key(self) -> Tuple[Tuple[int, object], ...]:
-        # Components of mixed types never occur within one document, but a
-        # defensive type tag keeps comparisons total anyway.
-        return tuple((0, c) if isinstance(c, Fraction) else (1, c) for c in self.components)
+    # -- identity and ordering ---------------------------------------------
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not NodeId:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
 
     def __lt__(self, other: "NodeId") -> bool:
-        return self._order_key() < other._order_key()
+        return self._key < other._key
 
     def __le__(self, other: "NodeId") -> bool:
-        return self == other or self < other
+        return self._key <= other._key
 
     def __gt__(self, other: "NodeId") -> bool:
-        return other < self
+        return self._key > other._key
 
     def __ge__(self, other: "NodeId") -> bool:
-        return other <= self
+        return self._key >= other._key
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         if self.is_document:
@@ -135,9 +204,28 @@ class NodeId:
 DOCUMENT_ID = NodeId(())
 
 
-def document_order_key(nid: NodeId) -> Tuple[Tuple[int, object], ...]:
+def document_order_key(nid: NodeId) -> Tuple[object, ...]:
     """Sort key producing document (pre-)order for any iterable of ids."""
-    return nid._order_key()
+    return nid._key
+
+
+def order_index(ordered: Sequence[NodeId], nid: NodeId) -> int:
+    """Where ``nid`` is -- or, when absent, belongs -- in ``ordered``, a
+    sequence of distinct ids in document order (a bisect on the key)."""
+    return bisect_left(ordered, nid._key, key=document_order_key)
+
+
+def subtree_span(ordered: Sequence[NodeId], root: NodeId) -> Tuple[int, int]:
+    """The slice ``[lo, hi)`` of ``ordered`` -- ids in document order --
+    that lies in the subtree of ``root`` (``root`` itself included).
+
+    The ids at or below a node are exactly those whose key starts with
+    the node's key, a contiguous run of any key-ordered sequence, so two
+    bisects find it without looking at the rest.
+    """
+    lo = order_index(ordered, root)
+    hi = bisect_left(ordered, root._key + (_END,), lo, key=document_order_key)
+    return lo, hi
 
 
 class NumberingScheme(ABC):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.security import AuditLog, Privilege
+from repro.security.audit import AUDIT_LOG_SIZE, AuditRecord
 from repro.xmltree import DOCUMENT_ID
 from repro.xupdate import UpdateContent
 
@@ -41,6 +42,75 @@ class TestAuditLog:
         assert "ALLOW" in str(ok)
         assert "DENY" in str(no)
         assert "why" in str(no)
+
+
+class TestBound:
+    """The log keeps the most recent AUDIT_LOG_SIZE records: a server
+    records every decision of every commit for as long as it runs."""
+
+    def test_oldest_records_are_dropped_and_counted(self):
+        log = AuditLog()
+        assert log.dropped == 0
+        for index in range(3 * AUDIT_LOG_SIZE):
+            log.record(
+                f"u{index % 2}", "Op", "//a", DOCUMENT_ID, Privilege.READ,
+                index % 3 != 0, "r",
+            )
+        assert len(log) == AUDIT_LOG_SIZE
+        assert log.dropped == 2 * AUDIT_LOG_SIZE
+        retained = list(log)
+        assert [r.sequence for r in retained] == list(
+            range(2 * AUDIT_LOG_SIZE + 1, 3 * AUDIT_LOG_SIZE + 1)
+        )
+        # The filters cover what is retained, nothing more.
+        assert len(log.for_user("u0")) + len(log.for_user("u1")) == len(log)
+        assert log.denials() == [r for r in retained if not r.allowed]
+        log.record_abort("u0", "Op", "//a", "boom")
+        log.record_rejected("u1", "query", "//a", "busy", "shed")
+        assert len(log) == AUDIT_LOG_SIZE
+        assert [r.sequence for r in log.aborts()] == [3 * AUDIT_LOG_SIZE + 1]
+        assert [r.sequence for r in log.rejections()] == [3 * AUDIT_LOG_SIZE + 2]
+
+    def test_clear_empties_without_resetting_the_sequence(self):
+        log = AuditLog()
+        for _ in range(AUDIT_LOG_SIZE + 5):
+            log.record("u", "Op", "//a", DOCUMENT_ID, Privilege.READ, True)
+        log.clear()
+        assert len(log) == 0 and list(log) == [] and log.dropped == 0
+        entry = log.record("u", "Op", "//a", DOCUMENT_ID, Privilege.READ, True)
+        assert entry.sequence == AUDIT_LOG_SIZE + 6
+        assert len(log) == 1 and log.dropped == 0
+
+    def test_records_stay_immutable_values_without_a_dict(self):
+        log = AuditLog()
+        entry = log.record("u", "Op", "//a", DOCUMENT_ID, Privilege.READ, True)
+        with pytest.raises(AttributeError):
+            entry.allowed = False
+        assert not hasattr(entry, "__dict__")
+        assert entry == AuditRecord(
+            1, "u", "Op", "//a", DOCUMENT_ID, Privilege.READ, True
+        )
+
+    def test_committing_server_retains_a_bounded_number_of_records(self, db):
+        """``write_group``'s shape in process: many small commits.
+        Whatever their number, the audit log holds at most its bound
+        and nothing else keeps the evicted records alive."""
+        import gc
+
+        def alive():
+            gc.collect()
+            return sum(isinstance(o, AuditRecord) for o in gc.get_objects())
+
+        elsewhere = alive()
+        doctor = db.login("laporte")
+        for index in range(8000):
+            doctor.execute(
+                UpdateContent("/patients/franck/diagnosis", f"dx{index % 7}")
+            )
+        assert db.version == 8000
+        assert len(db.audit) == AUDIT_LOG_SIZE
+        assert db.audit.dropped >= 8000 - AUDIT_LOG_SIZE
+        assert alive() - elsewhere <= AUDIT_LOG_SIZE
 
 
 class TestDatabaseIntegration:

@@ -140,6 +140,35 @@ class TestExplanation:
         a = node_of(tiny_doc, "//a")
         assert table.explain(a, Privilege.READ) is None
 
+    def test_explain_and_holds_replay_axiom_14_on_the_hospital(self):
+        """Every (user, privilege, node) of the paper's hospital: the
+        deciding rule is the last applicable one whose path selects the
+        node -- axiom 14 replayed one node at a time, the way the
+        resolver did before it kept one dict per privilege."""
+        from repro.core import hospital_database
+
+        db = hospital_database()
+        doc, policy = db.document, db.policy
+        engine = db.resolver.engine
+        decided = 0
+        for user in sorted(db.subjects.users):
+            table = db.resolver.resolve(doc, policy, user)
+            shared = db.resolver.resolve_cached(doc, policy, user)
+            for privilege in Privilege:
+                winner = {}
+                for rule in policy.rules_for(user, privilege):
+                    for nid in engine.select(
+                        doc, rule.path, variables={"USER": user}
+                    ):
+                        winner[nid] = rule
+                decided += len(winner)
+                for nid in doc.all_nodes():
+                    assert table.explain(nid, privilege) is winner.get(nid)
+                    assert shared.explain(nid, privilege) is winner.get(nid)
+                    held = nid in winner and winner[nid].effect == "accept"
+                    assert table.holds(nid, privilege) == held
+        assert decided  # not vacuous: rules did select nodes
+
     def test_facts_projection(self, tiny_doc, tiny_subjects, rsv):
         policy = Policy(tiny_subjects)
         policy.grant("read", "//a", "role")

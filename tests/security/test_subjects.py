@@ -52,6 +52,80 @@ class TestConstruction:
         assert h.isa("u", "a") and h.isa("u", "b")
 
 
+class TestEdgeChecksWalkUpOnly:
+    """``add_isa`` checks redundancy and cycles by walking up from its
+    two subjects, not through the global closure (which every
+    declaration invalidates): same verdicts, messages and events."""
+
+    def test_messages_are_unchanged(self, hierarchy):
+        with pytest.raises(SubjectError, match=r"^unknown subject 'ghost'$"):
+            hierarchy.add_isa("ghost", "staff")
+        with pytest.raises(SubjectError, match=r"^unknown subject 'ghost'$"):
+            hierarchy.add_isa("laporte", "ghost")
+        with pytest.raises(
+            SubjectError,
+            match=r"^isa\('staff', 'laporte'\) would create a cycle$",
+        ):
+            hierarchy.add_isa("staff", "laporte")  # laporte isa doctor isa staff
+        assert not hierarchy.isa("staff", "laporte")
+
+    def test_events_arrive_in_replay_order(self):
+        h = SubjectHierarchy()
+        events = []
+        h.subscribe(lambda *event: events.append(event))
+        h.add_role("staff")
+        h.add_role("doctor", member_of="staff")
+        h.add_user("laporte", member_of="doctor")
+        h.add_isa("laporte", "staff")  # redundant: implied through doctor
+        h.add_isa("laporte", "doctor")  # redundant: already explicit
+        h.add_isa("doctor", "doctor")  # self-edge: accepted as redundant
+        with pytest.raises(SubjectError):
+            h.add_isa("staff", "laporte")
+        assert events == [
+            ("add_role", "staff"),
+            ("add_role", "doctor"),
+            ("add_isa", "doctor", "staff"),
+            ("add_user", "laporte"),
+            ("add_isa", "laporte", "doctor"),
+            ("add_isa", "laporte", "staff"),
+            ("add_isa", "laporte", "doctor"),
+            ("add_isa", "doctor", "doctor"),
+        ]
+        assert ("laporte", "staff") in set(h.isa_facts())
+
+    def test_cycle_through_a_diamond_is_found(self):
+        h = SubjectHierarchy()
+        for name in ("top", "left", "right", "bottom"):
+            h.add_role(name)
+        h.add_isa("left", "top")
+        h.add_isa("right", "top")
+        h.add_isa("bottom", "left")
+        h.add_isa("bottom", "right")
+        with pytest.raises(SubjectError, match="cycle"):
+            h.add_isa("top", "bottom")
+        assert h.ancestors("bottom") == {"bottom", "left", "right", "top"}
+
+    def test_loading_many_users_never_builds_the_closure(self, monkeypatch):
+        builds = []
+        build = SubjectHierarchy._closure_map
+
+        def counting(self):
+            if self._closure is None:
+                builds.append(len(self.subjects))
+            return build(self)
+
+        monkeypatch.setattr(SubjectHierarchy, "_closure_map", counting)
+        h = SubjectHierarchy()
+        h.add_role("staff")
+        h.add_role("patient", member_of="staff")
+        for index in range(2000):
+            h.add_user(f"patient{index:05d}", member_of="patient")
+        assert builds == []
+        assert len(h.members("patient")) == 2001
+        assert h.ancestors("patient01999") == {"patient01999", "patient", "staff"}
+        assert builds == [2002]
+
+
 class TestClosure:
     """Axioms 11 (reflexivity) and 12 (transitivity)."""
 

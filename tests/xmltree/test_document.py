@@ -1,13 +1,20 @@
 """Unit tests for the XMLDocument store and its geometry accessors."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.xmltree import (
     DOCUMENT_ID,
     DocumentError,
+    LSDXScheme,
     NodeKind,
+    PersistentDeweyScheme,
     RenumberingScheme,
     XMLDocument,
+    document_order_key,
     parse_xml,
 )
 
@@ -354,3 +361,90 @@ class TestCommentsAndValues:
         doc.set_attribute(root, "k", "v")
         doc.relabel(root, "b")
         assert doc.mutation_stamp > before
+
+
+# ----------------------------------------------------------------------
+# Ordered containers: sibling lists are kept strictly increasing under
+# the stored document-order key (appends are O(1), everything else a
+# bisect), whatever sequence of edits produced them.
+# ----------------------------------------------------------------------
+_EDITS = st.tuples(
+    st.sampled_from(
+        ("append", "append-text", "before", "after", "attr", "remove", "readopt")
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+def assert_ordered(doc):
+    """The invariants every consumer of an XMLDocument relies on."""
+    for parent, kids in doc._children.items():
+        keys = [document_order_key(kid) for kid in kids]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (parent, kids)
+        assert all(kid.parent() == parent and kid in doc for kid in kids)
+    everything = doc.all_nodes()
+    assert everything == sorted(nid for nid, _ in doc.facts())
+    assert len(everything) == len(doc)
+
+
+def readopt_shuffled(doc, target, rng):
+    """Cut ``target``'s subtree out and graft it back node by node the
+    way ``ViewCache._patch`` regrows a region: parents before children,
+    siblings in no particular order."""
+    before = doc.copy()
+    removed = doc.remove_subtree(target)
+    assert removed == sum(1 for _ in before.subtree(target))
+    assert_ordered(doc)
+    pending = [target]
+    while pending:
+        nid = pending.pop(rng.randrange(len(pending)))
+        assert doc.adopt(before.node(nid)) == nid
+        pending.extend(before.attributes(nid) + before.children(nid))
+    assert doc.all_nodes() == before.all_nodes()
+    assert doc.facts() == before.facts()
+
+
+@pytest.mark.parametrize(
+    "scheme", (PersistentDeweyScheme, LSDXScheme, RenumberingScheme)
+)
+@given(edits=st.lists(_EDITS, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_sibling_lists_stay_ordered_under_any_edit_sequence(scheme, edits):
+    doc = XMLDocument(scheme())
+    doc.add_root("r")
+    for edit, pick, extra in edits:
+        nodes = doc.all_nodes()
+        elements = [n for n in nodes if doc.kind(n) is NodeKind.ELEMENT]
+        inner = [
+            n for n in nodes
+            if n.level >= 2 and doc.kind(n) is not NodeKind.ATTRIBUTE
+        ]
+        if edit == "append":
+            doc.append_child(
+                elements[pick % len(elements)], NodeKind.ELEMENT, "e"
+            )
+        elif edit == "append-text":
+            doc.append_child(elements[pick % len(elements)], NodeKind.TEXT, "t")
+        elif edit == "attr":
+            doc.set_attribute(
+                elements[pick % len(elements)], "abc"[extra % 3], str(extra)
+            )
+        elif not inner:
+            continue
+        elif edit == "before":
+            doc.insert_before(inner[pick % len(inner)], NodeKind.ELEMENT, "e")
+        elif edit == "after":
+            doc.insert_after(inner[pick % len(inner)], NodeKind.COMMENT, "c")
+        elif edit == "remove":
+            target = inner[pick % len(inner)]
+            gone = list(doc.subtree(target))
+            assert doc.remove_subtree(target) == len(gone)
+            # No trace: not a node, not anybody's child, not a parent.
+            assert not any(nid in doc for nid in gone)
+            assert not any(nid in doc._children for nid in gone)
+            assert target not in doc._children[target.parent()]
+            assert not set(gone) & set(doc.all_nodes())
+        else:
+            readopt_shuffled(doc, inner[pick % len(inner)], random.Random(extra))
+        assert_ordered(doc)

@@ -5,12 +5,15 @@ numbers alone, and -- for persistent schemes -- numbers never change
 across updates.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.xmltree import NodeKind, XMLDocument
 from repro.xmltree.labels import (
     DOCUMENT_ID,
     LSDXScheme,
@@ -19,6 +22,7 @@ from repro.xmltree.labels import (
     RenumberingRequired,
     RenumberingScheme,
     document_order_key,
+    subtree_span,
 )
 
 
@@ -79,6 +83,141 @@ class TestNodeId:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+# ----------------------------------------------------------------------
+# The NodeId contract against a reference.  An id stores its hash and a
+# flat document-order key; the definitions it replaced are re-stated
+# here (value equality on the component tuples, hash(components), a
+# tagged tuple of Fractions compared per call) and must still hold.
+# ----------------------------------------------------------------------
+def reference_key(nid):
+    return tuple(
+        (0, c) if isinstance(c, Fraction) else (1, c) for c in nid.components
+    )
+
+
+def reference_is_ancestor(a, b):
+    n = len(a.components)
+    return n < len(b.components) and b.components[:n] == a.components
+
+
+_SCHEMES = (PersistentDeweyScheme, LSDXScheme, RenumberingScheme)
+
+
+@st.composite
+def inserted_ids(draw):
+    """Every id a random append / insert-before / insert-after sequence
+    ever produced under one scheme: repeated insert-before walks the
+    components through zero into the negatives, insert-between makes
+    mid-point Fractions, LSDX makes strings (ids a renumbering retired
+    stay in the list; they are still values)."""
+    doc = XMLDocument(draw(st.sampled_from(_SCHEMES))())
+    ids = [doc.add_root("r")]
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("append", "before", "after")),
+                st.integers(min_value=0, max_value=10**6),
+            ),
+            max_size=25,
+        )
+    )
+    for edit, pick in edits:
+        live = [nid for nid in ids if nid in doc]
+        target = live[pick % len(live)]
+        if edit == "append" or target.level == 1:
+            ids.append(doc.append_child(target, NodeKind.ELEMENT, "e"))
+        elif edit == "before":
+            ids.append(doc.insert_before(target, NodeKind.ELEMENT, "e"))
+        else:
+            ids.append(doc.insert_after(target, NodeKind.ELEMENT, "e"))
+    return [DOCUMENT_ID, *ids, *doc.all_nodes()]
+
+
+class TestNodeIdContract:
+    @given(ids=inserted_ids())
+    @settings(max_examples=150, deadline=None)
+    def test_identity_and_order_agree_with_the_reference(self, ids):
+        for a in ids:
+            assert hash(a) == hash(a.components)
+            for b in ids:
+                assert (a == b) == (a.components == b.components)
+                assert (a != b) == (a.components != b.components)
+                ka, kb = reference_key(a), reference_key(b)
+                assert (a < b) == (ka < kb)
+                assert (a <= b) == (ka <= kb)
+                assert (a > b) == (ka > kb)
+                assert (a >= b) == (ka >= kb)
+        by_reference = sorted(ids, key=reference_key)
+        assert sorted(ids) == by_reference
+        assert sorted(ids, key=document_order_key) == by_reference
+
+    @given(ids=inserted_ids())
+    @settings(max_examples=150, deadline=None)
+    def test_ancestry_is_the_key_prefix_relation(self, ids):
+        ordered = sorted(set(ids))
+        for a in ids:
+            ka = document_order_key(a)
+            below = []
+            for b in ids:
+                kb = document_order_key(b)
+                is_prefix = len(ka) < len(kb) and kb[: len(ka)] == ka
+                assert a.is_ancestor_of(b) == is_prefix
+                assert a.is_ancestor_of(b) == reference_is_ancestor(a, b)
+                assert b.is_descendant_of(a) == is_prefix
+            lo, hi = subtree_span(ordered, a)
+            assert ordered[lo:hi] == [
+                b for b in ordered if b == a or a.is_ancestor_of(b)
+            ]
+
+    @given(ids=inserted_ids())
+    @settings(max_examples=50, deadline=None)
+    def test_copies_and_pickles_are_equal_ids(self, ids):
+        for nid in ids:
+            for clone in (
+                copy.copy(nid),
+                copy.deepcopy(nid),
+                pickle.loads(pickle.dumps(nid)),
+                NodeId(nid.components),
+                nid.parent().child(nid.components[-1]) if nid.level else nid,
+            ):
+                assert clone == nid and hash(clone) == hash(nid)
+                assert clone.components == nid.components
+                assert not clone < nid and not nid < clone
+                assert document_order_key(clone) == document_order_key(nid)
+                if nid.level:
+                    assert nid.parent() < clone
+
+    def test_integral_components_are_one_value_however_spelt(self):
+        a, b = NodeId((Fraction(2),)), NodeId((2,))
+        assert a == b and hash(a) == hash(b)
+        assert not a < b and not b < a
+        assert NodeId((Fraction(4, 2), Fraction(3, 2))) == NodeId(
+            (2, Fraction(6, 4))
+        )
+
+    def test_integral_components_are_plain_ints_in_the_key(self):
+        nid = NodeId((Fraction(1), Fraction(-3), Fraction(5, 2), Fraction(0)))
+        parts = document_order_key(nid)[1::2]
+        assert [type(p) for p in parts] == [int, int, Fraction, int]
+        assert parts == (1, -3, Fraction(5, 2), 0)
+
+    def test_schemes_stay_totally_ordered_against_each_other(self):
+        # Never happens inside one document; the tag keeps sorting total.
+        rational, lsdx = NodeId((Fraction(7),)), NodeId(("b",))
+        assert rational < lsdx and not lsdx < rational
+
+    def test_ids_are_immutable_and_carry_no_dict(self):
+        nid = DOCUMENT_ID.child(Fraction(1))
+        with pytest.raises(AttributeError):
+            nid.components = ()
+        with pytest.raises(AttributeError):
+            nid.anything_else = 1
+        with pytest.raises(AttributeError):
+            del nid.components
+        assert not hasattr(nid, "__dict__")
+        assert nid.components == (Fraction(1),)
 
 
 class TestPersistentDeweyScheme:
