@@ -97,7 +97,11 @@ bench-json:
 # Fast serving-layer checks: E20 at three small sizes (shared and
 # incremental counters, loose speedup bar), E21's counter-only
 # overload variants, E22's durability invariants, and E24's
-# convergence smoke.  No timing saves.
+# convergence smoke.  No timing saves.  Then the view ablations whose
+# baselines are spelled out in the benchmark instead of selected by a
+# product switch (E9 views, E16 lazy view vs session, E18 fresh vs
+# shared resolver) run once each, untimed, so those spellings cannot
+# rot.
 bench-smoke:
 	$(PYTEST) -q benchmarks/test_e20_view_maintenance.py \
 		benchmarks/test_e21_serving_under_load.py \
@@ -106,6 +110,9 @@ bench-smoke:
 		benchmarks/test_e25_netserve.py \
 		benchmarks/test_e26_failover.py \
 		benchmarks/test_e27_scrub.py -k smoke
+	$(PYTEST) -q --benchmark-disable benchmarks/test_e9_views.py \
+		benchmarks/test_e16_lazy_vs_materialized.py \
+		benchmarks/test_e18_resolver_cache.py
 
 # The benchmark harness's own unit tests (spec parsing, the compare
 # rule, workload generators, the harness plumbing): `python3 -m bench`

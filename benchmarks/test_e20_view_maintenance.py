@@ -33,9 +33,7 @@ SESSIONS = 100
 ROUNDS = 3
 
 
-def serving_database(
-    patients: int, nurses: int, shared: bool = True
-) -> SecureXMLDatabase:
+def serving_database(patients: int, nurses: int) -> SecureXMLDatabase:
     """A synthetic hospital with ``nurses`` extra secretarial users.
 
     All nurses are members of the paper's ``secretary`` role, and no
@@ -45,15 +43,34 @@ def serving_database(
     base = synthetic_hospital(patients)
     for index in range(nurses):
         base.subjects.add_user(f"nurse{index:03d}", member_of="secretary")
-    if shared:
-        return base
-    return SecureXMLDatabase(
-        base.document, base.subjects, base.policy, shared_views=False
-    )
+    return base
 
 
 def nurse_sessions(db: SecureXMLDatabase, nurses: int):
     return [db.login(f"nurse{index:03d}") for index in range(nurses)]
+
+
+class RebuildingSession:
+    """The rebuild-per-session baseline, expressed without a switch:
+    every refresh re-resolves the user's table (against the database's
+    maintained path selections) and builds the view from scratch --
+    what each session did before the shared cache existed."""
+
+    def __init__(self, db: SecureXMLDatabase, user: str) -> None:
+        self._db = db
+        self._user = user
+        self._builder = ViewBuilder(db.resolver)
+
+    def view(self):
+        return self._builder.build(
+            self._db.document, self._db.policy, self._user
+        )
+
+
+def rebuilding_sessions(db: SecureXMLDatabase, nurses: int):
+    return [
+        RebuildingSession(db, f"nurse{index:03d}") for index in range(nurses)
+    ]
 
 
 def serve_series(db, sessions, patients: int, rounds: int) -> float:
@@ -80,9 +97,9 @@ def run_comparison(patients: int, nurses: int, rounds: int):
     """Warm both modes, run the series, return (rebuild_s, shared_s,
     warm_stats, final_stats, one shared session for checking)."""
     shared_db = serving_database(patients, nurses)
-    rebuild_db = serving_database(patients, nurses, shared=False)
+    rebuild_db = serving_database(patients, nurses)
     shared_sessions = nurse_sessions(shared_db, nurses)
-    rebuild_sessions = nurse_sessions(rebuild_db, nurses)
+    rebuild_sessions = rebuilding_sessions(rebuild_db, nurses)
     for session in shared_sessions:
         session.view()
     for session in rebuild_sessions:
@@ -158,8 +175,8 @@ def shared_setup():
 
 @pytest.fixture(scope="module")
 def rebuild_setup():
-    db = serving_database(PATIENTS, SESSIONS, shared=False)
-    sessions = nurse_sessions(db, SESSIONS)
+    db = serving_database(PATIENTS, SESSIONS)
+    sessions = rebuilding_sessions(db, SESSIONS)
     for session in sessions:
         session.view()
     return db, sessions

@@ -76,28 +76,37 @@ def test_e23_compiled_xpath(benchmark, doc, case, path):
 # ----------------------------------------------------------------------
 # rule evaluation through the resolver (E18 workload)
 # ----------------------------------------------------------------------
-def _resolve_all(db, resolver):
-    return [resolver.resolve(db.document, db.policy, user) for user in USERS]
+def _resolve_all(db, engine):
+    """Every user through a fresh resolver (no selection is shared)
+    over one engine (every rule path is compiled once)."""
+    return [
+        PermissionResolver(engine).resolve(db.document, db.policy, user)
+        for user in USERS
+    ]
+
+
+def _rules_engine():
+    return XPathEngine(lone_variable_name_test=True, star_matches_text=True)
 
 
 def test_e23_resolver_rules(benchmark, db):
-    resolver = PermissionResolver(cache_paths=False)
+    engine = _rules_engine()
 
     def run():
-        return _resolve_all(db, resolver)
+        return _resolve_all(db, engine)
 
     tables = benchmark(run)
     assert len(tables) == len(USERS)
-    assert resolver.engine.paths_compiled > 0
+    assert engine.paths_compiled > 0
 
 
 @pytest.mark.parametrize("patients", [50, 300, 1000], ids=lambda p: f"doc{p}")
 def test_e23_rules_across_doc_sizes(benchmark, patients):
     scaled = synthetic_hospital(patients)
-    resolver = PermissionResolver(cache_paths=False)
+    engine = _rules_engine()
 
     def run():
-        return _resolve_all(scaled, resolver)
+        return _resolve_all(scaled, engine)
 
     benchmark(run)
 
@@ -110,10 +119,10 @@ def test_e23_rules_across_policy_sizes(benchmark, extra_rules):
         # axiom-14 replay with the same document.
         verb = scaled.policy.grant if i % 2 == 0 else scaled.policy.deny
         verb("read", f"/patients/patient{i:05d}/descendant-or-self::*", "staff")
-    resolver = PermissionResolver(cache_paths=False)
+    engine = _rules_engine()
 
     def run():
-        return _resolve_all(scaled, resolver)
+        return _resolve_all(scaled, engine)
 
     benchmark(run)
 
@@ -144,7 +153,7 @@ def test_e23_cold_probe_via_table(benchmark, db):
     nid = db.engine.select(db.document, "/patients/*[1]")[0]
 
     def run():
-        resolver = PermissionResolver(cache_paths=False)
+        resolver = PermissionResolver()
         table = resolver.resolve(db.document, db.policy, "laporte")
         return table.holds(nid, Privilege.READ)
 

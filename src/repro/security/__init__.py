@@ -13,7 +13,6 @@ from .collection import CollectionError, CollectionSession, SecureCollection
 from .database import SecureXMLDatabase, Transaction
 from .delegation import AdministeredPolicy, DelegationError, Grant
 from .insecure import InsecureWriteExecutor
-from .lazy import LazyView, build_lazy_view
 from .perm import PermissionResolver, PermissionTable
 from .policy import (
     ACCEPT,
@@ -49,7 +48,6 @@ __all__ = [
     "ExplainEntry",
     "Grant",
     "InsecureWriteExecutor",
-    "LazyView",
     "PermissionResolver",
     "PermissionTable",
     "Policy",
@@ -69,6 +67,5 @@ __all__ = [
     "View",
     "ViewBuilder",
     "ViewCache",
-    "build_lazy_view",
     "WRITE_PRIVILEGES",
 ]

@@ -129,15 +129,13 @@ class SecureCollection:
     # ------------------------------------------------------------------
     # sessions
     # ------------------------------------------------------------------
-    def login(
-        self, user: str, enforcement: str = "materialized"
-    ) -> "CollectionSession":
+    def login(self, user: str) -> "CollectionSession":
         """Open a collection-wide session for a declared user."""
         if user not in self._subjects:
             raise SubjectError(f"unknown subject {user!r}")
         if not self._subjects.is_user(user):
             raise SubjectError(f"{user!r} is a role; only users can log in")
-        return CollectionSession(self, user, enforcement)
+        return CollectionSession(self, user)
 
 
 class CollectionSession:
@@ -148,12 +146,9 @@ class CollectionSession:
     :class:`~repro.security.session.Session`.
     """
 
-    def __init__(
-        self, collection: SecureCollection, user: str, enforcement: str
-    ) -> None:
+    def __init__(self, collection: SecureCollection, user: str) -> None:
         self._collection = collection
         self._user = user
-        self._enforcement = enforcement
         self._sessions: Dict[str, Session] = {}
 
     @property
@@ -164,9 +159,7 @@ class CollectionSession:
         """The per-document session for ``name``."""
         session = self._sessions.get(name)
         if session is None:
-            session = self._collection.database(name).login(
-                self._user, self._enforcement
-            )
+            session = self._collection.database(name).login(self._user)
             self._sessions[name] = session
         return session
 

@@ -166,11 +166,6 @@ class SecureXMLDatabase:
         policy: the security policy; a fresh empty one (which, under the
             closed-world assumption, denies everything) if omitted.
         audit: audit log receiving write decisions; created if omitted.
-        shared_views: serve materialized views from a shared,
-            incrementally-maintained cache keyed by permission
-            fingerprint (the default).  Disable to rebuild every view
-            from scratch per session and version (the seed behaviour,
-            kept for ablation benchmarks).
 
     Example::
 
@@ -188,7 +183,6 @@ class SecureXMLDatabase:
         subjects: Optional[SubjectHierarchy] = None,
         policy: Optional[Policy] = None,
         audit: Optional[AuditLog] = None,
-        shared_views: bool = True,
     ) -> None:
         self._document = document
         self._subjects = subjects if subjects is not None else SubjectHierarchy()
@@ -201,7 +195,7 @@ class SecureXMLDatabase:
         self._engine = XPathEngine(
             lone_variable_name_test=True, star_matches_text=True
         )
-        self._resolver = PermissionResolver(self._engine, cache_paths=True)
+        self._resolver = PermissionResolver(self._engine)
         self._view_builder = ViewBuilder(self._resolver)
         self._unsecured = XUpdateExecutor(self._engine)
         from .write import SecureWriteExecutor
@@ -211,7 +205,7 @@ class SecureXMLDatabase:
         )
         from .viewcache import ViewCache
 
-        self._view_cache = ViewCache() if shared_views else None
+        self._view_cache = ViewCache()
         self._version = 0
         self._commit_lock = threading.Lock()
         self._degraded_view_serves = 0
@@ -290,17 +284,11 @@ class SecureXMLDatabase:
     # ------------------------------------------------------------------
     # sessions and views
     # ------------------------------------------------------------------
-    def login(self, user: str, enforcement: str = "materialized") -> Session:
+    def login(self, user: str) -> Session:
         """Open a session for a declared *user*.
 
         Args:
             user: the login name (must be a user, not a role).
-            enforcement: ``"materialized"`` builds the pruned view
-                document of axioms 15-17 per version (the paper's
-                presentation); ``"lazy"`` enforces the same axioms per
-                node access without copying (the filter approach the
-                paper's conclusion proposes).  Both return identical
-                query answers -- see tests/security/test_lazy.py.
 
         Raises:
             SubjectError: if the subject is unknown or is a role (roles
@@ -310,17 +298,17 @@ class SecureXMLDatabase:
             raise SubjectError(f"unknown subject {user!r}")
         if not self._subjects.is_user(user):
             raise SubjectError(f"{user!r} is a role; only users can log in")
-        return Session(self, user, enforcement)
+        return Session(self, user)
 
     def build_view(self, user: str) -> View:
         """Derive the view for any declared subject (axioms 15-17).
 
-        With ``shared_views`` (the default) the view is served from the
-        shared cache: users with identical, ``$USER``-free permission
-        tables receive facades over one materialization, and stale
-        cached views are patched from commit change-sets instead of
-        rebuilt.  Served views are shared state -- treat them as
-        immutable, as every in-tree consumer already does.
+        The view is served from the shared cache: users with identical,
+        ``$USER``-free permission tables receive facades over one
+        materialization, and stale cached views are patched from commit
+        change-sets instead of rebuilt.  Served views are shared state
+        -- treat them as immutable, as every in-tree consumer already
+        does.
 
         The degradation ladder (DESIGN.md §9): a failing incremental
         patch is retried as a full build *inside* the cache; if the
@@ -328,26 +316,17 @@ class SecureXMLDatabase:
         (``degraded_view_serves`` in :meth:`stats`), and the view is
         rebuilt per-session -- a cache bug never fails a read.
         """
-        if self._view_cache is not None:
-            try:
-                return self._view_cache.view_for(self, user)
-            except SubjectError:
-                raise  # a real domain error, not a cache failure
-            except Exception:
-                self._degraded_view_serves += 1
-                logger.exception(
-                    "shared view cache failed for %r; rebuilding "
-                    "per-session", user
-                )
+        try:
+            return self._view_cache.view_for(self, user)
+        except SubjectError:
+            raise  # a real domain error, not a cache failure
+        except Exception:
+            self._degraded_view_serves += 1
+            logger.exception(
+                "shared view cache failed for %r; rebuilding per-session",
+                user,
+            )
         return self._view_builder.build(self._document, self._policy, user)
-
-    def build_lazy_view(self, user: str):
-        """Derive a lazily-enforced view (same axioms, no copy)."""
-        from .lazy import build_lazy_view
-
-        return build_lazy_view(
-            self._document, self._policy, user, self._resolver
-        )
 
     def permissions_for(self, user: str) -> PermissionTable:
         """Derive the full ``perm`` table for a subject (axiom 14).
@@ -398,14 +377,8 @@ class SecureXMLDatabase:
         out = {"version": self._version, "read_only": self._read_only}
         out.update(self._resolver.stats)
         out["rules_compiled"] = self._engine.paths_compiled
-        if self._view_cache is not None:
-            out.update(
-                {f"view_{k}": v for k, v in self._view_cache.stats.items()}
-            )
-            out["degraded_rebuilds"] = (
-                out.get("degraded_rebuilds", 0)
-                + self._view_cache.stats.get("degraded_rebuilds", 0)
-            )
+        out.update({f"view_{k}": v for k, v in self._view_cache.stats.items()})
+        out["degraded_rebuilds"] += self._view_cache.stats["degraded_rebuilds"]
         out["degraded_view_serves"] = self._degraded_view_serves
         return out
 
@@ -487,8 +460,7 @@ class SecureXMLDatabase:
         self._document = document
         self._version += 1
         self._resolver.note_commit(old_document, document, changes)
-        if self._view_cache is not None:
-            self._view_cache.note_commit(self._version, changes)
+        self._view_cache.note_commit(self._version, changes)
 
     # ------------------------------------------------------------------
     # durability

@@ -22,6 +22,16 @@ materialized view.  The equivalence is differentially tested
 (``tests/security/test_lazy.py``) and the cost trade-off is measured by
 benchmark E16: lazy wins when queries touch a small fraction of the
 document; materialization amortizes when one view serves many queries.
+
+This is a library class, not a session mode: sessions always serve the
+materialized view grown by :func:`repro.security.view.grow`, and nothing
+on the serving path imports this module.  With the Datalog theory
+(:mod:`repro.formal`) and the generated stylesheet
+(:mod:`repro.xslt.security`) it is one of three independent statements
+of axioms 15-17 the tests pin the grower against.  To run a query or a
+secure update through it, build one with :func:`build_lazy_view` and
+hand it to the XPath engine or to
+:meth:`~repro.security.write.SecureWriteExecutor.apply`.
 """
 
 from __future__ import annotations
@@ -60,8 +70,7 @@ class LazyView:
         self._source = source
         self._permissions = permissions
         #: The policy the view was derived under (set by
-        #: :func:`build_lazy_view`); lets the secure write executor
-        #: re-derive views between script steps, as with View.
+        #: :func:`build_lazy_view`); :meth:`rebased` needs it.
         self.policy = policy
         self._visible_cache: Dict[NodeId, bool] = {DOCUMENT_ID: True}
         self._len_cache: Optional[Tuple[int, int]] = None
@@ -119,6 +128,14 @@ class LazyView:
             cache[node] = result
         return result
 
+    def rebased(
+        self, new_source: XMLDocument, resolver: PermissionResolver
+    ) -> "LazyView":
+        """This user's lazy view of ``new_source`` under the same
+        policy (the counterpart of ``View.rebased``: the secure write
+        executor calls it between the operations of a script)."""
+        return build_lazy_view(new_source, self.policy, self.user, resolver)
+
     def is_restricted(self, nid: NodeId) -> bool:
         """True iff the node is shown with the RESTRICTED label."""
         return (
@@ -163,8 +180,9 @@ class LazyView:
             raise DocumentError(f"no node with id {nid!r}")
         node = self._source.node(nid)
         if self.is_restricted(nid):
-            if node.kind is NodeKind.ATTRIBUTE and node.value:
-                # Hide the value as well as the name (see ViewBuilder).
+            if node.kind is NodeKind.ATTRIBUTE:
+                # Hide the value as well as the name -- an empty one
+                # too (see repro.security.view.grow).
                 return Node(nid, NodeKind.ATTRIBUTE, RESTRICTED, RESTRICTED)
             return node.relabelled(RESTRICTED)
         return node

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -162,9 +163,6 @@ class PermissionResolver:
             theory ``db``).  The engine should have the paper-compat
             ``lone_variable_name_test`` enabled if policies use the
             paper's ``[$USER]`` shorthand.
-        cache_paths: cache user-independent rule-path selections per
-            (document, mutation stamp) and maintain them across commits
-            (see :meth:`note_commit`).
         max_tables: bound on the shared-table cache (LRU-evicted); one
             entry per distinct permission fingerprint.
     """
@@ -172,7 +170,6 @@ class PermissionResolver:
     def __init__(
         self,
         engine: Optional[XPathEngine] = None,
-        cache_paths: bool = False,
         max_tables: int = 256,
     ) -> None:
         self._engine = engine if engine is not None else XPathEngine(
@@ -181,10 +178,8 @@ class PermissionResolver:
         # Cross-user cache: a rule path that never mentions $USER
         # selects the same nodes for every user, so re-evaluating it per
         # user is pure waste (ablation E18).  Keyed weakly by document
-        # and guarded by the document's mutation stamp.
-        self._cache_paths = cache_paths
-        import weakref
-
+        # and guarded by the document's mutation stamp, and maintained
+        # across commits (see note_commit).
         self._path_cache: "weakref.WeakKeyDictionary[XMLDocument, Tuple[int, Dict[str, Tuple[NodeId, ...]]]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -216,10 +211,6 @@ class PermissionResolver:
     def engine(self) -> XPathEngine:
         return self._engine
 
-    @property
-    def cache_paths(self) -> bool:
-        return self._cache_paths
-
     # ------------------------------------------------------------------
     # fingerprints (cross-user sharing)
     # ------------------------------------------------------------------
@@ -247,7 +238,7 @@ class PermissionResolver:
         variables: Dict[str, str],
     ):
         """Evaluate one rule path, caching user-independent paths."""
-        if not self._cache_paths or "$" in path:
+        if "$" in path:
             self.stats["path_evals"] += 1
             return self._engine.select(doc, path, variables=variables)
         with self._lock:

@@ -71,16 +71,9 @@ class Session:
         self,
         database: "SecureXMLDatabase",  # noqa: F821
         user: str,
-        enforcement: str = "materialized",
     ) -> None:
-        if enforcement not in ("materialized", "lazy"):
-            raise ValueError(
-                "enforcement must be 'materialized' or 'lazy', "
-                f"got {enforcement!r}"
-            )
         self._database = database
         self._user = user
-        self._enforcement = enforcement
         self._view = None
         self._view_version: int = -1
 
@@ -93,26 +86,15 @@ class Session:
     def database(self) -> "SecureXMLDatabase":  # noqa: F821
         return self._database
 
-    @property
-    def enforcement(self) -> str:
-        """The enforcement strategy: ``materialized`` (axioms 15-17 as
-        a pruned copy, the paper's presentation) or ``lazy`` (the same
-        axioms checked per access -- the conclusion's filter approach)."""
-        return self._enforcement
-
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def view(self) -> View:
         """The current authorized view (axioms 15-17), cached per
-        database version.  A :class:`~repro.security.lazy.LazyView` in
-        lazy mode; both expose the same surface."""
+        database version."""
         version = self._database.version
         if self._view is None or self._view_version != version:
-            if self._enforcement == "lazy":
-                self._view = self._database.build_lazy_view(self._user)
-            else:
-                self._view = self._database.build_view(self._user)
+            self._view = self._database.build_view(self._user)
             self._view_version = version
         return self._view
 

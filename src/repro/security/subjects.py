@@ -116,10 +116,14 @@ class SubjectHierarchy:
         for name in (subject, parent):
             if name not in self._subjects:
                 raise SubjectError(f"unknown subject {name!r}")
+        if subject == parent:
+            # isa is reflexive (axiom 11): nothing to record, and a
+            # recorded self-edge would read as a cycle ever after.
+            return
         # Checked by walking up from these two names only: the global
         # closure is invalidated by every declaration, and rebuilding it
         # here would make loading n subjects quadratic.
-        if subject == parent or parent in self._walk_up(subject):
+        if parent in self._walk_up(subject):
             pass  # redundant but harmless
         elif subject in self._walk_up(parent):
             raise SubjectError(

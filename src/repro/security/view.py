@@ -20,18 +20,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import DOCUMENT_ID, NodeId
 from ..xmltree.node import RESTRICTED, NodeKind
 from ..xmltree.serializer import serialize
-from ..xpath.engine import XPathEngine
 from .perm import PermissionResolver, PermissionTable
 from .policy import Policy
 from .privileges import Privilege
 
-__all__ = ["View", "ViewBuilder"]
+__all__ = ["View", "ViewBuilder", "grow"]
+
+_NOTHING: FrozenSet[NodeId] = frozenset()
 
 
 @dataclass
@@ -101,6 +102,53 @@ class View:
         self._fingerprint_cache = (stamp, digest)
         return digest
 
+    def rebased(
+        self, new_source: XMLDocument, resolver: PermissionResolver
+    ) -> "View":
+        """This user's view of ``new_source`` under the same policy.
+
+        The permission table is re-derived, not copied: rule paths may
+        now match different nodes (e.g. a freshly inserted diagnosis).
+        """
+        return ViewBuilder(resolver).build(new_source, self.policy, self.user)
+
+
+def grow(
+    view_doc: XMLDocument,
+    source: XMLDocument,
+    roots: Iterable[NodeId],
+    table: PermissionTable,
+) -> Set[NodeId]:
+    """Grow ``view_doc`` at ``roots`` from ``source`` (axioms 16-17).
+
+    The one place the selection rule is evaluated for materialized
+    views: a source node at or below a root enters the view iff the
+    user holds ``read`` or ``position`` on it **and its parent is in
+    the view** -- so a root whose parent is not in ``view_doc`` (or
+    that the source no longer has) contributes nothing.  Position-only
+    nodes are masked here and nowhere else: label, and for attributes
+    the value too (relabelling alone would leak it through
+    serialization).  The roots must not be in ``view_doc`` yet.
+
+    Returns:
+        The nodes installed with the RESTRICTED label.
+    """
+    readable = table.granted.get(Privilege.READ, _NOTHING)
+    position_only = table.granted.get(Privilege.POSITION, _NOTHING) - readable
+    installed = view_doc.graft(
+        source,
+        [r for r in roots if r in source and r.parent() in view_doc],
+        readable | position_only if position_only else readable,
+    )
+    if not position_only:
+        return set()
+    restricted = position_only.intersection(installed)
+    for nid in restricted:
+        view_doc.relabel(nid, RESTRICTED)
+        if view_doc.kind(nid) is NodeKind.ATTRIBUTE:
+            view_doc.set_value(nid, RESTRICTED)
+    return restricted
+
 
 class ViewBuilder:
     """Materializes :class:`View` objects (axioms 15-17).
@@ -138,35 +186,9 @@ class ViewBuilder:
             if permissions is not None
             else self._resolver.resolve(doc, policy, user)
         )
-        readable = table.nodes_with(Privilege.READ)
-        positioned = table.nodes_with(Privilege.POSITION)
-
-        selected: Set[NodeId] = {DOCUMENT_ID}
-        restricted: Set[NodeId] = set()
-        prune_roots: List[NodeId] = []
-        stack: List[NodeId] = [DOCUMENT_ID]
-        while stack:
-            parent = stack.pop()
-            for child in self._all_children(doc, parent):
-                if child in readable:
-                    selected.add(child)
-                    stack.append(child)
-                elif child in positioned:
-                    selected.add(child)
-                    restricted.add(child)
-                    stack.append(child)
-                else:
-                    prune_roots.append(child)
-
-        view_doc = doc.copy()
-        for root in prune_roots:
-            view_doc.remove_subtree(root)
-        for nid in restricted:
-            view_doc.relabel(nid, RESTRICTED)
-            # A position-only *attribute* must hide its value too --
-            # relabelling alone would leak it through serialization.
-            if view_doc.node(nid).kind is NodeKind.ATTRIBUTE:
-                view_doc.set_value(nid, RESTRICTED)
+        # Axiom 15: an empty document is exactly the document node.
+        view_doc = XMLDocument(doc.scheme)
+        restricted = grow(view_doc, doc, doc.children(DOCUMENT_ID), table)
         return View(
             user=user,
             doc=view_doc,
@@ -175,10 +197,3 @@ class ViewBuilder:
             permissions=table,
             policy=policy,
         )
-
-    @staticmethod
-    def _all_children(doc: XMLDocument, nid: NodeId) -> List[NodeId]:
-        """Content children plus attribute nodes (both access-checked)."""
-        if doc.kind(nid) is NodeKind.ELEMENT:
-            return doc.attributes(nid) + doc.children(nid)
-        return doc.children(nid)

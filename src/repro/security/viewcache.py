@@ -44,11 +44,9 @@ from typing import Dict, List, Optional, Set
 
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import DOCUMENT_ID, NodeId, document_order_key
-from ..xmltree.node import RESTRICTED, NodeKind
 from ..xupdate.changeset import ChangeSet
 from .perm import Fingerprint, PermissionTable
-from .privileges import Privilege
-from .view import View, ViewBuilder
+from .view import View, ViewBuilder, grow
 
 __all__ = ["ViewCache"]
 
@@ -215,46 +213,15 @@ class ViewCache:
 
         new_doc = old_view.doc.copy()
         restricted = set(old_view.restricted)
-        readable = table.nodes_with(Privilege.READ)
-        positioned = table.nodes_with(Privilege.POSITION)
-
+        # Drop the stale regions from the view copy, then regrow them
+        # under the new table.  A root whose parent is not in the view
+        # stays out: the parent is clean -- a dirty one would have
+        # covered this root -- so its absence is still correct.
         for root in roots:
-            # Drop the stale region from the view copy...
             if root in new_doc:
-                for nid in list(new_doc.subtree(root)):
-                    restricted.discard(nid)
+                restricted.difference_update(new_doc.subtree(root))
                 new_doc.remove_subtree(root)
-            else:
-                restricted.discard(root)
-            if root not in new_source:
-                continue  # region removed from the source: stays gone
-            parent = root.parent()
-            if parent != DOCUMENT_ID and parent not in new_doc:
-                # Parent not selected => no descendant can be (axioms
-                # 16-17 require the parent in the view).  The parent is
-                # clean -- a dirty one would have covered this root --
-                # so its absence is still correct.
-                continue
-            # ...and regrow it under the new table, top-down.
-            stack = [root]
-            while stack:
-                nid = stack.pop()
-                is_readable = nid in readable
-                is_positioned = nid in positioned
-                if not (is_readable or is_positioned):
-                    continue
-                node = new_source.node(nid)
-                new_doc.adopt(node)
-                if not is_readable:
-                    restricted.add(nid)
-                    new_doc.relabel(nid, RESTRICTED)
-                    if node.kind is NodeKind.ATTRIBUTE:
-                        new_doc.set_value(nid, RESTRICTED)
-                if node.kind is NodeKind.ELEMENT:
-                    stack.extend(new_source.attributes(nid))
-                    stack.extend(new_source.children(nid))
-                elif new_source.children(nid):
-                    stack.extend(new_source.children(nid))
+        restricted |= grow(new_doc, new_source, roots, table)
 
         # Carry label/value edits of clean, still-visible nodes: a
         # rename of a readable node inside an otherwise clean region

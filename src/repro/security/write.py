@@ -38,6 +38,7 @@ from ..testing.faults import kill_point
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import NodeId
 from ..xmltree.node import NodeKind
+from ..xpath.engine import XPathEngine
 from ..xupdate.changeset import ChangeSet
 from ..xupdate.executor import UpdateResult, XUpdateExecutor
 from ..xupdate.operations import (
@@ -51,6 +52,7 @@ from ..xupdate.operations import (
     XUpdateOperation,
 )
 from .audit import AuditLog
+from .perm import PermissionResolver
 from .privileges import Privilege
 from .view import View
 
@@ -121,22 +123,21 @@ class SecureWriteExecutor:
             primitives and the XPath engine; a default is built if
             omitted.
         audit: optional audit log receiving one record per decision.
-        resolver: optional
+        resolver: the
             :class:`~repro.security.perm.PermissionResolver` whose
             static NFA fast path (and stats counters) answer privilege
-            checks; without one the shared static deciders are used
-            directly.  Either way the table in ``view.permissions`` is
-            the fallback for out-of-fragment privilege lanes.
+            checks and which re-derives the view between the operations
+            of a script; one over the executor's engine is built if
+            omitted.  The table in ``view.permissions`` is the fallback
+            for out-of-fragment privilege lanes.
     """
 
     def __init__(
         self,
         executor: Optional[XUpdateExecutor] = None,
         audit: Optional[AuditLog] = None,
-        resolver=None,
+        resolver: Optional[PermissionResolver] = None,
     ) -> None:
-        from ..xpath.engine import XPathEngine
-
         self._executor = (
             executor
             if executor is not None
@@ -145,7 +146,11 @@ class SecureWriteExecutor:
             )
         )
         self._audit = audit
-        self._resolver = resolver
+        self._resolver = (
+            resolver
+            if resolver is not None
+            else PermissionResolver(self._executor.engine)
+        )
 
     @property
     def executor(self) -> XUpdateExecutor:
@@ -158,31 +163,15 @@ class SecureWriteExecutor:
         on the source when the privilege lane is automata-eligible,
         the view's resolved table otherwise (same axiom-14 answer)."""
         source = view.source
-        if self._resolver is not None:
-            resolver = self._resolver
-
-            def check(nid: NodeId, privilege: Privilege) -> bool:
-                decision = resolver.holds_static(
-                    source, view.policy, view.user, nid, privilege
-                )
-                if decision is not None:
-                    return decision
-                return view.permissions.holds(nid, privilege)
-
-            return check
-        from .static import decider_for
-
-        decider = decider_for(
-            view.policy,
-            view.user,
-            self._executor.engine.star_matches_text,
-        )
+        resolver = self._resolver
 
         def check(nid: NodeId, privilege: Privilege) -> bool:
-            outcome = decider.decide(source, nid, privilege)
-            if outcome is None:
-                return view.permissions.holds(nid, privilege)
-            return outcome[0]
+            decision = resolver.holds_static(
+                source, view.policy, view.user, nid, privilege
+            )
+            if decision is not None:
+                return decision
+            return view.permissions.holds(nid, privilege)
 
         return check
 
@@ -236,7 +225,9 @@ class SecureWriteExecutor:
                 if index:
                     # Only an operation that follows another needs the
                     # view re-derived against its predecessor's result.
-                    current_view = _rebase_view(current_view, result.document)
+                    current_view = current_view.rebased(
+                        result.document, self._resolver
+                    )
                 try:
                     if checkpoint is not None:
                         checkpoint()
@@ -441,18 +432,3 @@ class SecureWriteExecutor:
             denials=denials,
             changes=changes,
         )
-
-
-def _rebase_view(view: "View", new_source: XMLDocument):
-    """Re-derive a view against an updated source under the same policy.
-
-    The permission table must be re-derived, not copied: rule paths may
-    now match different nodes (e.g. a freshly inserted diagnosis).
-    Lazy views rebase to lazy views, materialized to materialized.
-    """
-    from .lazy import LazyView, build_lazy_view
-    from .view import ViewBuilder
-
-    if isinstance(view, LazyView):
-        return build_lazy_view(new_source, view.policy, view.user)
-    return ViewBuilder().build(new_source, view.policy, view.user)

@@ -125,13 +125,20 @@ class TornTail:
         search jumps between ``{`` bytes; for a genuine torn tail only
         the short in-flight remainder is read.
 
+        Only the ``dropped_bytes`` the verdict was drawn from are
+        searched.  On the live tail the damage is usually the writer's
+        half-written record; whatever the writer appends after the
+        reader's read -- the rest of that record, then more records --
+        lies past them, and must not be taken for intact frames behind
+        corruption.
+
         Raises:
             OSError: the segment cannot be read now.
         """
         base = max(self.offset + 1, len(MAGIC))
         with disk.open(self.segment, "rb") as handle:
             handle.seek(base)
-            data = handle.read()
+            data = handle.read(max(0, self.offset + self.dropped_bytes - base))
         brace = data.find(b"{", _HEADER.size)
         while brace != -1:
             frame = _frame_at(data, brace - _HEADER.size, self.segment, base)

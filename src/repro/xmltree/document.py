@@ -16,7 +16,17 @@ cheap -- node objects are immutable and shared).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .labels import (
     DOCUMENT_ID,
@@ -470,31 +480,61 @@ class XMLDocument:
             self._kind_index_stamp = self.mutation_stamp
         return self._kind_index.get(kind, set())
 
-    def adopt(self, node: Node) -> NodeId:
-        """Install a node object *preserving its identifier*.
+    def graft(
+        self,
+        source: "XMLDocument",
+        roots: Iterable[NodeId],
+        keep: Container[NodeId],
+    ) -> List[NodeId]:
+        """Install the kept part of ``source``'s subtrees at ``roots``.
 
-        The node's parent must already be present.  This is the graft
-        primitive of incremental view maintenance: the serving layer
-        re-prunes an updated source region into a cached view document
-        by adopting the (immutable, shared) source nodes one by one,
-        parents before children, instead of copy-and-pruning the whole
-        tree.  Sibling order follows from the identifier, so adoption
-        order within a sibling run does not matter.
+        A node of ``source`` at or below a root is installed --
+        *identifier preserved, node object shared* -- iff it is in
+        ``keep`` and its parent got installed (a root's parent must
+        already be here); nothing below an unkept node is looked at.
+        This is the one primitive views are grown with: a first build
+        grafts the document node's children into an empty document, a
+        cache patch grafts each dirty root back after cutting it out.
+
+        Each installed node's sibling list is the source's filtered by
+        ``keep``, so it is strictly increasing because the source's is:
+        only the roots themselves are placed by bisect and move the
+        mutation stamp.
+
+        Returns:
+            The installed identifiers, parents before children.
 
         Raises:
-            DocumentError: for the document node, an already-present
-                identifier, or a missing parent.
+            DocumentError: for a root that is the document node, is
+                already present, is unknown to ``source``, or whose
+                parent is not in this document.  Roots before the
+                offending one stay installed.
         """
-        if node.nid.is_document:
-            raise DocumentError("the document node cannot be adopted")
-        if node.nid in self._nodes:
-            raise DocumentError(f"node {node.nid!r} already present")
-        if node.nid.parent() not in self._nodes:
-            raise DocumentError(
-                f"cannot adopt {node.nid!r}: parent not in this document"
-            )
-        self._install(node)
-        return node.nid
+        nodes, children = self._nodes, self._children
+        src_nodes, src_children = source._nodes, source._children
+        installed: List[NodeId] = []
+        for root in roots:
+            if root.is_document:
+                raise DocumentError("the document node cannot be grafted")
+            if root in nodes:
+                raise DocumentError(f"node {root!r} already present")
+            if root.parent() not in nodes:
+                raise DocumentError(
+                    f"cannot graft {root!r}: parent not in this document"
+                )
+            node = source.node(root)
+            if root not in keep:
+                continue
+            self._install(node)
+            grown = [root]
+            for nid in grown:  # extended as it is walked: breadth-first
+                kids = [kid for kid in src_children[nid] if kid in keep]
+                children[nid] = kids
+                for kid in kids:
+                    nodes[kid] = src_nodes[kid]
+                grown += kids
+            installed += grown
+        return installed
 
     def copy(self) -> "XMLDocument":
         """An independent copy sharing immutable node objects."""

@@ -96,6 +96,10 @@ class PathSkeleton:
         """
         if not self.patchable:
             raise ValueError("matches() called on a non-patchable skeleton")
+        if doc.kind(nid) is NodeKind.ATTRIBUTE:
+            # The fragment has no attribute axis, and neither a child
+            # step nor a descendant gap ever reaches an attribute.
+            return False
         chain = list(nid.ancestors())[:-1]  # nearest-first, document dropped
         chain.reverse()
         chain.append(nid)

@@ -1,60 +1,86 @@
-"""Integration tests across the beyond-the-paper layers: lazy sessions,
+"""Integration tests across the beyond-the-paper layers: lazy views,
 XSLT processor after updates, storage + delegation + sessions."""
 
 import pytest
 
 from repro.core import hospital_database
 from repro.security import SecureCollection
+from repro.security.lazy import build_lazy_view
 from repro.storage import dump_database, load_database
-from repro.xmltree import element, serialize, text
+from repro.xmltree import element, render_tree, serialize, text
 from repro.xslt import apply_stylesheet, view_stylesheet
-from repro.xupdate import Append, Remove, Rename, UpdateContent
+from repro.xupdate import Append, Remove, Rename, UpdateContent, parse_xupdate
+
+
+def lazy_view(db, user):
+    return build_lazy_view(db.document, db.policy, user, db.resolver)
+
+
+def lazy_execute(db, user, operation, strict=False):
+    """``Session.execute`` with the selection made on a lazy view: the
+    database's own secure executor, committed through a transaction."""
+    with db.transaction() as txn:
+        result = db.write_executor.apply(
+            lazy_view(db, user), operation, strict=strict
+        )
+        txn.commit(result.document, result.changes)
+    return result
 
 
 class TestLazyWorkflow:
-    """The full hospital workflow through lazily-enforced sessions."""
+    """The full hospital workflow with every selection made on a
+    lazily-enforced view."""
 
     def test_end_to_end_lazy(self):
         db = hospital_database()
-        secretary = db.login("beaufort", enforcement="lazy")
-        doctor = db.login("laporte", enforcement="lazy")
-
-        secretary.execute(
+        lazy_execute(
+            db,
+            "beaufort",
             Append("/patients", element("albert", element("diagnosis"))),
             strict=True,
         )
-        doctor.execute(
-            Append("/patients/albert/diagnosis", text("angina")), strict=True
+        lazy_execute(
+            db,
+            "laporte",
+            Append("/patients/albert/diagnosis", text("angina")),
+            strict=True,
         )
-        doctor.execute(
+        lazy_execute(
+            db,
+            "laporte",
             UpdateContent("/patients/albert/diagnosis", "pericarditis"),
             strict=True,
         )
-        tree = secretary.read_tree()
+        tree = render_tree(lazy_view(db, "beaufort"))
         assert "/albert" in tree
         assert "pericarditis" not in tree
         assert "RESTRICTED" in tree
+        assert tree == db.login("beaufort").read_tree()
 
     def test_lazy_and_materialized_sessions_interleave(self):
         db = hospital_database()
-        lazy = db.login("laporte", enforcement="lazy")
         materialized = db.login("beaufort")
-        lazy.execute(UpdateContent("/patients/franck/diagnosis", "flu"))
-        # The materialized session picks up the lazy session's commit.
+        lazy_execute(
+            db, "laporte", UpdateContent("/patients/franck/diagnosis", "flu")
+        )
+        # The session picks up the commit selected on the lazy view.
         assert "RESTRICTED" in materialized.read_tree()
         materialized.execute(Rename("/patients/franck", "francois"))
-        assert "francois" in lazy.read_tree()
+        assert "francois" in render_tree(lazy_view(db, "laporte"))
 
     def test_lazy_script_execution(self):
         db = hospital_database()
-        doctor = db.login("laporte", enforcement="lazy")
-        result = doctor.execute(
+        script = parse_xupdate(
             '<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">'
             '<xupdate:update select="/patients/franck/diagnosis">a</xupdate:update>'
             '<xupdate:update select="/patients/robert/diagnosis">b</xupdate:update>'
             "</xupdate:modifications>"
         )
+        # Two operations: the second selects on LazyView.rebased().
+        result = lazy_execute(db, "laporte", script)
         assert len(result.affected) == 2
+        via_session = hospital_database().login("laporte").execute(script)
+        assert result.document.facts() == via_session.document.facts()
 
 
 class TestXsltAfterUpdates:

@@ -123,11 +123,6 @@ class TestSessions:
         with pytest.raises(SubjectError):
             collection.login("ghost")
 
-    def test_lazy_enforcement_supported(self, collection):
-        lazy = collection.login("nina", enforcement="lazy")
-        materialized = collection.login("nina")
-        assert lazy.read_xml("payroll") == materialized.read_xml("payroll")
-
     def test_per_document_sessions_cached(self, collection):
         session = collection.login("nina")
         assert session.session("patients") is session.session("patients")

@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.security import (
-    LazyView,
-    SecureWriteExecutor,
-    ViewBuilder,
-    build_lazy_view,
-)
-from repro.xmltree import RESTRICTED, serialize
+from repro.security import SecureWriteExecutor, ViewBuilder
+from repro.security.lazy import build_lazy_view
+from repro.xmltree import RESTRICTED, render_tree, serialize
 from repro.xpath import XPathEngine
-from repro.xupdate import Remove, Rename, UpdateContent
+from repro.xupdate import Remove, Rename, UpdateContent, UpdateScript
 
 from tests.strategies import (
     RULE_PATHS,
@@ -31,6 +27,11 @@ from tests.strategies import (
 
 ENGINE = XPathEngine(lone_variable_name_test=True, star_matches_text=True)
 BUILDER = ViewBuilder()
+
+
+def lazy_view(db, user):
+    """The lazy counterpart of ``db.build_view(user)``."""
+    return build_lazy_view(db.document, db.policy, user, db.resolver)
 
 QUERY_PATHS = [
     "//*",
@@ -50,19 +51,16 @@ QUERY_PATHS = [
 class TestPaperExample:
     def test_facts_identical(self, db):
         for user in ("beaufort", "robert", "richard", "laporte"):
-            lazy = db.build_lazy_view(user)
+            lazy = lazy_view(db, user)
             materialized = db.build_view(user)
             assert lazy.facts() == materialized.facts()
 
     def test_serialization_identical(self, db):
         for user in ("beaufort", "richard"):
-            assert (
-                db.login(user, enforcement="lazy").read_xml()
-                == db.login(user).read_xml()
-            )
+            assert serialize(lazy_view(db, user)) == db.login(user).read_xml()
 
     def test_restricted_labels_surface(self, db):
-        lazy = db.build_lazy_view("beaufort")
+        lazy = lazy_view(db, "beaufort")
         restricted = [n for n in lazy.all_nodes() if lazy.is_restricted(n)]
         assert len(restricted) == 2  # both diagnosis texts
         for nid in restricted:
@@ -72,7 +70,7 @@ class TestPaperExample:
     def test_invisible_node_raises(self, db):
         from repro.xmltree import DocumentError
 
-        lazy = db.build_lazy_view("robert")
+        lazy = lazy_view(db, "robert")
         franck = db.engine.select(db.document, "//franck")[0]
         assert franck not in lazy
         with pytest.raises(DocumentError):
@@ -80,7 +78,7 @@ class TestPaperExample:
         assert lazy.get(franck) is None
 
     def test_string_value_hides_invisible_text(self, db):
-        lazy = db.build_lazy_view("beaufort")
+        lazy = lazy_view(db, "beaufort")
         # For the secretary, element string-values read RESTRICTED in
         # place of the diagnosis text -- same as the materialized view.
         materialized = db.build_view("beaufort")
@@ -89,14 +87,9 @@ class TestPaperExample:
 
     def test_covert_channel_closed_in_lazy_mode(self, db):
         probe = Rename("/patients/*[diagnosis/text()='pneumonia']", "x")
-        result = db.login("beaufort", enforcement="lazy").execute(probe)
+        result = db.write_executor.apply(lazy_view(db, "beaufort"), probe)
         assert result.selected == []
-
-    def test_enforcement_property_and_validation(self, db):
-        assert db.login("robert").enforcement == "materialized"
-        assert db.login("robert", enforcement="lazy").enforcement == "lazy"
-        with pytest.raises(ValueError):
-            db.login("robert", enforcement="eager")
+        assert result.document.facts() == db.document.facts()
 
 
 @given(documents(), policy_rules())
@@ -121,23 +114,35 @@ def test_queries_differentially_equal(doc, rules, query):
     )
 
 
+def write_operation(kind, path):
+    if kind == "rename":
+        return Rename(path, "zzz")
+    if kind == "update":
+        return UpdateContent(path, "zzz")
+    return Remove(path)
+
+
 @given(
     documents(),
     policy_rules(),
-    st.sampled_from(RULE_PATHS),
-    st.sampled_from(["rename", "update", "remove"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["rename", "update", "remove"]),
+            st.sampled_from(RULE_PATHS),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
 )
 @settings(max_examples=80, deadline=None)
-def test_secure_writes_differentially_equal(doc, rules, path, kind):
-    """The write executor produces identical dbnew under either view."""
+def test_secure_writes_differentially_equal(doc, rules, steps):
+    """The write executor produces identical dbnew under either view --
+    for scripts too, where every operation after the first selects on
+    ``rebased()`` of the view kind it was handed."""
     subjects = build_subjects()
     policy = build_policy(subjects, rules)
-    if kind == "rename":
-        op = Rename(path, "zzz")
-    elif kind == "update":
-        op = UpdateContent(path, "zzz")
-    else:
-        op = Remove(path)
+    operations = [write_operation(kind, path) for kind, path in steps]
+    op = operations[0] if len(operations) == 1 else UpdateScript(operations)
     executor = SecureWriteExecutor()
     via_lazy = executor.apply(build_lazy_view(doc, policy, "u2"), op)
     via_materialized = executor.apply(BUILDER.build(doc, policy, "u2"), op)
@@ -158,7 +163,7 @@ def test_serialize_works_on_lazy_views(doc, rules):
 
 class TestLazyRendering:
     def test_read_tree_on_lazy_session(self, db):
-        lazy = db.login("richard", enforcement="lazy").read_tree()
+        lazy = render_tree(lazy_view(db, "richard"))
         materialized = db.login("richard").read_tree()
         assert lazy == materialized
         assert "/RESTRICTED" in lazy

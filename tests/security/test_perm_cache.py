@@ -1,4 +1,9 @@
-"""Correctness of the cross-user rule-path cache (ablation E18)."""
+"""Correctness of the cross-user rule-path cache (ablation E18).
+
+A resolver always caches ``$USER``-free selections per (document,
+stamp); the uncached baseline is a *fresh* resolver, which shares
+nothing with any other.
+"""
 
 import pytest
 
@@ -16,18 +21,29 @@ def db():
 
 class TestCacheCorrectness:
     def test_cached_equals_uncached_for_all_users(self, db):
-        cold = PermissionResolver(cache_paths=False)
-        warm = PermissionResolver(cache_paths=True)
+        warm = PermissionResolver()
         for user in USERS:
+            cold = PermissionResolver()
             a = cold.resolve(db.document, db.policy, user)
             b = warm.resolve(db.document, db.policy, user)
             # Second cached run exercises cache hits.
+            hits = warm.stats["path_cache_hits"]
             c = warm.resolve(db.document, db.policy, user)
+            assert warm.stats["path_cache_hits"] > hits
             assert a.facts() == b.facts() == c.facts()
+
+    def test_two_fresh_resolvers_share_nothing(self, db):
+        first, second = PermissionResolver(), PermissionResolver()
+        first.resolve(db.document, db.policy, "laporte")
+        assert first.stats["path_evals"] > 0
+        second.resolve(db.document, db.policy, "laporte")
+        # Every evaluation was repeated: nothing leaked across.
+        assert second.stats == first.stats
+        assert first.engine is not second.engine
 
     def test_user_dependent_paths_never_cached(self, db):
         """Rule 5's $USER path must stay per-user even with caching."""
-        warm = PermissionResolver(cache_paths=True)
+        warm = PermissionResolver()
         robert = warm.resolve(db.document, db.policy, "robert")
         franck = warm.resolve(db.document, db.policy, "franck")
         robert_reads = robert.nodes_with(Privilege.READ)
@@ -35,7 +51,7 @@ class TestCacheCorrectness:
         assert robert_reads != franck_reads
 
     def test_cache_invalidated_by_in_place_mutation(self, db):
-        resolver = PermissionResolver(cache_paths=True)
+        resolver = PermissionResolver()
         doc = db.document.copy()
         before = resolver.resolve(doc, db.policy, "laporte")
         doc.append_child(doc.root, NodeKind.ELEMENT, "newpatient")
@@ -45,7 +61,7 @@ class TestCacheCorrectness:
         ) + 1
 
     def test_cache_is_per_document_object(self, db):
-        resolver = PermissionResolver(cache_paths=True)
+        resolver = PermissionResolver()
         doc_a = db.document
         doc_b = db.document.copy()
         # Turn franck's <service> into a <diagnosis>: its text now falls

@@ -78,7 +78,7 @@ class TestEdgeChecksWalkUpOnly:
         h.add_user("laporte", member_of="doctor")
         h.add_isa("laporte", "staff")  # redundant: implied through doctor
         h.add_isa("laporte", "doctor")  # redundant: already explicit
-        h.add_isa("doctor", "doctor")  # self-edge: accepted as redundant
+        h.add_isa("doctor", "doctor")  # self-edge: a no-op, never an event
         with pytest.raises(SubjectError):
             h.add_isa("staff", "laporte")
         assert events == [
@@ -89,9 +89,25 @@ class TestEdgeChecksWalkUpOnly:
             ("add_isa", "laporte", "doctor"),
             ("add_isa", "laporte", "staff"),
             ("add_isa", "laporte", "doctor"),
-            ("add_isa", "doctor", "doctor"),
         ]
         assert ("laporte", "staff") in set(h.isa_facts())
+
+    def test_self_edge_records_nothing(self, hierarchy):
+        """isa is reflexive by axiom 11; a *recorded* self-edge used to
+        make every later ``ancestors()`` report a cycle."""
+        facts = set(hierarchy.isa_facts())
+        ancestors = hierarchy.ancestors("doctor")
+        members = hierarchy.members("doctor")
+        hierarchy.add_isa("doctor", "doctor")
+        hierarchy.add_isa("laporte", "laporte")
+        assert set(hierarchy.isa_facts()) == facts
+        assert hierarchy.direct_parents("doctor") == {"staff"}
+        assert hierarchy.ancestors("doctor") == ancestors
+        assert hierarchy.members("doctor") == members
+        assert hierarchy.isa("doctor", "doctor")
+        assert hierarchy.isa("laporte", "staff")
+        with pytest.raises(SubjectError, match="unknown subject"):
+            hierarchy.add_isa("ghost", "ghost")
 
     def test_cycle_through_a_diamond_is_found(self):
         h = SubjectHierarchy()

@@ -33,6 +33,7 @@ from repro.xupdate import (
 from repro.xmltree.document import DocumentError
 
 from tests.strategies import (
+    ATTRIBUTE_RULE_PATHS,
     LABELS,
     PRIVILEGES,
     RULE_PATHS,
@@ -95,7 +96,7 @@ def label_policy_rules(draw, max_rules: int = 6):
         (
             draw(st.sampled_from(("accept", "deny"))),
             draw(st.sampled_from(PRIVILEGES)),
-            draw(st.sampled_from(RULE_PATHS)),
+            draw(st.sampled_from(RULE_PATHS + ATTRIBUTE_RULE_PATHS)),
             draw(st.sampled_from(USERS + ("r1",))),
         )
         for _ in range(n)

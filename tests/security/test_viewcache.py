@@ -126,15 +126,16 @@ class TestMaintenance:
 
 
 class TestAblationAndSurface:
-    def test_shared_views_can_be_disabled(self):
+    def test_per_session_builds_share_nothing(self):
+        """The rebuild-per-session baseline (E20) is ``ViewBuilder().build``
+        per session; the database itself always serves from the cache."""
         db = role_database()
-        db2 = SecureXMLDatabase(
-            db.document, db.subjects, db.policy, shared_views=False
-        )
-        v1 = db2.build_view("n1")
-        v2 = db2.build_view("n2")
+        v1 = ViewBuilder().build(db.document, db.policy, "n1")
+        v2 = ViewBuilder().build(db.document, db.policy, "n2")
         assert v1.doc is not v2.doc
-        assert "view_hits" not in db2.stats()
+        assert v1.facts() == v2.facts() == db.build_view("n1").facts()
+        assert db.build_view("n1").doc is db.build_view("n2").doc
+        assert db.stats()["view_full_builds"] == 1
 
     def test_stats_surface(self):
         db = role_database()

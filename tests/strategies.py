@@ -22,16 +22,28 @@ from repro.xpath import AXES
 #: paths matching several nodes) frequent, which is where bugs live.
 LABELS = ("a", "b", "c", "d", "patients", "diagnosis")
 TEXTS = ("x", "y", "zz", "pneumonia")
+#: Attribute names (two, so same-named attributes on different elements
+#: are common) and values (the empty one included: a masked attribute
+#: must not even reveal that).
+ATTRIBUTES = ("x", "y")
+ATTRIBUTE_VALUES = ("", "1", "pneumonia")
 USERS = ("u1", "u2")
 ROLES = ("r1", "r2")
 
 
+_attributes = st.dictionaries(
+    st.sampled_from(ATTRIBUTES), st.sampled_from(ATTRIBUTE_VALUES), max_size=2
+)
+
+
 @st.composite
 def fragments(draw, max_depth: int = 3, max_children: int = 3) -> Fragment:
-    """A random element fragment of bounded depth and fan-out."""
+    """A random element fragment of bounded depth and fan-out; about
+    one element in three carries attributes."""
     name = draw(st.sampled_from(LABELS))
+    attributes = draw(_attributes) if draw(st.integers(0, 2)) == 0 else {}
     if max_depth <= 0:
-        return element(name)
+        return element(name, attributes=attributes)
     n_children = draw(st.integers(min_value=0, max_value=max_children))
     children = []
     for _ in range(n_children):
@@ -41,7 +53,7 @@ def fragments(draw, max_depth: int = 3, max_children: int = 3) -> Fragment:
             children.append(
                 draw(fragments(max_depth=max_depth - 1, max_children=max_children))
             )
-    return element(name, *children)
+    return element(name, *children, attributes=attributes)
 
 
 @st.composite
@@ -72,18 +84,23 @@ RULE_PATHS = (
     "//*[name()='d']",
 )
 
+#: Rule paths that select attribute nodes.  Outside the formal
+#: PathCompiler's fragment, so only the procedural differentials (lazy
+#: view, stylesheet, patched-vs-fresh) draw them.
+ATTRIBUTE_RULE_PATHS = ("//@*", "//a/@x", "//@y")
+
 PRIVILEGES = ("read", "position", "insert", "update", "delete")
 
 
 @st.composite
-def policy_rules(draw, max_rules: int = 8):
+def policy_rules(draw, max_rules: int = 8, paths=RULE_PATHS):
     """A random list of (effect, privilege, path, subject) tuples."""
     n = draw(st.integers(min_value=0, max_value=max_rules))
     rules = []
     for _ in range(n):
         effect = draw(st.sampled_from(("accept", "deny")))
         privilege = draw(st.sampled_from(PRIVILEGES))
-        path = draw(st.sampled_from(RULE_PATHS))
+        path = draw(st.sampled_from(paths))
         subject = draw(st.sampled_from(USERS + ROLES))
         rules.append((effect, privilege, path, subject))
     return rules

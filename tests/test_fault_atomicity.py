@@ -147,17 +147,6 @@ class TestSecureScriptAtomicity:
         assert aborts[0].rolled_back == 1
         assert "denied" in aborts[0].reason
 
-    @pytest.mark.parametrize("point", EXECUTOR_KILL_POINTS)
-    def test_lazy_sessions_hold_the_invariant_too(self, point):
-        db = hospital_database()
-        doctor = db.login("laporte", enforcement="lazy")
-        watcher = db.login("richard", enforcement="lazy")
-        before = (doctor.read_xml(), watcher.read_xml(), db.version)
-        with inject(point, after=1):
-            with pytest.raises(UpdateAborted):
-                doctor.execute(doctor_script(), strict=True)
-        assert (doctor.read_xml(), watcher.read_xml(), db.version) == before
-
 
 class TestUnsecuredScriptAtomicity:
     @pytest.mark.parametrize("point", EXECUTOR_KILL_POINTS)

@@ -11,12 +11,14 @@ divergent recovered state.
 """
 
 import os
+import random
 import shutil
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.scrub
 from repro.errors import WalCorruptionError, WalStreamGap
 from repro.scrub import ScrubReport, Scrubber, scrub_directory
 from repro.testing.diskfaults import disk, flip_bit
@@ -27,6 +29,8 @@ from repro.wal import (
     list_checkpoints,
     recover,
 )
+from repro.wal.frame import encode_frame
+from repro.wal.log import tail_lsn
 
 from tests.wal.conftest import append_script, editors_database, state_of
 
@@ -97,6 +101,43 @@ class TestCleanPass:
         assert report.findings[0].benign
         assert not report.findings[0].quarantined
         assert not os.path.exists(last + QUARANTINE_SUFFIX)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_append_completed_behind_the_read_is_still_benign(
+        self, tmp_path, monkeypatch, seed
+    ):
+        """The scrubber meets the live writer's half-written record;
+        before the tail rule looks for intact frames behind the damage
+        the writer finishes that record and appends another.  The
+        verdict is about the bytes that were read: still a tail."""
+        wal_dir, _ = logged_directory(tmp_path)
+        last = segment_paths(wal_dir)[-1]
+        lsn = tail_lsn(wal_dir)
+        first, second = (
+            b"".join(encode_frame({"lsn": lsn + n, "kind": "checkpoint"}))
+            for n in (1, 2)
+        )
+        cut = random.Random(seed).randrange(1, len(first))
+        with open(last, "ab") as handle:
+            handle.write(first[:cut])
+
+        def writer_finishes_first(torn):
+            with open(last, "ab") as handle:
+                handle.write(first[cut:] + second)
+            monkeypatch.undo()
+            return repro.scrub.quarantine_non_tail(torn)
+
+        monkeypatch.setattr(
+            repro.scrub, "quarantine_non_tail", writer_finishes_first
+        )
+        report = scrub_directory(wal_dir)
+        assert report.clean
+        assert [f.benign for f in report.findings] == [True]
+        assert not os.path.exists(last + QUARANTINE_SUFFIX)
+        # ...and the next pass verifies both records.
+        again = scrub_directory(wal_dir)
+        assert again.clean and not again.findings
+        assert again.records_verified == report.records_verified + 2
 
     def test_read_eio_reports_but_never_quarantines(self, tmp_path):
         wal_dir, _ = logged_directory(tmp_path)

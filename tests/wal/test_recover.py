@@ -47,6 +47,21 @@ class TestRoundTrip:
         assert state_of(result.database) == expected
         assert result.database.wal is None  # recovery never re-logs
 
+    def test_self_isa_edge_is_never_logged(self, wal_dir, logged_db):
+        db = logged_db
+        db.subjects.add_user("w3", member_of="editor")
+        logged = db.wal.lsn
+        db.subjects.add_isa("editor", "editor")
+        db.subjects.add_isa("w3", "w3")
+        assert db.wal.lsn == logged
+        assert db.subjects.members("editor") == {"editor", "w1", "w2", "w3"}
+        db.login("w3").execute(append_script("a"))
+        expected = state_of(db)
+        db.detach_wal().close()
+        recovered = recover(wal_dir).database
+        assert state_of(recovered) == expected
+        assert recovered.subjects.ancestors("w3") == {"w3", "editor"}
+
     def test_recovered_database_resumes_durable_operation(
         self, wal_dir, logged_db
     ):

@@ -16,6 +16,7 @@ from repro.xmltree import (
     XMLDocument,
     document_order_key,
     parse_xml,
+    serialize,
 )
 
 
@@ -367,10 +368,81 @@ class TestCommentsAndValues:
 # Ordered containers: sibling lists are kept strictly increasing under
 # the stored document-order key (appends are O(1), everything else a
 # bisect), whatever sequence of edits produced them.
+class TestGraft:
+    """``XMLDocument.graft``: the primitive views are grown with."""
+
+    SOURCE = (
+        '<r><a x="1" y="2"><b>t</b><c/></a><d><e><f/></e></d><g/></r>'
+    )
+
+    def setup_method(self):
+        self.source = parse_xml(self.SOURCE)
+        self.everything = set(self.source.all_nodes())
+        self.r = self.source.root
+        self.a, self.d, self.g = self.source.children(self.r)
+
+    def grown(self, keep):
+        doc = XMLDocument(self.source.scheme)
+        installed = doc.graft(self.source, [self.r], keep)
+        return doc, installed
+
+    def test_whole_document_is_reproduced_with_shared_nodes(self):
+        doc, installed = self.grown(self.everything)
+        assert doc.all_nodes() == self.source.all_nodes()
+        assert serialize(doc) == serialize(self.source)
+        assert len(installed) == len(self.source) - 1
+        assert all(doc.node(n) is self.source.node(n) for n in installed)
+        assert_ordered(doc)
+
+    def test_nothing_is_installed_below_an_unkept_node(self):
+        e = self.source.children(self.d)[0]
+        doc, installed = self.grown(self.everything - {self.d})
+        assert self.d not in doc and e not in doc
+        assert not set(self.source.subtree(self.d)) & set(installed)
+        assert doc.children(self.r) == [self.a, self.g]
+        assert_ordered(doc)
+        # An unkept root installs nothing and is not an error.
+        assert self.grown(self.everything - {self.r})[1] == []
+
+    def test_shuffled_roots_land_in_document_order(self):
+        doc, _ = self.grown({self.r})
+        stamp = doc.mutation_stamp
+        installed = doc.graft(
+            self.source, [self.g, self.a, self.d], self.everything
+        )
+        assert doc.all_nodes() == self.source.all_nodes()
+        assert installed[0] == self.g
+        assert doc.mutation_stamp > stamp
+        assert_ordered(doc)
+
+    def test_attributes_are_grafted_like_any_child(self):
+        x, y = self.source.attributes(self.a)
+        doc, _ = self.grown(self.everything - {x})
+        assert doc.attributes(self.a) == [y]
+        assert doc.attribute_value(self.a, "y") == "2"
+
+    def test_root_checks(self):
+        doc, _ = self.grown({self.r, self.a})
+        e = self.source.children(self.d)[0]
+        with pytest.raises(DocumentError, match="already present"):
+            doc.graft(self.source, [self.a], self.everything)
+        with pytest.raises(DocumentError, match="parent not in"):
+            doc.graft(self.source, [e], self.everything)
+        with pytest.raises(DocumentError, match="document node"):
+            doc.graft(self.source, [DOCUMENT_ID], self.everything)
+        other = parse_xml("<r/>")
+        with pytest.raises(DocumentError, match="no node"):
+            other.graft(other, [other.root.child(7)], self.everything)
+        # The checks hold for an unkept root too.
+        with pytest.raises(DocumentError, match="already present"):
+            doc.graft(self.source, [self.a], set())
+        assert doc.all_nodes() == [DOCUMENT_ID, self.r, self.a]
+
+
 # ----------------------------------------------------------------------
 _EDITS = st.tuples(
     st.sampled_from(
-        ("append", "append-text", "before", "after", "attr", "remove", "readopt")
+        ("append", "append-text", "before", "after", "attr", "remove", "regraft")
     ),
     st.integers(min_value=0, max_value=10**6),
     st.integers(min_value=0, max_value=10**6),
@@ -388,21 +460,40 @@ def assert_ordered(doc):
     assert len(everything) == len(doc)
 
 
-def readopt_shuffled(doc, target, rng):
-    """Cut ``target``'s subtree out and graft it back node by node the
-    way ``ViewCache._patch`` regrows a region: parents before children,
-    siblings in no particular order."""
+def kept_below(source, root, keep):
+    """Reference for ``graft``: the node-by-node top-down walk."""
+    out, stack = [], [root]
+    while stack:
+        nid = stack.pop()
+        if nid in keep:
+            out.append(nid)
+            stack.extend(source._children[nid])
+    return out
+
+
+def regraft_shuffled(doc, target, rng):
+    """Cut ``target`` and all its siblings out and graft them back as
+    one shuffled root set, the way ``ViewCache._patch`` regrows dirty
+    regions; roughly half the nodes below the roots are not kept."""
     before = doc.copy()
-    removed = doc.remove_subtree(target)
-    assert removed == sum(1 for _ in before.subtree(target))
+    roots = list(before._children[target.parent()])
+    removed = sum(doc.remove_subtree(root) for root in roots)
+    assert removed == len(before) - len(doc)
     assert_ordered(doc)
-    pending = [target]
-    while pending:
-        nid = pending.pop(rng.randrange(len(pending)))
-        assert doc.adopt(before.node(nid)) == nid
-        pending.extend(before.attributes(nid) + before.children(nid))
-    assert doc.all_nodes() == before.all_nodes()
-    assert doc.facts() == before.facts()
+    rng.shuffle(roots)
+    keep = {nid for nid in before.all_nodes() if rng.random() < 0.5}
+    keep.update(roots)
+    installed = doc.graft(before, roots, keep)
+    assert_ordered(doc)
+    expected = [nid for root in roots for nid in kept_below(before, root, keep)]
+    assert sorted(installed) == sorted(expected)
+    assert len(doc) == len(before) - removed + len(installed)
+    assert all(doc.node(nid) is before.node(nid) for nid in installed)
+    # Parents before children.
+    seen = set()
+    for nid in installed:
+        assert nid in roots or nid.parent() in seen
+        seen.add(nid)
 
 
 @pytest.mark.parametrize(
@@ -446,5 +537,5 @@ def test_sibling_lists_stay_ordered_under_any_edit_sequence(scheme, edits):
             assert target not in doc._children[target.parent()]
             assert not set(gone) & set(doc.all_nodes())
         else:
-            readopt_shuffled(doc, inner[pick % len(inner)], random.Random(extra))
+            regraft_shuffled(doc, inner[pick % len(inner)], random.Random(extra))
         assert_ordered(doc)

@@ -271,18 +271,22 @@ def test_fused_descendant_scan_matches_generic(engine):
 
 class TestOracleStaysOutOfServingProcesses:
     """The oracle is loaded by arming differential mode and by nothing
-    else: fresh interpreters, so this process's own imports don't count."""
+    else: fresh interpreters, so this process's own imports don't count.
+    The same goes for the view oracles (the lazy view, the generated
+    stylesheet): libraries the serving path never names."""
 
     QUERY = (
         "from repro.core import hospital_database; "
         "hospital_database().login('laporte').query('count(//diagnosis)')"
     )
 
+    ENTRY_POINTS = "import repro.cli, repro.netserve, repro.replication"
+
     @staticmethod
-    def _oracle_loaded(code, differential):
+    def _loaded(code, differential, module):
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src, REPRO_XPATH_DIFFERENTIAL=differential)
-        probe = "; import sys; print('repro.testing.xpath_oracle' in sys.modules)"
+        probe = f"; import sys; print({module!r} in sys.modules)"
         done = subprocess.run(
             [sys.executable, "-c", code + probe],
             env=env, capture_output=True, text=True, timeout=60,
@@ -290,9 +294,17 @@ class TestOracleStaysOutOfServingProcesses:
         assert done.returncode == 0, done.stderr
         return done.stdout.strip() == "True"
 
+    @classmethod
+    def _oracle_loaded(cls, code, differential):
+        return cls._loaded(code, differential, "repro.testing.xpath_oracle")
+
     def test_serving_entry_points_do_not_import_it(self):
-        entry_points = "import repro.cli, repro.netserve, repro.replication"
-        assert not self._oracle_loaded(entry_points, "")
+        assert not self._oracle_loaded(self.ENTRY_POINTS, "")
+
+    @pytest.mark.parametrize("module", ["repro.security.lazy", "repro.xslt"])
+    def test_serving_entry_points_do_not_import_the_view_oracles(self, module):
+        assert not self._loaded(self.ENTRY_POINTS, "", module)
+        assert not self._loaded(self.QUERY, "", module)
 
     def test_a_query_loads_it_only_under_differential_mode(self):
         assert not self._oracle_loaded(self.QUERY, "")

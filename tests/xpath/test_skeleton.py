@@ -11,7 +11,8 @@ The two contracts the incremental permission maintenance rests on:
 import pytest
 from hypothesis import given, settings
 
-from repro.xmltree import XMLDocument
+from repro.security import Privilege
+from repro.xmltree import XMLDocument, element, parse_xml
 from repro.xmltree.labels import DOCUMENT_ID
 from repro.xpath.engine import XPathEngine
 from repro.xpath.skeleton import analyze_path
@@ -100,6 +101,54 @@ def test_matches_agrees_with_engine_everywhere(doc: XMLDocument):
         truth = set(ENGINE.select(doc, path))
         mine = {n for n in all_nodes if skeleton.matches(doc, n, True)}
         assert mine == truth, f"{path}: {mine ^ truth}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "//node()",
+        "/r/b/node()",
+        "/descendant-or-self::node()",
+        "//self::node()",
+        "//b/descendant-or-self::node()",
+    ],
+)
+def test_attributes_are_on_no_child_or_descendant_chain(path):
+    """``node()`` is true of any *child*, and an attribute is nobody's
+    child: the chain matcher used to select ``@x`` where the engine
+    does not."""
+    doc = parse_xml('<r><b x="1">t</b></r>')
+    skeleton = analyze_path(path)
+    assert skeleton is not None and skeleton.patchable
+    truth = set(ENGINE.select(doc, path))
+    mine = {n for n in doc.all_nodes() if skeleton.matches(doc, n, True)}
+    assert mine == truth
+    (attribute,) = doc.attributes(doc.children(doc.root)[0])
+    assert attribute not in mine
+
+
+def test_patched_selection_and_static_check_skip_a_committed_attribute():
+    """After a commit that adds ``<b x="1">`` the patched ``//node()``
+    selection and the static decider agree with a fresh evaluation."""
+    from repro.security import Policy, SecureXMLDatabase, SubjectHierarchy
+    from repro.xupdate import Append
+
+    subjects = SubjectHierarchy()
+    subjects.add_user("u")
+    policy = Policy(subjects)
+    policy.grant("read", "//node()", "u")
+    db = SecureXMLDatabase(parse_xml("<r/>"), subjects, policy)
+    db.build_view("u")  # warm: the selection is cached, then patched
+    db.admin_update(Append("/r", element("b", "t", attributes={"x": "1"})))
+    assert db.stats()["paths_patched"] == 1
+    (b,) = db.document.children(db.document.root)
+    (attribute,) = db.document.attributes(b)
+    fresh = set(db.engine.select(db.document, "//node()"))
+    assert attribute not in fresh
+    assert db.permissions_for("u").nodes_with(Privilege.READ) == fresh
+    assert db.check("u", "read", attribute) is False
+    assert db.check("u", "read", b) is True
+    assert 'x="1"' not in db.login("u").read_xml()
 
 
 def test_matches_refuses_non_patchable_skeletons():

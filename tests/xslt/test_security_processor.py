@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.security import Policy, SubjectHierarchy, ViewBuilder
+from repro.security.lazy import build_lazy_view
 from repro.xmltree import parse_xml, serialize
 from repro.xslt import apply_stylesheet, match_path, view_stylesheet
 
@@ -102,6 +103,8 @@ def test_differential_stylesheet_equals_view(doc, rules):
 class TestFromLazyView:
     def test_lazy_view_entry_point(self, db):
         """view_stylesheet accepts a LazyView and matches it exactly."""
-        lazy = db.build_lazy_view("beaufort")
+        lazy = build_lazy_view(
+            db.document, db.policy, "beaufort", db.resolver
+        )
         output = apply_stylesheet(view_stylesheet(lazy), db.document)
         assert serialize(output) == serialize(db.build_view("beaufort").doc)
