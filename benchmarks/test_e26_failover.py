@@ -30,9 +30,9 @@ import time
 from conftest import print_series, synthetic_hospital
 
 from repro.errors import StaleEpochError
+from repro.faults import faults
 from repro.replication import FailoverSupervisor, Replica, ReplicationRouter
 from repro.serving import DatabaseServer
-from repro.testing.faults import faults
 from repro.wal import WriteAheadLog
 from repro.xupdate import UpdateContent
 

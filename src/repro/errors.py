@@ -39,7 +39,7 @@ The taxonomy::
     │   ├── ProtocolError      (malformed frame, bad handshake, oversized)
     │   │   └── FrameTooLarge  (frame exceeds the negotiated maximum)
     │   └── RemoteError        (a server-side failure relayed to a client)
-    ├── InjectedFault          (repro.testing.faults: simulated crash)
+    ├── InjectedFault          (repro.faults: simulated crash)
     ├── PolicyError            (repro.security.policy)
     ├── SubjectError           (repro.security.subjects)
     ├── XUpdateError           (repro.xupdate.executor)

@@ -43,7 +43,7 @@ ride a pool of a few threads.  A member whose attempt hits a commit
 race is re-submitted into a later group on the server's retry
 schedule, sleeping on the event loop -- never inside a group.
 
-The ``net-mid-frame`` kill-point (:mod:`repro.testing.faults`) makes
+The ``net-mid-frame`` kill-point (:mod:`repro.faults`) makes
 the server crash half-way through writing a response frame -- the
 torn-frame case clients must treat exactly like a crashed ack:
 outcome unknown.
@@ -60,7 +60,7 @@ from typing import Any, Dict, Optional, Set
 from ..errors import ProtocolError, RetryExhausted
 from ..serving.group import CommitTicket, GroupCommitter
 from ..serving.server import DatabaseServer
-from ..testing.faults import InjectedFault, kill_point
+from ..faults import InjectedFault, kill_point
 from ..xmltree import serialize
 from ..xpath.values import is_node_set
 from .framing import DEFAULT_MAX_FRAME, FrameDecoder, encode_frame

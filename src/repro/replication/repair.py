@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import RepairError
+from ..faults import faults
 from ..scrub import Scrubber
 from ..storage import _fsync_directory, state_digest
-from ..testing.diskfaults import disk
 from ..wal.log import (
     QUARANTINE_SUFFIX,
     _segment_files,
@@ -118,13 +118,13 @@ def _recover(directory: str, scheme, what: str, reason: str):
 
 
 def _copy_file(source: str, target: str) -> int:
-    """Copy one file through the disk-fault shim; returns bytes copied."""
-    with disk.open(source, "rb") as src:
+    """Copy one file through the fault seam; returns bytes copied."""
+    with faults.open(source, "rb") as src:
         data = src.read()
-    with disk.open(target, "wb") as dst:
+    with faults.open(target, "wb") as dst:
         dst.write(data)
         dst.flush()
-        disk.fsync(dst)
+        faults.fsync(dst)
     return len(data)
 
 

@@ -53,7 +53,7 @@ from ..security.session import Session, SessionCache
 from ..serving.dedup import DedupTable
 from ..serving.rwlock import RWLock
 from ..storage import snapshot_digest, state_digest
-from ..testing.faults import InjectedFault, kill_point
+from ..faults import InjectedFault, kill_point
 from ..wal import WalStream, apply_record, recover, tail_lsn
 from ..xpath.values import NodeSet, XPathValue
 

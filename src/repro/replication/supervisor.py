@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import FailoverError, ReplicaDiverged
 from ..serving.server import DatabaseServer
-from ..testing.faults import kill_point
+from ..faults import kill_point
 from ..wal import WriteAheadLog
 from .replica import Replica
 from .router import ReplicationRouter

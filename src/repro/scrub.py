@@ -40,8 +40,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+from .faults import faults
 from .storage import _check_integrity, snapshot_digest
-from .testing.diskfaults import disk
 from .wal.frame import FrameReader
 from .wal.log import (
     Checkpoint,
@@ -302,7 +302,7 @@ class Scrubber:
                 cost, failure = 0, "missing or unreadable integrity header"
         else:
             try:
-                with disk.open(
+                with faults.open(
                     checkpoint.path, "r", encoding="utf-8"
                 ) as handle:
                     text = handle.read()

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlineExceeded, ReproError, UpdateAborted
-from ..testing.faults import kill_point
+from ..faults import kill_point
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import NodeId
 from ..xmltree.node import NodeKind

@@ -30,7 +30,7 @@ The shape here:
   and feeds the server's circuit breaker: an unacknowledged commit may
   or may not survive recovery, exactly like any other crash window.
 
-Kill-points consulted (:mod:`repro.testing.faults`):
+Kill-points consulted (:mod:`repro.faults`):
 ``group-after-leader-append`` once the leader's own member has run,
 ``group-before-fsync`` after every append but before the group's one
 fsync, and ``old-primary-late-ack`` at the last instant before the
@@ -63,7 +63,7 @@ from ..errors import (
     StaleEpochError,
     WalWriteError,
 )
-from ..testing.faults import kill_point
+from ..faults import kill_point
 from .retry import Deadline
 from .server import DatabaseServer
 

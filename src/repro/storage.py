@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import DiskError, StorageCorrupt, StorageError, classify_disk_error
+from .faults import faults, kill_point
 from .security.collection import SecureCollection
 from .security.database import SecureXMLDatabase
 from .security.delegation import AdministeredPolicy, Grant
@@ -50,8 +51,6 @@ from .xmltree.labels import NumberingScheme
 from .xmltree.node import NodeKind
 from .xmltree.parser import XMLSyntaxError, parse_fragment
 from .xmltree.serializer import serialize
-from .testing.diskfaults import disk
-from .testing.faults import kill_point
 
 __all__ = [
     "StorageError",
@@ -213,7 +212,7 @@ def snapshot_digest(path: str) -> Optional[str]:
     as "cannot verify", never as a mismatch.
     """
     try:
-        with disk.open(path, "r", encoding="utf-8") as handle:
+        with faults.open(path, "r", encoding="utf-8") as handle:
             first = handle.readline()
     except OSError:
         return None
@@ -266,8 +265,8 @@ def save_to_file(
     ``.bak2``, ...), so a checkpoint rewriting the file repeatedly can
     never clobber the only good backup.
 
-    Kill-points consulted (see :mod:`repro.testing.faults`):
-    ``mid-write`` after roughly half the payload is written,
+    Kill-points consulted (see :mod:`repro.faults`): ``mid-write``
+    tears the one write of the payload in half,
     ``before-rename`` once the temp file is durable.
 
     Raises:
@@ -277,7 +276,9 @@ def save_to_file(
             still holds the complete previous database.
     """
     payload = dump_database(db) + "\n"
-    _write_atomically(payload, path, backup=backup, backup_count=backup_count)
+    _write_atomically(
+        payload, path, backup, backup_count, point="mid-write", op="save"
+    )
 
 
 def _write_atomically(
@@ -286,14 +287,14 @@ def _write_atomically(
     backup: bool,
     backup_count: int = 1,
     *,
-    kill: str = "mid-write",
-    op: str = "save",
+    point: str,
+    op: str,
 ) -> None:
     """The one temp + fsync + rename + directory-fsync writer, shared by
     :func:`save_to_file` and the write-ahead log's checkpoint snapshots.
 
-    ``kill`` names the kill-point consulted after roughly half the
-    payload; ``op`` labels a classified disk error.
+    ``point`` names the kill-point that tears the payload's one write;
+    ``op`` labels a classified disk error.
     """
     if backup_count < 1:
         raise ValueError("backup_count must be >= 1")
@@ -302,14 +303,10 @@ def _write_atomically(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
     try:
-        with disk.wrap(os.fdopen(fd, "w", encoding="utf-8"), temp_path) as handle:
-            half = len(payload) // 2
-            handle.write(payload[:half])
+        with faults.wrap(os.fdopen(fd, "w", encoding="utf-8"), temp_path) as handle:
+            handle.write(payload, point=point)
             handle.flush()
-            kill_point(kill, path=path)
-            handle.write(payload[half:])
-            handle.flush()
-            disk.fsync(handle)
+            faults.fsync(handle)
         if backup and os.path.exists(path):
             _refresh_backup(path, backup_count)
         kill_point("before-rename", path=path)
@@ -546,7 +543,7 @@ def load_from_file(
             file still raises plain :class:`FileNotFoundError`.
     """
     try:
-        with disk.open(path, "r", encoding="utf-8") as handle:
+        with faults.open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         if isinstance(exc, _NOT_DISK_FAULTS):

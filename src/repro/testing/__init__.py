@@ -1,43 +1,15 @@
-"""Test-support utilities that ship with the library.
+"""Test drivers and oracles that ship with the library.
 
-:mod:`repro.testing.faults` provides the fault-injection harness the
-update executor and the storage layer consult at named kill-points; the
-crash-safety test suites arm it to simulate failures at every point.
+The serving stack never imports this package: the fault seam the
+library consults is the production module :mod:`repro.faults`.  What
+lives here drives or checks the library from outside:
 
-:mod:`repro.testing.diskfaults` provides the disk-fault shim the
-storage and WAL layers route their file I/O through; the integrity
-suites arm it to simulate ``EIO``/``ENOSPC``, short writes, and flip
-bits at rest (ISSUE 10).
+- :mod:`repro.testing.faults` -- :class:`~repro.testing.faults.ChaosRunner`
+  (seeded schedules arming kill-points and disk faults on the seam) and
+  :func:`~repro.testing.faults.run_threads` (real-thread soaks; also
+  behind ``repro stress``);
+- :mod:`repro.testing.diskfaults` -- :func:`~repro.testing.diskfaults.flip_bit`,
+  bit rot at rest;
+- :mod:`repro.testing.xpath_oracle` -- the AST interpreter the compiled
+  XPath pipeline is differentially checked against.
 """
-
-from .diskfaults import (
-    DISK_ERRORS,
-    DISK_OPS,
-    DiskFaultInjector,
-    FaultyFile,
-    disk,
-    flip_bit,
-)
-from .faults import (
-    KILL_POINTS,
-    FaultInjector,
-    InjectedFault,
-    faults,
-    inject,
-    kill_point,
-)
-
-__all__ = [
-    "DISK_ERRORS",
-    "DISK_OPS",
-    "DiskFaultInjector",
-    "FaultInjector",
-    "FaultyFile",
-    "InjectedFault",
-    "KILL_POINTS",
-    "disk",
-    "faults",
-    "flip_bit",
-    "inject",
-    "kill_point",
-]

@@ -1,286 +1,24 @@
-"""Disk-fault injection: a shim between durability code and the OS.
+"""Bit rot at rest -- the one disk fault that is not a hook.
 
-:mod:`repro.testing.faults` simulates *process* death (a kill-point
-raises and the test pretends the process vanished).  This module
-simulates the other half of the failure model: the process survives but
-the **disk** misbehaves -- ``EIO`` on a read, ``ENOSPC`` mid-append, an
-fsync the device refuses, a write that lands only partially (a short
-write), or silent bit rot flipped into a file long after it was
-written.
-
-The storage and WAL layers route their file I/O through the
-module-level :data:`disk` injector:
-
-- ``disk.open(path, mode)`` instead of ``open(...)`` -- may raise on an
-  armed ``open`` fault, and always returns a :class:`FaultyFile` proxy
-  so faults armed *after* the handle was opened (the WAL keeps its
-  segment handle open across appends) still fire on later writes.
-- ``disk.fsync(handle)`` instead of ``os.fsync(handle.fileno())``.
-- ``disk.wrap(fileobj, path)`` for handles born elsewhere
-  (``tempfile.mkstemp`` + ``os.fdopen``).
-
-In production nothing is armed and every hook is a single attribute
-check before delegating.  Injected failures are plain ``OSError``s with
-a real ``errno`` -- exactly what the OS would raise -- so the library's
-classification (:func:`repro.errors.classify_disk_error`) is exercised,
-not bypassed.
-
-Fault specs
------------
-
-:meth:`DiskFaultInjector.arm` takes an *operation* (``"open"``,
-``"read"``, ``"write"``, ``"fsync"``) and an *error name*:
-
-=============  ========================================================
-``"eio"``      ``OSError(EIO)`` -- the device failed the operation
-``"enospc"``   ``OSError(ENOSPC)`` -- the volume is out of space
-``"short"``    (writes only) the first half of the buffer reaches the
-               file, then ``OSError(ENOSPC)`` -- a torn write that
-               leaves real partial bytes on disk
-=============  ========================================================
-
-plus ``after=N`` (let N calls through first) and ``match=substr``
-(only paths containing the substring are eligible, so a test can hit
-the WAL but not the checkpoint, or vice versa).
-
-Bit rot is physical, not hooked: :func:`flip_bit` flips one bit of an
-existing file in place, modelling corruption that happened at rest.
+Every other disk fault (``EIO``/``ENOSPC`` on open, read, write or
+fsync, short writes) is armed on the fault seam, :mod:`repro.faults`,
+which the storage and WAL layers route their I/O through.  Corruption
+that happens long after a write is physical instead: :func:`flip_bit`
+flips one bit of an existing file in place.
 
 Example::
 
-    from repro.testing.diskfaults import disk, flip_bit
-
-    disk.arm("write", "enospc", match=".wal")
-    with pytest.raises(WalWriteError) as err:
-        db.admin_update(script)          # the append hits ENOSPC
-    assert isinstance(err.value.disk, DiskFullError)
-    disk.reset()
+    from repro.testing.diskfaults import flip_bit
 
     flip_bit(segment_path, offset=120)   # rot a record at rest
 """
 
 from __future__ import annotations
 
-import errno
 import io
 import os
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, IO, Iterator, List, Optional, Tuple
 
-__all__ = [
-    "DISK_OPS",
-    "DISK_ERRORS",
-    "DiskFaultInjector",
-    "FaultyFile",
-    "disk",
-    "flip_bit",
-]
-
-#: The I/O operations the shim can fail.
-DISK_OPS = ("open", "read", "write", "fsync")
-
-#: The error names :meth:`DiskFaultInjector.arm` accepts.
-DISK_ERRORS = ("eio", "enospc", "short")
-
-_ERRNO = {"eio": errno.EIO, "enospc": errno.ENOSPC, "short": errno.ENOSPC}
-
-
-@dataclass
-class _ArmedDiskFault:
-    """One armed disk fault: fire on the (``after`` + 1)-th eligible call."""
-
-    op: str
-    error: str
-    remaining: int
-    match: str
-
-
-class DiskFaultInjector:
-    """A registry of armed disk faults consulted by the I/O hooks.
-
-    Thread-safe; the module-level :data:`disk` instance is what the
-    library routes through.  Arming is one-shot per operation (like
-    kill-points): a fault fires once, then disarms itself, so a soak
-    step never leaks its fault into the next.
-
-    Attributes:
-        injected: every fault that actually fired since the last
-            :meth:`reset`, as ``(op, error, path)`` tuples.
-    """
-
-    def __init__(self) -> None:
-        self._armed: Dict[str, _ArmedDiskFault] = {}
-        self._lock = threading.Lock()
-        self.injected: List[Tuple[str, str, str]] = []
-
-    # -- arming -----------------------------------------------------------
-    def arm(
-        self,
-        op: str,
-        error: str = "eio",
-        *,
-        after: int = 0,
-        match: str = "",
-    ) -> None:
-        """Make the next eligible ``op`` call fail with ``error``.
-
-        Args:
-            op: one of :data:`DISK_OPS`.
-            error: one of :data:`DISK_ERRORS` (``"short"`` is only
-                meaningful for ``"write"``).
-            after: number of eligible calls to let through first.
-            match: only paths containing this substring are eligible
-                (empty = every path).
-        """
-        if op not in DISK_OPS:
-            raise ValueError(f"unknown disk op {op!r}; known: {', '.join(DISK_OPS)}")
-        if error not in DISK_ERRORS:
-            raise ValueError(
-                f"unknown disk error {error!r}; known: {', '.join(DISK_ERRORS)}"
-            )
-        if error == "short" and op != "write":
-            raise ValueError("a short write only makes sense for op='write'")
-        if after < 0:
-            raise ValueError("after must be >= 0")
-        with self._lock:
-            self._armed[op] = _ArmedDiskFault(
-                op=op, error=error, remaining=after, match=match
-            )
-
-    def disarm(self, op: Optional[str] = None) -> None:
-        """Disarm one operation, or all of them when ``op`` is None."""
-        with self._lock:
-            if op is None:
-                self._armed.clear()
-            else:
-                self._armed.pop(op, None)
-
-    def is_armed(self, op: str) -> bool:
-        """True if ``op`` currently has a fault armed."""
-        with self._lock:
-            return op in self._armed
-
-    def reset(self) -> None:
-        """Disarm everything and clear the injection history."""
-        with self._lock:
-            self._armed.clear()
-            self.injected.clear()
-
-    @contextmanager
-    def armed(
-        self, op: str, error: str = "eio", *, after: int = 0, match: str = ""
-    ) -> Iterator["DiskFaultInjector"]:
-        """Arm a fault for the duration of a ``with`` block."""
-        self.arm(op, error, after=after, match=match)
-        try:
-            yield self
-        finally:
-            self.disarm(op)
-
-    # -- consultation -----------------------------------------------------
-    def _take(self, op: str, path: str) -> Optional[_ArmedDiskFault]:
-        """Consume an armed fault for ``op`` at ``path``, if eligible."""
-        if not self._armed:  # hot path: nothing armed anywhere
-            return None
-        with self._lock:
-            armed = self._armed.get(op)
-            if armed is None or armed.match not in path:
-                return None
-            if armed.remaining > 0:
-                armed.remaining -= 1
-                return None
-            del self._armed[op]  # one-shot: fire once, then disarm
-            self.injected.append((op, armed.error, path))
-            return armed
-
-    def _raise(self, armed: _ArmedDiskFault, path: str) -> None:
-        raise OSError(
-            _ERRNO[armed.error],
-            f"injected disk fault ({armed.op}/{armed.error})",
-            path,
-        )
-
-    # -- the I/O hooks ----------------------------------------------------
-    def open(self, path: str, mode: str = "rb", **kwargs: Any) -> "FaultyFile":
-        """``open()`` with fault consultation; always returns a proxy."""
-        armed = self._take("open", str(path))
-        if armed is not None:
-            self._raise(armed, str(path))
-        return FaultyFile(io.open(path, mode, **kwargs), str(path), self)
-
-    def wrap(self, handle: IO[Any], path: str) -> "FaultyFile":
-        """Wrap an already-open handle (mkstemp et al.) in the proxy."""
-        return FaultyFile(handle, str(path), self)
-
-    def fsync(self, handle: IO[Any]) -> None:
-        """``os.fsync(handle.fileno())`` with fault consultation."""
-        path = getattr(handle, "name", "")
-        if isinstance(path, int):  # anonymous fd from fdopen
-            path = ""
-        armed = self._take("fsync", str(path))
-        if armed is not None:
-            self._raise(armed, str(path))
-        os.fsync(handle.fileno())
-
-
-class FaultyFile:
-    """A file proxy that consults the injector on reads and writes.
-
-    Everything not intercepted delegates to the wrapped handle, so the
-    proxy is a drop-in file object (``fileno``, ``seek``, ``truncate``,
-    context-manager protocol, ...).  A ``"short"`` write fault writes
-    the first half of the buffer for real before raising -- the torn
-    bytes land on disk exactly as a dying device would leave them.
-    """
-
-    def __init__(
-        self, handle: IO[Any], path: str, injector: DiskFaultInjector
-    ) -> None:
-        self._handle = handle
-        self._path = path
-        self._injector = injector
-
-    @property
-    def name(self) -> str:
-        # mkstemp handles report their fd as .name; the proxy always
-        # knows the real path, which is what fault matching needs.
-        return self._path
-
-    def read(self, size: int = -1) -> Any:
-        """Delegate to the wrapped handle after consulting ``read`` faults."""
-        armed = self._injector._take("read", self._path)
-        if armed is not None:
-            self._injector._raise(armed, self._path)
-        return self._handle.read(size)
-
-    def write(self, data: Any) -> int:
-        """Delegate to the wrapped handle after consulting ``write``
-        faults; a ``"short"`` fault writes half the buffer first."""
-        armed = self._injector._take("write", self._path)
-        if armed is not None:
-            if armed.error == "short" and data:
-                self._handle.write(data[: max(1, len(data) // 2)])
-                self._handle.flush()
-            self._injector._raise(armed, self._path)
-        return self._handle.write(data)
-
-    def __enter__(self) -> "FaultyFile":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._handle.close()
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._handle)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._handle, name)
-
-
-#: The injector the storage and WAL layers route their I/O through.
-disk = DiskFaultInjector()
+__all__ = ["flip_bit"]
 
 
 def flip_bit(path: str, offset: int, bit: int = 0) -> int:

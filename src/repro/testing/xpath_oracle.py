@@ -15,9 +15,8 @@ Who may import it: the ``if _DIFFERENTIAL:`` branch of
 ``REPRO_XPATH_DIFFERENTIAL=1`` -- ``make fault`` -- or
 :func:`repro.xpath.set_differential`, which ``tests/xpath/conftest.py``
 turns on for the whole XPath spec suite), tests and benchmarks.
-Nothing else under ``src/`` does, and ``repro.testing``'s package
-``__init__`` does not re-export it, so a serving process (which
-imports ``repro.testing`` for its kill-points) never loads it.
+Nothing else under ``src/`` does, and a serving process imports
+nothing from ``repro.testing``, so it never loads it.
 """
 
 from __future__ import annotations

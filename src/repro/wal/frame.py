@@ -42,7 +42,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
-from ..testing.diskfaults import disk
+from ..faults import faults
 
 __all__ = ["MAGIC", "FrameReader", "TornTail", "WalRecord", "encode_frame"]
 
@@ -136,7 +136,7 @@ class TornTail:
             OSError: the segment cannot be read now.
         """
         base = max(self.offset + 1, len(MAGIC))
-        with disk.open(self.segment, "rb") as handle:
+        with faults.open(self.segment, "rb") as handle:
             handle.seek(base)
             data = handle.read(max(0, self.offset + self.dropped_bytes - base))
         brace = data.find(b"{", _HEADER.size)
@@ -199,7 +199,7 @@ class FrameReader:
     """Iterate the records of one segment from a byte offset.
 
     Iteration reads only the bytes from ``offset`` to the end of the
-    segment (one ``read`` through the ``disk`` seam), decodes lazily,
+    segment (one ``read`` through the fault seam), decodes lazily,
     and never raises on damage: when it stops, :attr:`damage` holds the
     verdict (None = clean end of segment).
 
@@ -232,7 +232,7 @@ class FrameReader:
     def __iter__(self) -> Iterator[WalRecord]:
         base = self.offset
         try:
-            with disk.open(self.segment, "rb") as handle:
+            with faults.open(self.segment, "rb") as handle:
                 on_disk = os.fstat(handle.fileno()).st_size
                 handle.seek(base)
                 data = handle.read()

@@ -48,12 +48,12 @@ appends or ms milliseconds, whichever comes first (bounded loss window,
 much cheaper); ``"os"`` never fsyncs (the OS page cache decides --
 segment rotations and checkpoints still fsync).
 
-Kill-points consulted (:mod:`repro.testing.faults`):
-``wal-before-append`` before any byte of a record is written,
-``wal-mid-record`` after roughly half the payload (a torn record),
-``wal-before-fsync`` once the record is fully written but not yet
-durable, and ``checkpoint-mid-snapshot`` halfway through a checkpoint
-snapshot write.
+Kill-points consulted (:mod:`repro.faults`): ``wal-before-append``
+before any byte of a record is written, ``wal-mid-record`` tearing the
+record's one write in half (a torn tail), ``wal-before-fsync`` once the
+record is fully written but not yet durable, and
+``checkpoint-mid-snapshot`` tearing a checkpoint snapshot's write.  All
+segment and quarantine-marker I/O goes through the same seam.
 """
 
 from __future__ import annotations
@@ -72,14 +72,13 @@ from ..errors import (
     WalWriteError,
     classify_disk_error,
 )
+from ..faults import faults, kill_point
 from ..storage import (
     _fsync_directory,
     _write_atomically,
     dump_database,
     dump_state,
 )
-from ..testing.diskfaults import disk
-from ..testing.faults import kill_point
 from ..xupdate.serializer import XUpdateSerializeError, dump_xupdate
 from .frame import MAGIC, FrameReader, TornTail, WalRecord, encode_frame
 
@@ -294,10 +293,10 @@ def truncate_torn_tail(torn: TornTail) -> None:
         with contextlib.suppress(OSError):
             os.unlink(torn.segment)
     else:
-        with open(torn.segment, "r+b") as handle:
+        with faults.open(torn.segment, "r+b") as handle:
             handle.truncate(torn.offset)
             handle.flush()
-            os.fsync(handle.fileno())
+            faults.fsync(handle)
 
 
 def quarantine_segment(path: str, reason: str) -> str:
@@ -309,22 +308,27 @@ def quarantine_segment(path: str, reason: str) -> str:
     """
     marker = path + QUARANTINE_SUFFIX
     if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
+        with faults.open(marker, "w", encoding="utf-8") as handle:
             handle.write(reason.rstrip("\n") + "\n")
             handle.flush()
             with contextlib.suppress(OSError):
-                os.fsync(handle.fileno())
+                faults.fsync(handle)
         _fsync_directory(os.path.dirname(marker) or ".")
     return marker
 
 
 def quarantine_reason(path: str) -> Optional[str]:
-    """The diagnosis a segment was quarantined with, or None."""
+    """The diagnosis a segment was quarantined with, or None when it
+    carries no marker.  A marker that exists but cannot be read still
+    quarantines the segment."""
+    marker = path + QUARANTINE_SUFFIX
     try:
-        with open(path + QUARANTINE_SUFFIX, "r", encoding="utf-8") as handle:
+        with faults.open(marker, "r", encoding="utf-8") as handle:
             return handle.read().strip()
-    except OSError:
+    except FileNotFoundError:
         return None
+    except OSError as exc:
+        return f"quarantine marker unreadable ({exc})"
 
 
 def quarantined_segments(directory: str) -> List[str]:
@@ -719,7 +723,7 @@ class WriteAheadLog:
             self._stats["torn_tail_repaired"] += 1
         if scan.segments:
             current = scan.segments[-1]
-            self._handle = disk.open(current, "ab")
+            self._handle = faults.open(current, "ab")
             self._segment_path = current
         else:
             self._start_segment(1)
@@ -728,11 +732,11 @@ class WriteAheadLog:
         path = os.path.join(
             self._directory, f"segment-{first_lsn:010d}.wal"
         )
-        handle = disk.open(path, "ab")
+        handle = faults.open(path, "ab")
         if handle.tell() == 0:
             handle.write(MAGIC)
             handle.flush()
-            disk.fsync(handle)
+            faults.fsync(handle)
         self._handle = handle
         self._segment_path = path
         _fsync_directory(self._directory)
@@ -744,7 +748,7 @@ class WriteAheadLog:
                 return
             with contextlib.suppress(OSError, ValueError):
                 self._handle.flush()
-                os.fsync(self._handle.fileno())
+                faults.fsync(self._handle)
             with contextlib.suppress(OSError):
                 self._handle.close()
             self._handle = None
@@ -884,17 +888,21 @@ class WriteAheadLog:
         with self._lock:
             return self._append_locked(payload)
 
+    def _refusal(self) -> WalWriteError:
+        """The error a failed log answers every append and sync with.
+        A refusal caused by a disk error keeps carrying that
+        classification: every commit the poisoned log turns away is
+        still a disk-sick signal for the serving layer."""
+        return WalWriteError(
+            f"write-ahead log at {self._directory} is failed "
+            f"({self._failed}); re-open it to resume after the "
+            f"committed prefix",
+            disk=self._failed_disk,
+        )
+
     def _append_locked(self, payload: Dict[str, Any]) -> int:
         if self._failed is not None:
-            # A refusal caused by a disk error keeps carrying that
-            # classification: every commit the poisoned log turns away
-            # is still a disk-sick signal for the serving layer.
-            raise WalWriteError(
-                f"write-ahead log at {self._directory} is failed "
-                f"({self._failed}); re-open it to resume after the "
-                f"committed prefix",
-                disk=self._failed_disk,
-            )
+            raise self._refusal()
         lsn = self._lsn + 1
         kind = payload.get("kind", "?")
         kill_point("wal-before-append", lsn=lsn, kind=kind)
@@ -905,8 +913,7 @@ class WriteAheadLog:
             # and post-epoch logs that never failed over stay
             # byte-compatible; readers use payload.get("epoch", 0).
             record["epoch"] = self._epoch
-        header, buf = encode_frame(record)
-        half = len(buf) // 2
+        frame = b"".join(encode_frame(record))
         handle = self._handle
         if handle is None:
             raise WalWriteError(f"log at {self._directory} is closed")
@@ -914,11 +921,7 @@ class WriteAheadLog:
         # on-disk tail is torn; only a completed write clears the mark.
         self._failed = f"append of lsn {lsn} did not complete"
         try:
-            handle.write(header)
-            handle.write(buf[:half])
-            handle.flush()
-            kill_point("wal-mid-record", lsn=lsn, kind=kind)
-            handle.write(buf[half:])
+            handle.write(frame, point="wal-mid-record")
             handle.flush()
         except (OSError, ValueError) as exc:
             raise self._poison(
@@ -973,7 +976,7 @@ class WriteAheadLog:
 
     def _fsync_now(self) -> None:
         try:
-            disk.fsync(self._handle)
+            faults.fsync(self._handle)
         except (OSError, ValueError) as exc:
             # After a failed fsync the kernel may have dropped the dirty
             # pages; the only safe stance is to stop trusting the tail.
@@ -983,7 +986,14 @@ class WriteAheadLog:
         self._stats["fsyncs"] += 1
 
     def _sync_locked(self) -> bool:
-        if self._handle is None or not self._pending:
+        if not self._pending:
+            return False
+        if self._failed is not None:
+            # Pending appends on a poisoned (or since closed) log may
+            # already be lost; a later fsync that succeeds proves
+            # nothing about them.
+            raise self._refusal()
+        if self._handle is None:
             return False
         self._handle.flush()
         self._fsync_now()
@@ -1070,14 +1080,15 @@ class WriteAheadLog:
     def _rotate_locked(self) -> None:
         try:
             self._handle.flush()
-            with contextlib.suppress(OSError):
-                os.fsync(self._handle.fileno())
+            faults.fsync(self._handle)
             self._handle.close()
             self._pending = 0
             self._start_segment(self._lsn + 1)
         except OSError as exc:
-            # A rotation that cannot open/seed the next segment leaves
-            # no trustworthy writer; poison it like a failed append.
+            # The outgoing segment's fsync covers any appends still
+            # pending (a commit group's); a rotation that cannot make
+            # them durable, or cannot open/seed the next segment, leaves
+            # no trustworthy writer -- poison it like a failed fsync.
             raise self._poison(
                 f"segment rotation at lsn {self._lsn}", exc, "rotate"
             ) from exc
@@ -1208,7 +1219,7 @@ class WriteAheadLog:
                 )
                 _write_atomically(
                     payload, path, backup=False,
-                    kill="checkpoint-mid-snapshot", op="checkpoint",
+                    point="checkpoint-mid-snapshot", op="checkpoint",
                 )
                 self._rotate_locked()
                 self._append_locked(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError, UpdateAborted
-from ..testing.faults import kill_point
+from ..faults import kill_point
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import NodeId
 from ..xmltree.node import NodeKind
@@ -122,7 +122,7 @@ class XUpdateExecutor:
         :class:`~repro.errors.UpdateAborted` reports the failing index
         with the last savepoint attached -- the input ``doc`` is the
         rollback state, untouched by construction.  The ``before-op``
-        and ``after-op`` kill-points of :mod:`repro.testing.faults` are
+        and ``after-op`` kill-points of :mod:`repro.faults` are
         consulted around every operation.
 
         Raises:

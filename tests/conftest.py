@@ -15,8 +15,8 @@ from repro.xupdate import XUpdateExecutor
 
 @pytest.fixture(autouse=True)
 def _reset_faults():
-    """Disarm every kill-point around each test (fault-suite hygiene)."""
-    from repro.testing.faults import faults
+    """Disarm every fault site around each test (fault-suite hygiene)."""
+    from repro.faults import faults
 
     faults.reset()
     yield
@@ -25,9 +25,9 @@ def _reset_faults():
 
 @pytest.fixture
 def bytes_read(monkeypatch):
-    """Every byte count returned by a read through the ``disk`` seam
-    (:class:`repro.testing.diskfaults.FaultyFile`), in call order."""
-    from repro.testing.diskfaults import FaultyFile
+    """Every byte count returned by a read through the fault seam
+    (:class:`repro.faults.FaultyFile`), in call order."""
+    from repro.faults import FaultyFile
 
     counts = []
     real = FaultyFile.read

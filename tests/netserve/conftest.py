@@ -4,9 +4,9 @@ import contextlib
 
 import pytest
 
+from repro.faults import faults
 from repro.netserve import NetClient, serve_in_thread
 from repro.serving import DatabaseServer
-from repro.testing.faults import faults
 from repro.wal import WriteAheadLog
 
 from tests.wal.conftest import append_script, editors_database  # noqa: F401

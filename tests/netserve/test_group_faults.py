@@ -6,8 +6,9 @@ never a hang."""
 import pytest
 
 from repro.errors import NetworkError
+from repro.faults import InjectedFault, faults
 from repro.serving import DatabaseServer, GroupCommitter
-from repro.testing.faults import InjectedFault, faults, run_threads
+from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog, recover
 from repro.xmltree.serializer import serialize
 

@@ -24,9 +24,9 @@ import random
 import pytest
 
 from repro.errors import ReplicaDiverged
+from repro.faults import InjectedFault, faults
 from repro.replication import Replica, ReplicationRouter
 from repro.serving import DatabaseServer
-from repro.testing.faults import InjectedFault, faults
 from repro.wal import WriteAheadLog
 from repro.xmltree import NodeKind
 

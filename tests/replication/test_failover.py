@@ -16,9 +16,10 @@ from repro.errors import (
     ReplicaDiverged,
     StaleEpochError,
 )
+from repro.faults import InjectedFault, inject
 from repro.replication import FailoverSupervisor, Replica, ReplicationRouter
 from repro.serving import DatabaseServer
-from repro.testing.faults import InjectedFault, inject, run_threads
+from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog
 
 from .conftest import append_script, editors_database, state_bytes

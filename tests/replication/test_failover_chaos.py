@@ -36,8 +36,9 @@ from repro.replication import (
     Replica,
     ReplicationRouter,
 )
+from repro.faults import InjectedFault, faults
 from repro.serving import DatabaseServer, GroupCommitter
-from repro.testing.faults import InjectedFault, faults, run_threads
+from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog
 from repro.xmltree.serializer import serialize
 

@@ -20,11 +20,12 @@ import shutil
 import pytest
 
 from repro.errors import RepairError, ReproError, WalCorruptionError
+from repro.faults import faults as disk
 from repro.replication import repair_from_peer
 from repro.scrub import Scrubber, scrub_directory
 from repro.serving import DatabaseServer
 from repro.storage import state_digest
-from repro.testing.diskfaults import disk, flip_bit
+from repro.testing.diskfaults import flip_bit
 from repro.wal import QUARANTINE_SUFFIX, WriteAheadLog, recover
 
 from .conftest import append_script, editors_database, state_bytes

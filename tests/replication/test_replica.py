@@ -5,8 +5,8 @@ import os
 import pytest
 
 from repro.errors import ReadOnlyReplica, ReplicaDiverged
+from repro.faults import InjectedFault, faults
 from repro.replication import Replica
-from repro.testing.faults import InjectedFault, faults
 from repro.wal import WriteAheadLog
 
 from .conftest import USERS, append_script, editors_database, state_bytes

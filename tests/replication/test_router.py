@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.faults import faults
 from repro.replication import Replica, ReplicationRouter
 from repro.serving import DatabaseServer
-from repro.testing.faults import faults
 
 from .conftest import append_script, state_bytes
 

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UpdateAborted
+from repro.faults import KILL_POINTS, InjectedFault, inject
 from repro.security import SecureXMLDatabase, SubjectHierarchy
 from repro.security.view import ViewBuilder
-from repro.testing.faults import KILL_POINTS, InjectedFault, inject
 from repro.xmltree import element, serialize, text
 from repro.xupdate import (
     Append,

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro.core import hospital_database
 from repro.errors import ConcurrentUpdateError, UpdateAborted
+from repro.faults import FaultSeam, InjectedFault
 from repro.security import Policy, SecureXMLDatabase, SubjectHierarchy
 from repro.security.view import ViewBuilder
 from repro.serving import DatabaseServer, RetryPolicy
-from repro.testing.faults import ChaosRunner, FaultInjector, InjectedFault, run_threads
+from repro.testing.faults import ChaosRunner, run_threads
 from repro.xmltree import XMLDocument, element, serialize, text
 from repro.xupdate import Append, UpdateContent, UpdateScript
 
@@ -131,7 +132,7 @@ class TestChaosRunnerDeterminism:
         assert any(schedule != baseline for schedule in others)
 
     def test_fault_arming_is_part_of_the_seed(self):
-        injector = FaultInjector()
+        injector = FaultSeam()
         runner = lambda: ChaosRunner(  # noqa: E731
             seed=99,
             kill_points=("before-op", "after-op"),
@@ -171,7 +172,7 @@ class TestChaosRunnerCapture:
         assert not report.clean
 
     def test_armed_kill_point_fires_into_the_task(self):
-        injector = FaultInjector()
+        injector = FaultSeam()
 
         def task():
             yield

@@ -6,9 +6,9 @@ import os
 import pytest
 
 from repro.errors import WalWriteError
+from repro.faults import InjectedFault, inject
 from repro.serving import DatabaseServer
 from repro.storage import backup_path, load_from_file, save_to_file
-from repro.testing.faults import InjectedFault, inject
 from repro.wal import WriteAheadLog, list_checkpoints, recover, scan_directory
 
 from tests.wal.conftest import append_script, editors_database, state_of

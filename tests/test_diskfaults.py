@@ -1,6 +1,6 @@
-"""The disk-fault injection shim and the disk-error taxonomy (ISSUE 10).
+"""Disk faults on the fault seam and the disk-error taxonomy.
 
-Covers the injector's arming semantics (one-shot, ``after=N``,
+Covers the seam's arming semantics (one-shot, ``after=N``,
 ``match=`` path filtering), the physical faults it produces (EIO,
 ENOSPC, short writes that leave real torn bytes, :func:`flip_bit`),
 how the storage and WAL layers classify the resulting ``OSError``s
@@ -22,18 +22,15 @@ from repro.errors import (
     WalWriteError,
     classify_disk_error,
 )
+from repro.faults import DISK_ERRORS, DISK_OPS, FaultSeam, InjectedFault
+from repro.faults import faults as disk
+from repro.serving import DatabaseServer, GroupCommitter
 from repro.storage import load_from_file, save_to_file
-from repro.testing.diskfaults import (
-    DISK_ERRORS,
-    DISK_OPS,
-    DiskFaultInjector,
-    disk,
-    flip_bit,
-)
+from repro.testing.diskfaults import flip_bit
 from repro.testing.faults import ChaosRunner
 from repro.wal import WriteAheadLog
 
-from tests.wal.conftest import editors_database
+from tests.wal.conftest import append_script, editors_database
 
 pytestmark = pytest.mark.scrub
 
@@ -87,7 +84,7 @@ class TestInjectorArming:
         assert not disk.is_armed("open")
 
     def test_armed_context_manager_disarms(self, tmp_path):
-        injector = DiskFaultInjector()
+        injector = FaultSeam()
         with injector.armed("read", "eio"):
             assert injector.is_armed("read")
         assert not injector.is_armed("read")
@@ -118,6 +115,31 @@ class TestPhysicalFaults:
         assert excinfo.value.errno == errno.ENOSPC
         data = open(path, "rb").read()
         assert data == b"01234"  # half the buffer really landed
+
+    def test_short_fault_and_kill_point_tear_alike(self, tmp_path):
+        """One half-write routine: for the same buffer, a short write
+        and a ``point=`` kill-point leave the same flushed first half
+        on disk and differ only in what they raise."""
+        buffer = b"0123456789abcdef"
+
+        def torn(name, site, *error):
+            path = str(tmp_path / name)
+            disk.arm(site, *error)
+            handle = disk.open(path, "wb")
+            with pytest.raises(Exception) as excinfo:
+                handle.write(buffer, point="wal-mid-record")
+            with open(path, "rb") as raw:  # before close: already flushed
+                on_disk = raw.read()
+            handle.close()
+            return on_disk, excinfo.value
+
+        short_bytes, short_error = torn("short.bin", "write", "short")
+        kill_bytes, kill_error = torn("kill.bin", "wal-mid-record")
+        assert short_bytes == kill_bytes == b"01234567"
+        assert type(short_error) is OSError
+        assert short_error.errno == errno.ENOSPC
+        assert isinstance(kill_error, InjectedFault)
+        assert kill_error.point == "wal-mid-record"
 
     def test_fsync_fault(self, tmp_path):
         path = str(tmp_path / "f.bin")
@@ -250,6 +272,42 @@ class TestWalClassification:
         wal.fence(wal.epoch + 1)
         with pytest.raises(WalWriteError, match="fenced"):
             wal.reopen()
+
+
+class TestRotationFsync:
+    """Rotation fsyncs the outgoing segment, which still holds a commit
+    group's unsynced appends: a refused fsync there is a refused group
+    fsync and must poison the log like any other."""
+
+    def test_failed_rotation_fsync_fails_the_group_sync(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "db.wal"), segment_bytes=200)
+        disk.arm("fsync", "eio", match="segment-0000000001")
+        with wal.group():
+            with pytest.raises(WalWriteError) as refused:
+                for _ in range(4):
+                    wal.append({"kind": "noop", "pad": "x" * 40})
+            assert isinstance(refused.value.disk, DiskIOError)
+            with pytest.raises(WalWriteError):
+                wal.sync_group()
+        assert wal.failed is not None
+
+    def test_group_committer_acknowledges_no_member(self, tmp_path):
+        db = editors_database()
+        wal = WriteAheadLog(str(tmp_path / "db.wal"), segment_bytes=500)
+        db.attach_wal(wal)
+        committer = GroupCommitter(
+            DatabaseServer(db), max_batch=4, max_delay_ms=30.0
+        )
+        disk.arm("fsync", "eio", match="segment-0000000001")
+        tickets = [
+            committer.submit("w1", append_script(f"g{i}")) for i in range(4)
+        ]
+        committer.drive(tickets[0])
+        assert disk.injected  # the rotation's fsync was refused
+        for ticket in tickets:
+            assert ticket.done
+            assert ticket.result is None
+            assert ticket.error is not None
 
 
 class TestChaosRunnerIntegration:

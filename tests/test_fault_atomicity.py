@@ -11,8 +11,8 @@ import pytest
 
 from repro.core import hospital_database
 from repro.errors import ConcurrentUpdateError, UpdateAborted
+from repro.faults import InjectedFault, inject
 from repro.security.write import AccessDenied
-from repro.testing.faults import InjectedFault, inject
 from repro.xmltree import element, serialize
 from repro.xmltree.fragments import text
 from repro.xupdate import (

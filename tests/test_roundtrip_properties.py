@@ -20,7 +20,7 @@ from repro.storage import (
     load_from_file,
     save_to_file,
 )
-from repro.testing.faults import InjectedFault, faults
+from repro.faults import InjectedFault, faults
 from repro.xupdate import Rename
 
 from tests.strategies import secure_databases

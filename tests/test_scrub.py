@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import repro.scrub
 from repro.errors import WalCorruptionError, WalStreamGap
+from repro.faults import faults as disk
 from repro.scrub import ScrubReport, Scrubber, scrub_directory
-from repro.testing.diskfaults import disk, flip_bit
+from repro.testing.diskfaults import flip_bit
 from repro.wal import (
     QUARANTINE_SUFFIX,
     WalStream,
@@ -186,6 +187,15 @@ class TestQuarantine:
         assert "already quarantined" in report.quarantined[0].reason
         # only the first pass *performed* a quarantine; both reported one
         assert scrubber.counters["segments_quarantined"] == 2
+
+    def test_an_unreadable_marker_still_quarantines(self, tmp_path):
+        wal_dir, _ = logged_directory(tmp_path)
+        self.flip_first_record(wal_dir)
+        scrub_directory(wal_dir)
+        disk.arm("read", "eio", match=QUARANTINE_SUFFIX)
+        report = scrub_directory(wal_dir)
+        assert len(report.quarantined) == 1
+        assert "already quarantined" in report.quarantined[0].reason
 
     def test_stream_gaps_on_a_quarantined_segment(self, tmp_path):
         wal_dir, _ = logged_directory(tmp_path)

@@ -12,7 +12,7 @@ from repro.storage import (
     load_from_file,
     save_to_file,
 )
-from repro.testing.faults import InjectedFault, inject
+from repro.faults import InjectedFault, inject
 from repro.xupdate import Rename
 
 pytestmark = pytest.mark.fault

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.testing.faults import InjectedFault, faults
+from repro.faults import InjectedFault, faults
 from repro.wal import WriteAheadLog, recover, scan_directory
 
 from .conftest import USERS, append_script, editors_database, state_of

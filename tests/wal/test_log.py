@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import WalCorruptionError, WalWriteError
-from repro.testing.faults import InjectedFault, inject
+from repro.faults import InjectedFault, inject
 from repro.wal import (
     FsyncPolicy,
     WriteAheadLog,

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.errors import RecoveryError, WalCorruptionError
-from repro.testing.faults import InjectedFault, inject
+from repro.faults import InjectedFault, inject
 from repro.wal import WriteAheadLog, list_checkpoints, recover, scan_directory
 from repro.xmltree.serializer import serialize
 

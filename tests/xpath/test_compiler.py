@@ -282,17 +282,43 @@ class TestOracleStaysOutOfServingProcesses:
 
     ENTRY_POINTS = "import repro.cli, repro.netserve, repro.replication"
 
+    SERVE = """
+import os
+from repro.core import hospital_database
+from repro.serving import DatabaseServer
+from repro.storage import save_to_file
+path = os.path.join({directory!r}, "h.xml")
+save_to_file(hospital_database(), path)
+server = DatabaseServer.open(path)
+script = (
+    '<xupdate:modifications version="1.0" '
+    'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+    '<xupdate:append select="/patients/franck/diagnosis">'
+    '<xupdate:element name="note">ok</xupdate:element>'
+    '</xupdate:append></xupdate:modifications>'
+)
+assert server.execute("laporte", script).fully_applied
+assert server.query("laporte", "count(//note)") == 1.0
+"""
+
     @staticmethod
-    def _loaded(code, differential, module):
+    def _probe(code, differential, expression):
+        """Run ``code`` in a fresh interpreter; return ``expression``
+        printed at its end."""
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src, REPRO_XPATH_DIFFERENTIAL=differential)
-        probe = f"; import sys; print({module!r} in sys.modules)"
+        probe = f"\nimport sys; print({expression})"
         done = subprocess.run(
             [sys.executable, "-c", code + probe],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.strip() == "True"
+        return done.stdout.strip()
+
+    @classmethod
+    def _loaded(cls, code, differential, module):
+        probe = f"{module!r} in sys.modules"
+        return cls._probe(code, differential, probe) == "True"
 
     @classmethod
     def _oracle_loaded(cls, code, differential):
@@ -309,3 +335,15 @@ class TestOracleStaysOutOfServingProcesses:
     def test_a_query_loads_it_only_under_differential_mode(self):
         assert not self._oracle_loaded(self.QUERY, "")
         assert self._oracle_loaded(self.QUERY, "1")
+
+    def test_serving_loads_no_test_module(self, tmp_path):
+        """The fault seam the serving stack consults is a production
+        module: opening a served database, one write and one read load
+        nothing from ``repro.testing``.  (``repro stress`` imports
+        ``run_threads`` lazily; it is not on this path.)"""
+        code = self.ENTRY_POINTS + self.SERVE.format(directory=str(tmp_path))
+        loaded = self._probe(
+            code, "",
+            "sorted(m for m in sys.modules if m.startswith('repro.testing'))",
+        )
+        assert loaded == "[]"
