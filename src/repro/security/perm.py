@@ -33,6 +33,21 @@ publishes a :class:`~repro.xupdate.changeset.ChangeSet`
 - anything else is dropped and lazily re-evaluated on next use
   (conservative fallback; correctness never depends on the delta).
 
+A cached *table* is advanced across the same commit by patching, not
+re-resolving (the paper's ``dbnew = db +- delta``, formulae (2)-(9)),
+on its first lookup after the commit (a table nobody asks for costs
+the commit nothing; one still unpatched at the next commit is dropped):
+each table entry keeps the per-rule selections it was replayed from,
+every selection contributes the nodes whose membership changed (none
+when carried, the touched-region diff when patched, old vs new when
+re-evaluated), and axiom 14 is replayed on those *dirty* nodes only.
+The full :meth:`PermissionResolver.resolve` is the same replay with
+every selected node dirty.  A patched table never mutates what the old
+one shares -- served views and :meth:`PermissionTable.for_user` facades
+hold its dictionaries -- so a privilege's dict and set are copied
+(C-level, no rehash) only when its decisions change, and a commit that
+changes no decision carries the *same* table object.
+
 Whole permission tables are shared across users through
 :meth:`fingerprint`: any two users whose applicable rule lists are
 identical and ``$USER``-free provably derive the same table, so the
@@ -49,11 +64,13 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -87,6 +104,12 @@ class PermissionTable:
     winning_rule: Dict[Privilege, Dict[NodeId, SecurityRule]] = field(
         default_factory=dict
     )
+    # Set on a table patched across a commit: the ``granted`` dict of
+    # the table it was patched from, and the nodes whose read/position
+    # status differs from it (see read_position_delta).
+    _patched_from: Optional[
+        Tuple[Dict[Privilege, Set[NodeId]], FrozenSet[NodeId]]
+    ] = field(default=None, repr=False, compare=False)
 
     def holds(self, nid: NodeId, privilege: Privilege) -> bool:
         """The ``perm(user, nid, privilege)`` fact."""
@@ -118,7 +141,10 @@ class PermissionTable:
         if user == self.user:
             return self
         return PermissionTable(
-            user=user, granted=self.granted, winning_rule=self.winning_rule
+            user=user,
+            granted=self.granted,
+            winning_rule=self.winning_rule,
+            _patched_from=self._patched_from,
         )
 
     def read_position_delta(self, other: "PermissionTable") -> Set[NodeId]:
@@ -126,14 +152,18 @@ class PermissionTable:
 
         These are exactly the nodes whose *view* membership or label
         masking can change (axioms 15-17 consult only read/position),
-        so the view cache re-prunes only these regions.
+        so the view cache re-prunes only these regions.  Against the
+        table this one was patched from, that is the patch's own record
+        -- no whole-set comparison.
         """
         if other is self or (
             other.granted is self.granted and other.winning_rule is self.winning_rule
         ):
             return set()
+        if self._patched_from is not None and self._patched_from[0] is other.granted:
+            return set(self._patched_from[1])
         dirty: Set[NodeId] = set()
-        for privilege in (Privilege.READ, Privilege.POSITION):
+        for privilege in _VIEW_PRIVILEGES:
             mine = self.granted.get(privilege, set())
             theirs = other.granted.get(privilege, set())
             dirty |= mine ^ theirs
@@ -145,13 +175,30 @@ class PermissionTable:
 Fingerprint = Tuple[Tuple[SecurityRule, ...], Optional[str]]
 
 
+#: Rule path -> its selection, in document order.
+Selections = Dict[str, Tuple[NodeId, ...]]
+#: Rule path -> its selection after a commit, and the nodes whose
+#: membership the commit changed.
+_Advanced = Dict[str, Tuple[Tuple[NodeId, ...], Collection[NodeId]]]
+
+
 @dataclass
 class _TableEntry:
-    """One cached table, pinned to a document generation."""
+    """One cached table, pinned to a document generation, with the
+    rule-path selections it was replayed from (what a commit patches).
+
+    A commit leaves a *pending* entry (``table`` None): ``pending`` is
+    the previous generation's entry, the commit's change-set and its
+    advanced ``$USER``-free selections, and the first lookup finishes
+    the patch.  A table nobody asks for costs the commit nothing, and
+    one still pending at the next commit is dropped.
+    """
 
     doc: XMLDocument
     stamp: int
-    table: PermissionTable
+    table: Optional[PermissionTable]
+    selections: Optional[Selections]
+    pending: Optional[Tuple["_TableEntry", object, "_Advanced"]] = None
 
 
 class PermissionResolver:
@@ -199,6 +246,7 @@ class PermissionResolver:
             "paths_dropped": 0,  # selections invalidated by a commit
             "table_cache_hits": 0,  # tables served from the fingerprint cache
             "tables_carried": 0,  # tables carried across a commit
+            "tables_patched": 0,  # tables patched on a commit's dirty nodes
             "delta_resolves": 0,  # re-resolves with a maintained path cache
             "full_resolves": 0,  # re-resolves with no carried state
             "conservative_commits": 0,  # commits without a usable change-set
@@ -236,11 +284,11 @@ class PermissionResolver:
         doc: XMLDocument,
         path: str,
         variables: Dict[str, str],
-    ):
+    ) -> Tuple[NodeId, ...]:
         """Evaluate one rule path, caching user-independent paths."""
         if "$" in path:
             self.stats["path_evals"] += 1
-            return self._engine.select(doc, path, variables=variables)
+            return tuple(self._engine.select(doc, path, variables=variables))
         with self._lock:
             entry = self._path_cache.get(doc)
             if entry is None or entry[0] != doc.mutation_stamp:
@@ -305,11 +353,15 @@ class PermissionResolver:
             return
         labels = changes.labels
         star_text = self._engine.star_matches_text
+        # $USER-free paths advanced across this commit, shared by the
+        # path cache and every table patched against new_doc.
+        advanced: _Advanced = {}
         if entry is not None and entry[0] == old_doc.mutation_stamp:
             carried: Dict[str, Tuple[NodeId, ...]] = {}
             for path, nodes in entry[1].items():
                 if self._path_stable(path, labels):
                     carried[path] = nodes
+                    advanced[path] = (nodes, ())
                     self.stats["paths_carried"] += 1
                     continue
                 skeleton = self._skeleton(path)
@@ -319,9 +371,10 @@ class PermissionResolver:
                     # (it re-evaluates lazily on next use) and count
                     # the degradation.
                     try:
-                        carried[path] = _patch_selection(
+                        advanced[path] = _patch_selection(
                             nodes, new_doc, changes, skeleton, star_text
                         )
+                        carried[path] = advanced[path][0]
                         self.stats["paths_patched"] += 1
                     except Exception:
                         self.stats["paths_dropped"] += 1
@@ -333,32 +386,81 @@ class PermissionResolver:
                 else:
                     self.stats["paths_dropped"] += 1
             self._path_cache[new_doc] = (new_doc.mutation_stamp, carried)
-        stable_paths: Dict[str, bool] = {}
         for fp in list(self._tables):
             tentry = self._tables[fp]
-            if tentry.doc is not old_doc or tentry.stamp != old_doc.mutation_stamp:
-                if tentry.doc is not new_doc:
-                    del self._tables[fp]  # stale generation: prune
+            if tentry.doc is new_doc:
                 continue
-            rules, _ = fp
-            carriable = True
-            for rule in rules:
-                stable = stable_paths.get(rule.path)
-                if stable is None:
-                    stable = self._path_stable(rule.path, labels)
-                    stable_paths[rule.path] = stable
-                if not stable:
-                    carriable = False
-                    break
-            if carriable:
-                # No applicable path's selection changed, so axiom 14
-                # replays to the identical table: carry it.
+            if (
+                tentry.doc is old_doc
+                and tentry.stamp == old_doc.mutation_stamp
+                and tentry.table is not None
+            ):
                 self._tables[fp] = _TableEntry(
-                    new_doc, new_doc.mutation_stamp, tentry.table
+                    new_doc, new_doc.mutation_stamp, None, None,
+                    (tentry, changes, advanced),
                 )
-                self.stats["tables_carried"] += 1
             else:
-                del self._tables[fp]
+                del self._tables[fp]  # stale generation, or never patched
+
+    def _patch_table(
+        self,
+        tentry: _TableEntry,
+        fp: Fingerprint,
+        new_doc: XMLDocument,
+        changes,
+        advanced: _Advanced,
+    ) -> _TableEntry:
+        """Advance one cached table across a commit.
+
+        Each rule path's selection is advanced -- carried, patched or
+        re-evaluated -- and contributes the nodes whose membership it
+        changed; axiom 14 is replayed on those only.  Removed nodes need
+        no extra term: each is in the diff of every selection that held
+        it (a carried selection holds none -- its skeleton would meet
+        the removed labels).  A table no decision of which changed is
+        carried as the same object.
+        """
+        rules, user = fp
+        selections: Selections = {}
+        moved: Dict[str, Collection[NodeId]] = {}
+        for path, nodes in tentry.selections.items():
+            step = advanced.get(path)
+            if step is None:
+                step = self._advance(path, nodes, new_doc, changes, {"USER": user})
+                if "$" not in path:  # user-independent: share it
+                    advanced[path] = step
+            selections[path], moved[path] = step
+        dirty: Dict[Privilege, Set[NodeId]] = {}
+        for rule in rules:
+            nodes = moved[rule.path]
+            if nodes:
+                dirty.setdefault(rule.privilege, set()).update(nodes)
+        table = _patched(tentry.table, rules, selections, dirty)
+        self.stats[
+            "tables_carried" if table is tentry.table else "tables_patched"
+        ] += 1
+        return _TableEntry(new_doc, new_doc.mutation_stamp, table, selections)
+
+    def _advance(
+        self,
+        path: str,
+        nodes: Tuple[NodeId, ...],
+        new_doc: XMLDocument,
+        changes,
+        variables: Dict[str, str],
+    ) -> Tuple[Tuple[NodeId, ...], Collection[NodeId]]:
+        """One selection across a commit, with the nodes whose
+        membership changed: carried (none), patched (the touched-region
+        diff), or re-evaluated (old against new)."""
+        if self._path_stable(path, changes.labels):
+            return nodes, ()
+        skeleton = self._skeleton(path)
+        if "$" not in path and skeleton is not None and skeleton.patchable:
+            return _patch_selection(
+                nodes, new_doc, changes, skeleton, self._engine.star_matches_text
+            )
+        fresh = self._select_rule_path(new_doc, path, variables)
+        return fresh, set(nodes).symmetric_difference(fresh)
 
     # ------------------------------------------------------------------
     # static decisions (no table, no view)
@@ -413,22 +515,33 @@ class PermissionResolver:
             repro.security.subjects.SubjectError: if ``user`` is not a
                 declared subject.
         """
-        table = PermissionTable(user=user)
+        return self._resolve(doc, policy.applicable_rules(user), user, privileges)[0]
+
+    def _resolve(
+        self,
+        doc: XMLDocument,
+        rules: Sequence[SecurityRule],
+        user: str,
+        privileges: Optional[Iterable[Privilege]] = None,
+    ) -> Tuple[PermissionTable, Selections]:
+        """The full replay of ``rules`` (priority order), with the
+        selections it was replayed from."""
         variables = {"USER": user}
+        selections: Selections = {}
+        for rule in rules:
+            if rule.path not in selections:
+                selections[rule.path] = self._select_rule_path(
+                    doc, rule.path, variables
+                )
+        table = PermissionTable(user=user)
         wanted = tuple(privileges) if privileges is not None else tuple(Privilege)
         for privilege in wanted:
-            # Priority order: later rules overwrite earlier outcomes on
-            # the nodes they address -- the operational form of "no
-            # subsequent deny" in axiom 14.
-            outcome: Dict[NodeId, SecurityRule] = {}
-            for rule in policy.rules_for(user, privilege):
-                selected = self._select_rule_path(doc, rule.path, variables)
-                outcome.update(dict.fromkeys(selected, rule))
+            outcome = _decide(rules, privilege, selections)
             table.winning_rule[privilege] = outcome
             table.granted[privilege] = {
                 nid for nid, rule in outcome.items() if rule.effect == ACCEPT
             }
-        return table
+        return table, selections
 
     def resolve_cached(
         self, doc: XMLDocument, policy: Policy, user: str
@@ -437,10 +550,11 @@ class PermissionResolver:
 
         The table is served from the fingerprint cache when the same
         (applicable rules, document generation) pair was already
-        resolved -- for any user -- and recorded for carrying by
-        :meth:`note_commit` otherwise.  The returned table's ``user``
-        field always names the requesting user (a shared table is
-        wrapped in a per-user facade).
+        resolved -- for any user --, patched from the previous
+        generation's table when :meth:`note_commit` left it pending, and
+        fully resolved and recorded otherwise.  The returned table's
+        ``user`` field always names the requesting user (a shared table
+        is wrapped in a per-user facade).
         """
         with self._lock:
             fingerprint = self.fingerprint(policy, user)
@@ -450,20 +564,122 @@ class PermissionResolver:
                 and entry.doc is doc
                 and entry.stamp == doc.mutation_stamp
             ):
-                self.stats["table_cache_hits"] += 1
-                self._tables.move_to_end(fingerprint)
-                return entry.table.for_user(user)
+                if entry.table is not None:
+                    self.stats["table_cache_hits"] += 1
+                    self._tables.move_to_end(fingerprint)
+                    return entry.table.for_user(user)
+                previous, changes, advanced = entry.pending
+                try:
+                    entry = self._patch_table(
+                        previous, fingerprint, doc, changes, advanced
+                    )
+                except Exception:
+                    self.stats["degraded_rebuilds"] += 1
+                    logger.exception(
+                        "table patch failed; falling back to a full resolve"
+                    )
+                else:
+                    self._tables[fingerprint] = entry
+                    self._tables.move_to_end(fingerprint)
+                    return entry.table.for_user(user)
             path_entry = self._path_cache.get(doc)
             maintained = (
                 path_entry is not None and path_entry[0] == doc.mutation_stamp
             )
-            table = self.resolve(doc, policy, user)
+            table, selections = self._resolve(doc, fingerprint[0], user)
             self.stats["delta_resolves" if maintained else "full_resolves"] += 1
-            self._tables[fingerprint] = _TableEntry(doc, doc.mutation_stamp, table)
+            self._tables[fingerprint] = _TableEntry(
+                doc, doc.mutation_stamp, table, selections
+            )
             self._tables.move_to_end(fingerprint)
             while len(self._tables) > self._max_tables:
                 self._tables.popitem(last=False)
             return table
+
+
+#: The privileges axioms 15-17 consult (view membership and masking).
+_VIEW_PRIVILEGES = (Privilege.READ, Privilege.POSITION)
+
+
+def _selects(selection: Sequence[NodeId], nid: NodeId) -> bool:
+    """Membership in a document-ordered selection, by bisect."""
+    at = order_index(selection, nid)
+    return at < len(selection) and selection[at] == nid
+
+
+def _decide(
+    rules: Sequence[SecurityRule],
+    privilege: Privilege,
+    selections: Selections,
+    dirty: Optional[Collection[NodeId]] = None,
+) -> Dict[NodeId, SecurityRule]:
+    """Axiom 14 for one privilege: each node's winning rule.
+
+    Rules are replayed in priority order and each overwrites the
+    outcome on the nodes its path selects -- the operational form of
+    "no subsequent deny".  ``dirty`` restricts the replay to those
+    nodes; None means every selected node (the full resolve).  A node
+    no rule selects has no entry (closed world).
+    """
+    outcome: Dict[NodeId, SecurityRule] = {}
+    for rule in rules:
+        if rule.privilege is not privilege:
+            continue
+        selected = selections[rule.path]
+        if dirty is not None:
+            selected = [nid for nid in dirty if _selects(selected, nid)]
+        outcome.update(dict.fromkeys(selected, rule))
+    return outcome
+
+
+def _patched(
+    table: PermissionTable,
+    rules: Sequence[SecurityRule],
+    selections: Selections,
+    dirty: Mapping[Privilege, Set[NodeId]],
+) -> PermissionTable:
+    """``table`` with axiom 14 replayed on each privilege's ``dirty``
+    nodes against the advanced ``selections``.
+
+    Nothing ``table`` holds is mutated: a privilege whose decisions
+    change gets copies of its dict and set, the others stay shared, and
+    with no change at all ``table`` itself is returned.
+    """
+    granted, winning = table.granted, table.winning_rule
+    new_granted: Optional[Dict[Privilege, Set[NodeId]]] = None
+    new_winning: Dict[Privilege, Dict[NodeId, SecurityRule]] = {}
+    flipped: Set[NodeId] = set()
+    for privilege, nodes in dirty.items():
+        before = winning.get(privilege, {})
+        decided = _decide(rules, privilege, selections, nodes)
+        changed = [nid for nid in nodes if before.get(nid) is not decided.get(nid)]
+        if not changed:
+            continue
+        if new_granted is None:
+            new_granted, new_winning = dict(granted), dict(winning)
+        outcome = new_winning[privilege] = dict(before)
+        was = granted.get(privilege, set())
+        now = new_granted[privilege] = set(was)
+        for nid in changed:
+            rule = decided.get(nid)
+            if rule is None:
+                del outcome[nid]
+            else:
+                outcome[nid] = rule
+            if rule is not None and rule.effect == ACCEPT:
+                now.add(nid)
+            else:
+                now.discard(nid)
+            if privilege in _VIEW_PRIVILEGES and (nid in was) != (nid in now):
+                flipped.add(nid)
+    if new_granted is None:
+        return table
+    return PermissionTable(
+        user=table.user,
+        granted=new_granted,
+        winning_rule=new_winning,
+        _patched_from=(granted, frozenset(flipped)),
+    )
 
 
 def _patch_selection(
@@ -472,7 +688,7 @@ def _patch_selection(
     changes,
     skeleton: PathSkeleton,
     star_matches_text: bool,
-) -> Tuple[NodeId, ...]:
+) -> Tuple[Tuple[NodeId, ...], Set[NodeId]]:
     """Maintain one patchable path selection across a commit.
 
     Each touched root's subtree is cut out of the (document-ordered)
@@ -480,17 +696,21 @@ def _patch_selection(
     regions is re-matched by its label chain (the
     :meth:`PathSkeleton.matches` NFA) and merged back in at its place --
     work proportional to the updated regions, never the document; the
-    rest of the selection only moves as a block.  Returns ``nodes``
-    itself when the commit left the selection alone.
+    rest of the selection only moves as a block.
+
+    Returns:
+        The new selection -- ``nodes`` itself when the commit left it
+        alone -- and the nodes whose membership changed (cut and not
+        re-matched, or re-matched and not cut).
     """
     regrown = changes.added | changes.relabelled
     patched = list(nodes)
-    changed = False
+    cut: Set[NodeId] = set()
     for root in regrown | changes.removed:
         lo, hi = subtree_span(patched, root)
         if lo < hi:
+            cut.update(patched[lo:hi])
             del patched[lo:hi]
-            changed = True
     candidates: Set[NodeId] = set()
     for root in regrown:
         if root in new_doc:
@@ -498,11 +718,13 @@ def _patch_selection(
     for nid in changes.revalued:
         if nid in new_doc:
             candidates.add(nid)
+    added: Set[NodeId] = set()
     for nid in candidates:
         if skeleton.matches(new_doc, nid, star_matches_text):
             at = order_index(patched, nid)
             # A revalued node lies outside the cuts: it may still be there.
             if at == len(patched) or patched[at] != nid:
                 patched.insert(at, nid)
-                changed = True
-    return tuple(patched) if changed else nodes
+                added.add(nid)
+    moved = cut ^ added
+    return (tuple(patched) if moved else nodes), moved

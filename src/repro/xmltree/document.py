@@ -8,9 +8,22 @@ from the numbering scheme (``child``, ``parent``, ``descendant``,
 children index purely as an accelerator.
 
 Updates follow the paper's theory-replacement reading: an XUpdate
-operation maps theory ``db`` to theory ``dbnew``.  Callers that need that
-functional behaviour copy the document first (:meth:`XMLDocument.copy` is
-cheap -- node objects are immutable and shared).
+operation maps theory ``db`` to theory ``dbnew`` (formulae (2)-(9):
+``dbnew = db +- delta``).  Callers that need that functional behaviour
+copy the document first, and :meth:`XMLDocument.copy` makes the copy
+cost O(parents) dict slots, not O(nodes): node objects are immutable
+and shared, and so are the sibling lists, copy-on-first-write.
+
+Sharing rule: a document owns a sibling list -- may mutate it in place
+-- only if the parent is in its ``_owned`` set (None: the document was
+never copied and owns every list).  :meth:`copy` empties that set on
+*both* sides (the old generation may still be served to a
+reader, so neither may write to a list the other can see), and the
+first write to a shared list replaces it with a private copy
+(:meth:`XMLDocument._own`).  Lists a document creates itself -- a new
+node's empty list, a graft's filtered lists, a renumbering's rebuilt
+ones -- are owned from birth.  Nothing outside this module touches
+``_children``.
 """
 
 from __future__ import annotations
@@ -75,6 +88,10 @@ class XMLDocument:
         # what lets every lookup and insertion bisect (order_index)
         # instead of scan.
         self._children: Dict[NodeId, List[NodeId]] = {DOCUMENT_ID: []}
+        # Parents whose sibling list no other document shares (see the
+        # module docstring's sharing rule); None until the first copy(),
+        # while every list is owned, so loading pays no bookkeeping.
+        self._owned: Optional[Set[NodeId]] = None
         #: Number of renumbering episodes performed (0 unless the naive
         #: scheme is in use); read by benchmark E13.
         self.renumber_count = 0
@@ -348,7 +365,7 @@ class XMLDocument:
     ) -> NodeId:
         """Append a new node as the last child of ``parent``."""
         self._check_can_contain(parent, kind)
-        kids = self._children.setdefault(parent, [])
+        kids = self._children.get(parent)
         before = kids[-1] if kids else None
         nid = self._fresh_child_id(parent, before, None)
         self._install(Node(nid, kind, label, value))
@@ -405,7 +422,6 @@ class XMLDocument:
             if self._nodes[attr].label == name:
                 self._nodes[attr] = Node(attr, NodeKind.ATTRIBUTE, name, value)
                 return attr
-        kids = self._children.setdefault(element, [])
         # Attributes are kept at the front of the sibling run so document
         # order places them between the element and its content children.
         attrs = self.attributes(element)
@@ -445,7 +461,9 @@ class XMLDocument:
         for r in removed:
             self._nodes.pop(r, None)
             self._children.pop(r, None)
-        kids = self._children[nid.parent()]
+            if self._owned is not None:
+                self._owned.discard(r)
+        kids = self._own(nid.parent())
         del kids[order_index(kids, nid)]
         self.mutation_stamp += 1
         return len(removed)
@@ -510,7 +528,7 @@ class XMLDocument:
                 parent is not in this document.  Roots before the
                 offending one stay installed.
         """
-        nodes, children = self._nodes, self._children
+        nodes, children, owned = self._nodes, self._children, self._owned
         src_nodes, src_children = source._nodes, source._children
         installed: List[NodeId] = []
         for root in roots:
@@ -530,6 +548,8 @@ class XMLDocument:
             for nid in grown:  # extended as it is walked: breadth-first
                 kids = [kid for kid in src_children[nid] if kid in keep]
                 children[nid] = kids
+                if owned is not None:
+                    owned.add(nid)
                 for kid in kids:
                     nodes[kid] = src_nodes[kid]
                 grown += kids
@@ -537,11 +557,20 @@ class XMLDocument:
         return installed
 
     def copy(self) -> "XMLDocument":
-        """An independent copy sharing immutable node objects."""
+        """An independent copy sharing node objects and sibling lists.
+
+        Two C-level dict copies: nodes are immutable, and each sibling
+        list is shared until one side first writes to it.  Both sides
+        give up ownership of every list here (the receiver may still be
+        served to readers, so it must not write through to the copy
+        either); a write then copies only the one list it changes.
+        """
         dup = XMLDocument.__new__(XMLDocument)
         dup._scheme = self._scheme
         dup._nodes = dict(self._nodes)
-        dup._children = {k: list(v) for k, v in self._children.items()}
+        dup._children = dict(self._children)
+        dup._owned = set()
+        self._owned = set()
         dup._label_index = None
         dup._label_index_stamp = -1
         dup._kind_index = None
@@ -608,6 +637,7 @@ class XMLDocument:
             new_children[mapping.get(nid, nid)] = [mapping.get(c, c) for c in cs]
         self._nodes = new_nodes
         self._children = new_children
+        self._owned = None  # every list was just rebuilt
         self.mutation_stamp += 1
         return mapping
 
@@ -615,9 +645,19 @@ class XMLDocument:
         """Public hook used by the E13 ablation to force a renumbering."""
         self._renumber_children(parent)
 
+    def _own(self, parent: NodeId) -> List[NodeId]:
+        """``parent``'s (existing) sibling list, made private to this
+        document before its first write: copy-on-first-write."""
+        owned = self._owned
+        if owned is None or parent in owned:
+            return self._children[parent]
+        kids = self._children[parent] = list(self._children[parent])
+        owned.add(parent)
+        return kids
+
     def _install(self, node: Node) -> None:
         nid = node.nid
-        kids = self._children.setdefault(nid.parent(), [])
+        kids = self._own(nid.parent())
         # Keep the sibling list strictly increasing: appending (loading,
         # append_child) is O(1), anything else a bisect on the stored key.
         if not kids or kids[-1] < nid:
@@ -625,5 +665,7 @@ class XMLDocument:
         else:
             kids.insert(order_index(kids, nid), nid)
         self._nodes[nid] = node
-        self._children.setdefault(nid, [])
+        self._children[nid] = []  # a fresh id: no list to keep
+        if self._owned is not None:
+            self._owned.add(nid)
         self.mutation_stamp += 1

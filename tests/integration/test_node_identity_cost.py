@@ -10,8 +10,7 @@ An id now computes its hash and document-order key once; these guards
 count the calls that must no longer happen, and check that loading a
 database is linear in its size.
 
-The database is the benchmark's hospital (``bench/workloads.py``'s
-``build_database``, re-stated here: tier-1 does not import ``bench``).
+The database is the benchmark's hospital (``tests/hospital.py``).
 """
 
 import time
@@ -19,54 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import hospital_policy, hospital_subjects
-from repro.security import SecureXMLDatabase
 from repro.serving import DatabaseServer
 from repro.storage import save_to_file
-from repro.xmltree import parse_xml
 
-
-def bench_hospital(patients: int) -> SecureXMLDatabase:
-    """Figure-3 subjects plus ``doctor1..3`` and one ``patient`` user
-    per patient element, equation-13 policy, figure-2 document."""
-    names = [f"patient{index:05d}" for index in range(patients)]
-    subjects = hospital_subjects()
-    for index in (1, 2, 3):
-        subjects.add_user(f"doctor{index}", member_of="doctor")
-    for name in names:
-        subjects.add_user(name, member_of="patient")
-    body = "".join(
-        f"<{name}><service>cardiology</service>"
-        f"<diagnosis>dx{index:08x}</diagnosis></{name}>"
-        for index, name in enumerate(names)
-    )
-    return SecureXMLDatabase(
-        parse_xml(f"<patients>{body}</patients>"),
-        subjects,
-        hospital_policy(subjects),
-    )
-
-
-def _script(body: str) -> str:
-    return (
-        '<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">'
-        f"{body}</xupdate:modifications>"
-    )
-
-
-def update_script(name: str, value: str) -> str:
-    return _script(
-        f'<xupdate:update select="/patients/{name}/diagnosis">{value}'
-        "</xupdate:update>"
-    )
-
-
-def append_script(name: str, value: str) -> str:
-    return _script(
-        f'<xupdate:append select="/patients/{name}/diagnosis">'
-        f'<xupdate:element name="note">{value}</xupdate:element>'
-        "</xupdate:append>"
-    )
+from tests.hospital import append_script, bench_hospital, update_script
 
 
 @pytest.fixture

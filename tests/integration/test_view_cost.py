@@ -7,8 +7,7 @@ secure script
 re-derives its view between operations with the executor's own
 resolver, constructing nothing per operation.
 
-The database is the benchmark's hospital, re-stated in
-``test_node_identity_cost`` (tier-1 does not import ``bench``).
+The database is the benchmark's hospital (``tests/hospital.py``).
 """
 
 import time
@@ -18,11 +17,7 @@ from repro.xmltree import serialize
 from repro.xpath import XPathEngine
 from repro.xupdate import parse_xupdate
 
-from tests.integration.test_node_identity_cost import (
-    _script,
-    bench_hospital,
-    update_script,
-)
+from tests.hospital import bench_hospital, update_script, xupdate_script
 
 
 def _best_build_seconds(db, user, table, rounds=5):
@@ -60,7 +55,7 @@ def test_a_narrow_view_does_not_pay_for_the_document():
 
 def four_op_script():
     return parse_xupdate(
-        _script(
+        xupdate_script(
             "".join(
                 f'<xupdate:update select="/patients/patient{index:05d}'
                 f'/diagnosis">v{index}</xupdate:update>'

@@ -66,8 +66,11 @@ def patch_and_check(selection, doc, changes, path, star=False):
     """Patch ``selection`` across ``changes`` and hold it to both oracles."""
     skeleton = analyze_path(path)
     assert skeleton is not None and skeleton.patchable
-    patched = _patch_selection(selection, doc, changes, skeleton, star)
+    patched, moved = _patch_selection(selection, doc, changes, skeleton, star)
     assert isinstance(patched, tuple)
+    assert moved == set(selection) ^ set(patched)
+    if not moved:
+        assert patched is selection
     assert list(patched) == _ENGINES[star].select(doc, path)
     assert patched == scan_and_sort(selection, doc, changes, skeleton, star)
     return patched

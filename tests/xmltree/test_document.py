@@ -19,6 +19,8 @@ from repro.xmltree import (
     serialize,
 )
 
+from tests.strategies import fragments
+
 
 @pytest.fixture
 def medical():
@@ -539,3 +541,125 @@ def test_sibling_lists_stay_ordered_under_any_edit_sequence(scheme, edits):
         else:
             regraft_shuffled(doc, inner[pick % len(inner)], random.Random(extra))
         assert_ordered(doc)
+
+
+# ----------------------------------------------------------------------
+# copy-on-first-write sibling lists
+# ----------------------------------------------------------------------
+_COPY_EDITS = st.tuples(
+    st.integers(min_value=0, max_value=2),  # which document of the three
+    st.sampled_from(
+        (
+            "append", "before", "after", "attr", "relabel", "value",
+            "remove", "graft", "renumber", "recopy",
+        )
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+def deep_copy(doc):
+    """The copy ``XMLDocument.copy`` replaced: every sibling list
+    re-listed, so the result shares no list with anything."""
+    dup = XMLDocument.__new__(XMLDocument)
+    dup.__dict__.update(vars(doc))
+    dup._nodes = dict(doc._nodes)
+    dup._children = {k: list(v) for k, v in doc._children.items()}
+    dup._owned = set(dup._children)
+    dup._label_index = dup._kind_index = None
+    dup.last_renumber_mapping = dict(doc.last_renumber_mapping)
+    return dup
+
+
+def apply_copy_edit(doc, edit, pick, extra, copy=XMLDocument.copy):
+    """One edit, chosen from ``doc``'s own nodes by index, so applying
+    it to a document and to its oracle does the same thing; a graft's
+    source is taken with ``copy``."""
+    nodes = doc.all_nodes()
+    elements = [n for n in nodes if doc.kind(n) is NodeKind.ELEMENT]
+    inner = [
+        n for n in nodes
+        if n.level >= 2 and doc.kind(n) is not NodeKind.ATTRIBUTE
+    ]
+    if edit == "append":
+        kind = (NodeKind.ELEMENT, NodeKind.TEXT)[extra % 2]
+        doc.append_child(elements[pick % len(elements)], kind, "e")
+    elif edit == "attr":
+        doc.set_attribute(elements[pick % len(elements)], "ab"[extra % 2], str(extra))
+    elif edit == "relabel":
+        doc.relabel(nodes[1 + pick % (len(nodes) - 1)], f"l{extra % 3}")
+    elif edit == "value":
+        doc.set_value(nodes[1 + pick % (len(nodes) - 1)], str(extra))
+    elif edit == "renumber":
+        if isinstance(doc.scheme, RenumberingScheme):
+            doc.renumber_siblings(elements[pick % len(elements)])
+    elif not inner:
+        return
+    elif edit == "before":
+        doc.insert_before(inner[pick % len(inner)], NodeKind.ELEMENT, "e")
+    elif edit == "after":
+        doc.insert_after(inner[pick % len(inner)], NodeKind.COMMENT, "c")
+    elif edit == "remove":
+        doc.remove_subtree(inner[pick % len(inner)])
+    else:  # graft: cut a subtree and grow it back from a copy, half kept
+        target = inner[pick % len(inner)]
+        source = copy(doc)
+        doc.remove_subtree(target)
+        keep = {
+            nid for index, nid in enumerate(source.subtree(target))
+            if index == 0 or (extra >> (index % 20)) & 1
+        }
+        doc.graft(source, [target], keep)
+
+
+def assert_same_document(doc, oracle):
+    assert doc._nodes == oracle._nodes
+    assert {k: list(v) for k, v in doc._children.items()} == oracle._children
+    assert doc.renumbered_nodes == oracle.renumbered_nodes
+    assert_ordered(doc)
+
+
+@pytest.mark.parametrize(
+    "scheme", (PersistentDeweyScheme, LSDXScheme, RenumberingScheme)
+)
+@given(
+    fragment=fragments(max_depth=3, max_children=3),
+    edits=st.lists(_COPY_EDITS, max_size=25),
+)
+@settings(max_examples=60, deadline=None)
+def test_copies_never_see_each_others_writes(scheme, fragment, edits):
+    """A document, its copy and a copy of the copy, edited in turn:
+    each always equals an oracle kept with deep-listed copies, so no
+    write through a shared sibling list shows in another generation,
+    in either direction -- renumbering included."""
+    first = XMLDocument(scheme())
+    fragment.attach(first, DOCUMENT_ID)
+    docs = [first, first.copy()]
+    docs.append(docs[1].copy())
+    oracles = [deep_copy(first), deep_copy(first), deep_copy(first)]
+    for which, edit, pick, extra in edits:
+        if edit == "recopy":  # replace one document by a copy of another
+            source = (which + 1 + extra % 2) % 3
+            docs[which] = docs[source].copy()
+            oracles[which] = deep_copy(oracles[source])
+        else:
+            apply_copy_edit(docs[which], edit, pick, extra)
+            apply_copy_edit(oracles[which], edit, pick, extra, deep_copy)
+        for doc, oracle in zip(docs, oracles):
+            assert_same_document(doc, oracle)
+
+
+def test_copy_shares_sibling_lists_until_the_first_write():
+    doc = parse_xml("<r><a><b/></a><c/></r>")
+    dup = doc.copy()
+    root = doc.root
+    assert all(dup._children[k] is v for k, v in doc._children.items())
+    dup.append_child(root, NodeKind.ELEMENT, "d")
+    # Only the one list written to was copied; the original is intact.
+    private = [k for k, v in dup._children.items() if v is not doc._children.get(k)]
+    assert sorted(private) == sorted([root, dup.children(root)[-1]])
+    assert [doc.label(n) for n in doc.children(root)] == ["a", "c"]
+    # The original lost ownership too: its next write copies as well.
+    doc.remove_subtree(doc.children(root)[0])
+    assert [dup.label(n) for n in dup.children(root)] == ["a", "c", "d"]
