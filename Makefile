@@ -100,7 +100,8 @@ bench-json:
 # convergence smoke.  No timing saves.  Then the view ablations whose
 # baselines are spelled out in the benchmark instead of selected by a
 # product switch (E9 views, E16 lazy view vs session, E18 fresh vs
-# shared resolver) run once each, untimed, so those spellings cannot
+# shared resolver) and E23 (compiled vs oracle XPath, table-backed
+# privilege probes) run once each, untimed, so those spellings cannot
 # rot.
 bench-smoke:
 	$(PYTEST) -q benchmarks/test_e20_view_maintenance.py \
@@ -112,7 +113,8 @@ bench-smoke:
 		benchmarks/test_e27_scrub.py -k smoke
 	$(PYTEST) -q --benchmark-disable benchmarks/test_e9_views.py \
 		benchmarks/test_e16_lazy_vs_materialized.py \
-		benchmarks/test_e18_resolver_cache.py
+		benchmarks/test_e18_resolver_cache.py \
+		benchmarks/test_e23_compiled_policy.py
 
 # The benchmark harness's own unit tests (spec parsing, the compare
 # rule, workload generators, the harness plumbing): `python3 -m bench`

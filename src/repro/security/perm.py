@@ -54,6 +54,11 @@ identical and ``$USER``-free provably derive the same table, so the
 common role-based policy resolves once per role, not once per user.
 All decisions are counted in :attr:`PermissionResolver.stats`
 (surfaced through ``SecureXMLDatabase.stats()``).
+
+:func:`_decide` is the only routine that decides axiom 14: views,
+write checks, ``Session.can()`` and ``explain`` all read a table it
+derived (or patched); the Datalog transcription in :mod:`repro.formal`
+is its test oracle.
 """
 
 from __future__ import annotations
@@ -82,9 +87,13 @@ from ..xpath.skeleton import PathSkeleton, analyze_path
 from .policy import ACCEPT, Policy, SecurityRule
 from .privileges import Privilege
 
-__all__ = ["PermissionTable", "PermissionResolver"]
+__all__ = ["PermissionTable", "PermissionResolver", "TABLE_CACHE_SIZE"]
 
 logger = logging.getLogger("repro.security.perm")
+
+#: Shared permission tables a resolver keeps (LRU-evicted): one entry
+#: per distinct permission fingerprint.
+TABLE_CACHE_SIZE = 256
 
 
 @dataclass
@@ -210,15 +219,9 @@ class PermissionResolver:
             theory ``db``).  The engine should have the paper-compat
             ``lone_variable_name_test`` enabled if policies use the
             paper's ``[$USER]`` shorthand.
-        max_tables: bound on the shared-table cache (LRU-evicted); one
-            entry per distinct permission fingerprint.
     """
 
-    def __init__(
-        self,
-        engine: Optional[XPathEngine] = None,
-        max_tables: int = 256,
-    ) -> None:
+    def __init__(self, engine: Optional[XPathEngine] = None) -> None:
         self._engine = engine if engine is not None else XPathEngine(
             lone_variable_name_test=True, star_matches_text=True
         )
@@ -230,7 +233,6 @@ class PermissionResolver:
         self._path_cache: "weakref.WeakKeyDictionary[XMLDocument, Tuple[int, Dict[str, Tuple[NodeId, ...]]]]" = (
             weakref.WeakKeyDictionary()
         )
-        self._max_tables = max_tables
         self._tables: "OrderedDict[Fingerprint, _TableEntry]" = OrderedDict()
         self._skeletons: Dict[str, Optional[PathSkeleton]] = {}
         # Concurrent readers share these caches and commit maintenance
@@ -251,8 +253,6 @@ class PermissionResolver:
             "full_resolves": 0,  # re-resolves with no carried state
             "conservative_commits": 0,  # commits without a usable change-set
             "degraded_rebuilds": 0,  # patches that raised; dropped, re-derived
-            "static_decisions": 0,  # checks answered by the NFA decider
-            "static_fallbacks": 0,  # checks that fell back to table lookup
         }
 
     @property
@@ -463,35 +463,6 @@ class PermissionResolver:
         return fresh, set(nodes).symmetric_difference(fresh)
 
     # ------------------------------------------------------------------
-    # static decisions (no table, no view)
-    # ------------------------------------------------------------------
-    def holds_static(
-        self,
-        doc: XMLDocument,
-        policy: Policy,
-        user: str,
-        nid: NodeId,
-        privilege: Privilege,
-    ) -> Optional[bool]:
-        """Decide one ``perm`` fact by NFA membership, if eligible.
-
-        Returns the decision when every applicable rule for this
-        privilege is automata-eligible (see
-        :mod:`repro.security.static`), or None when the caller must
-        fall back to a resolved table.  Never materializes a view or
-        evaluates a rule path over the document.
-        """
-        from .static import decider_for
-
-        decider = decider_for(policy, user, self._engine.star_matches_text)
-        outcome = decider.decide(doc, nid, privilege)
-        if outcome is None:
-            self.stats["static_fallbacks"] += 1
-            return None
-        self.stats["static_decisions"] += 1
-        return outcome[0]
-
-    # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
     def resolve(
@@ -592,7 +563,7 @@ class PermissionResolver:
                 doc, doc.mutation_stamp, table, selections
             )
             self._tables.move_to_end(fingerprint)
-            while len(self._tables) > self._max_tables:
+            while len(self._tables) > TABLE_CACHE_SIZE:
                 self._tables.popitem(last=False)
             return table
 

@@ -241,28 +241,6 @@ class Policy:
             yield (rule.effect, rule.privilege.value, rule.path, rule.subject, rule.priority)
 
     # ------------------------------------------------------------------
-    # static-enforcement eligibility tagging
-    # ------------------------------------------------------------------
-    def automata_eligible_rules(self) -> Tuple[SecurityRule, ...]:
-        """The rules whose paths the chain NFA can decide per-node
-        (see :mod:`repro.security.static`), in priority order."""
-        from .static import automata_eligible
-
-        return tuple(r for r in self if automata_eligible(r))
-
-    def static_eligibility(self, user: str, star_matches_text: bool = True):
-        """Privilege -> can ``user``'s checks run statically?
-
-        A privilege lane is eligible when *every* applicable rule for
-        it is automata-eligible; one out-of-fragment rule (a predicate,
-        a ``$USER`` binding, a reverse axis) sends that lane -- and only
-        that lane -- back to the resolver.
-        """
-        from .static import decider_for
-
-        return decider_for(self, user, star_matches_text).eligibility()
-
-    # ------------------------------------------------------------------
     # consistency linting
     # ------------------------------------------------------------------
     def lint(self, document=None, engine=None) -> List[PolicyLintWarning]:

@@ -31,7 +31,7 @@ from .write import SecureUpdateResult, SecureWriteExecutor
 __all__ = ["ExplainEntry", "SESSION_CACHE_SIZE", "Session", "SessionCache"]
 
 #: Served sessions a server or replica keeps: each pins its user's view,
-#: so the bound is :class:`~repro.security.viewcache.ViewCache`'s 128.
+#: so the bound is :data:`~repro.security.viewcache.VIEW_CACHE_SIZE`.
 SESSION_CACHE_SIZE = 128
 
 
@@ -127,12 +127,10 @@ class Session:
     def can(self, privilege: "str | Privilege", nid: NodeId) -> bool:
         """Does this user hold ``privilege`` on node ``nid``?
 
-        Answered through the database's enforcement ladder: NFA
-        membership over the node's label chain when every applicable
-        rule for the privilege is automata-eligible (O(path length),
-        no rule-path evaluation, no table, no view), the cached
-        permission table otherwise.  A privilege probe never forces a
-        view materialization either way.
+        One lookup in the user's permission table
+        (:meth:`SecureXMLDatabase.check`), which is shared with every
+        user of the same fingerprint and patched across commits; a
+        privilege probe never builds a view.
         """
         return self._database.check(self._user, privilege, nid)
 

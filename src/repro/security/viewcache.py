@@ -48,9 +48,17 @@ from ..xupdate.changeset import ChangeSet
 from .perm import Fingerprint, PermissionTable
 from .view import View, ViewBuilder, grow
 
-__all__ = ["ViewCache"]
+__all__ = ["CHANGE_LOG_SIZE", "VIEW_CACHE_SIZE", "ViewCache"]
 
 logger = logging.getLogger("repro.security.viewcache")
+
+#: Cached views (LRU-evicted): one entry per distinct permission
+#: fingerprint per policy shape.
+VIEW_CACHE_SIZE = 128
+
+#: Commits of change-set history kept; a cached view older than the
+#: log cannot be patched and is rebuilt.
+CHANGE_LOG_SIZE = 64
 
 
 @dataclass
@@ -63,21 +71,12 @@ class _Entry:
 
 class ViewCache:
     """Materialized views shared across sessions and carried across
-    commits.
+    commits: at most :data:`VIEW_CACHE_SIZE` views, patched from the
+    last :data:`CHANGE_LOG_SIZE` commits' change-sets."""
 
-    Args:
-        max_entries: bound on cached views (LRU-evicted); one entry per
-            distinct permission fingerprint per policy shape.
-        log_size: how many commits of change-set history to retain; a
-            cached view older than the log cannot be patched and is
-            rebuilt.
-    """
-
-    def __init__(self, max_entries: int = 128, log_size: int = 64) -> None:
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Fingerprint, _Entry]" = OrderedDict()
         self._log: "OrderedDict[int, Optional[ChangeSet]]" = OrderedDict()
-        self._log_size = log_size
-        self._max_entries = max_entries
         # Serving happens from many reader threads at once and cache
         # bookkeeping (LRU moves, entry replacement) is not atomic, so
         # the whole serve/commit surface is one critical section.  An
@@ -100,7 +99,7 @@ class ViewCache:
         the committer did not track one)."""
         with self._lock:
             self._log[version] = changes
-            while len(self._log) > self._log_size:
+            while len(self._log) > CHANGE_LOG_SIZE:
                 self._log.popitem(last=False)
 
     def _composed_changes(
@@ -172,7 +171,7 @@ class ViewCache:
     def _store(self, fingerprint: Fingerprint, version: int, view: View) -> None:
         self._entries[fingerprint] = _Entry(version, view)
         self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self._max_entries:
+        while len(self._entries) > VIEW_CACHE_SIZE:
             self._entries.popitem(last=False)
 
     @staticmethod

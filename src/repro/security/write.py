@@ -124,12 +124,12 @@ class SecureWriteExecutor:
             omitted.
         audit: optional audit log receiving one record per decision.
         resolver: the
-            :class:`~repro.security.perm.PermissionResolver` whose
-            static NFA fast path (and stats counters) answer privilege
-            checks and which re-derives the view between the operations
-            of a script; one over the executor's engine is built if
-            omitted.  The table in ``view.permissions`` is the fallback
-            for out-of-fragment privilege lanes.
+            :class:`~repro.security.perm.PermissionResolver` that
+            re-derives the view between the operations of a script; one
+            over the executor's engine is built if omitted.
+
+    Every privilege check reads the table in ``view.permissions`` --
+    the view's own axiom-14 derivation, so a check costs one lookup.
     """
 
     def __init__(
@@ -155,25 +155,6 @@ class SecureWriteExecutor:
     @property
     def executor(self) -> XUpdateExecutor:
         return self._executor
-
-    def _privilege_checker(
-        self, view: View
-    ) -> Callable[[NodeId, Privilege], bool]:
-        """The ``perm`` oracle for one operation: static NFA membership
-        on the source when the privilege lane is automata-eligible,
-        the view's resolved table otherwise (same axiom-14 answer)."""
-        source = view.source
-        resolver = self._resolver
-
-        def check(nid: NodeId, privilege: Privilege) -> bool:
-            decision = resolver.holds_static(
-                source, view.policy, view.user, nid, privilege
-            )
-            if decision is not None:
-                return decision
-            return view.permissions.holds(nid, privilege)
-
-        return check
 
     def apply(
         self,
@@ -290,7 +271,7 @@ class SecureWriteExecutor:
             view.doc, operation.path, {"USER": view.user}
         )
         new_doc = view.source.copy()
-        holds = self._privilege_checker(view)
+        holds = view.permissions.holds
         affected: List[NodeId] = []
         denials: List[Denial] = []
         changes = ChangeSet()

@@ -20,11 +20,18 @@ document: 5,499 -> 43,299 hashes and 1,204 -> 9,604 lists from 120 to
 960 patients.
 
 The database is the benchmark's hospital (``tests/hospital.py``).
+
+A write's privilege checks are table lookups too: the view it selects
+on already holds the user's permission table, so no check replays a
+rule's chain automaton (``PathSkeleton.matches``) per node.
 """
 
+from repro.security.privileges import Privilege
+from repro.security.write import SecureWriteExecutor
 from repro.xmltree import XMLDocument
 from repro.xmltree.labels import NodeId
 from repro.xpath.compiler import CompiledXPath
+from repro.xpath.skeleton import PathSkeleton
 
 from tests.hospital import bench_hospital, update_script
 
@@ -106,3 +113,55 @@ def test_a_commit_patches_tables_instead_of_resolving():
     )
     assert after["view_incremental_patches"] > before["view_incremental_patches"]
     assert after["view_full_builds"] == before["view_full_builds"]
+
+
+def test_write_checks_replay_no_rule_automaton(monkeypatch):
+    """A warm one-op write makes no ``PathSkeleton.matches`` call inside
+    ``SecureWriteExecutor.apply``: every check reads the view's table."""
+    db = bench_hospital(120)
+    writer = db.login("laporte")
+    for warm in range(3):
+        writer.execute(update_script("patient00007", f"warm{warm}"))
+
+    depth = [0]
+    matches = [0]
+    original_apply = SecureWriteExecutor.apply
+    original_matches = PathSkeleton.matches
+
+    def counted_apply(self, *args, **kwargs):
+        depth[0] += 1  # apply recurses once per script operation
+        try:
+            return original_apply(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_matches(self, *args, **kwargs):
+        if depth[0]:
+            matches[0] += 1
+        return original_matches(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SecureWriteExecutor, "apply", counted_apply)
+        patch.setattr(PathSkeleton, "matches", counted_matches)
+        result = writer.execute(update_script("patient00042", "dxnew"))
+    assert len(result.affected) == 1
+    assert matches[0] == 0
+
+
+def test_can_after_a_served_view_is_one_table_lookup():
+    """``Session.can()`` by a user whose view was just served hits the
+    cached table: no rule-path evaluation, no view build."""
+    db = bench_hospital(120)
+    writer, reader = db.login("laporte"), db.login("beaufort")
+    writer.execute(update_script("patient00042", "dxnew"))
+    reader.query("/patients/patient00042/diagnosis")
+    (service,) = db.engine.select(db.document, "/patients/patient00042/service")
+    before = db.stats()
+    held = reader.can("read", service)
+    after = db.stats()
+    assert after["table_cache_hits"] == before["table_cache_hits"] + 1
+    assert after["path_evals"] == before["path_evals"]
+    assert after["view_full_builds"] == before["view_full_builds"]
+    assert held == db.resolver.resolve(db.document, db.policy, "beaufort").holds(
+        service, Privilege.READ
+    )

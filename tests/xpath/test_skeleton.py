@@ -129,7 +129,8 @@ def test_attributes_are_on_no_child_or_descendant_chain(path):
 
 def test_patched_selection_and_static_check_skip_a_committed_attribute():
     """After a commit that adds ``<b x="1">`` the patched ``//node()``
-    selection and the static decider agree with a fresh evaluation."""
+    selection, and the permission table ``check`` reads, agree with a
+    fresh evaluation: the attribute is on no child chain."""
     from repro.security import Policy, SecureXMLDatabase, SubjectHierarchy
     from repro.xupdate import Append
 

@@ -1,13 +1,14 @@
 """Differential property: the skeleton NFA == the real evaluator.
 
-The static-enforcement mode (:mod:`repro.security.static`) answers
-``Session.can()`` by :meth:`PathSkeleton.matches` alone, so the NFA
-must agree with the evaluator's selection on *every* node of *every*
-document for *every* path in the patchable fragment -- including the
-paper-compat ``star_matches_text`` reading, kind tests, and ``self::``
-steps evaluated at the document node.  Hypothesis generates the
-documents and the paths; any divergence is a soundness bug in static
-enforcement, not a flaky test.
+After a commit, ``perm._patch_selection`` re-matches every node of the
+touched regions by :meth:`PathSkeleton.matches` alone, and the patched
+selection feeds the permission table every privilege check reads.  So
+the NFA must agree with the evaluator's selection on *every* node of
+*every* document for *every* path in the patchable fragment --
+including the paper-compat ``star_matches_text`` reading, kind tests,
+and ``self::`` steps evaluated at the document node.  Hypothesis
+generates the documents and the paths; any divergence is a soundness
+bug in selection patching, not a flaky test.
 """
 
 from hypothesis import given, settings
