@@ -72,8 +72,6 @@ class Replica:
             directory basename plus a counter).
         scheme: numbering scheme for replayed documents (storage
             default if omitted).
-        dedup_capacity: entries in the rebuilt exactly-once ledger
-            (see :class:`~repro.serving.dedup.DedupTable`).
         clock: monotonic time source, injectable for tests.
 
     Construction seeds the replica immediately (one full catch-up);
@@ -91,7 +89,6 @@ class Replica:
         *,
         replica_id: Optional[str] = None,
         scheme=None,
-        dedup_capacity: int = 1024,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._directory = os.path.abspath(directory)
@@ -114,7 +111,7 @@ class Replica:
         self._quarantine_reason: Optional[str] = None
         self._epoch = 0
         self._last_beat = clock()
-        self._dedup = DedupTable(dedup_capacity)
+        self._dedup = DedupTable()
         self._stats: Dict[str, int] = {
             "records_applied": 0,  # streamed records replayed in place
             "catchups": 0,  # checkpoint re-seeds (seed + gap + re-seed)

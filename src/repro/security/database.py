@@ -69,8 +69,8 @@ class Transaction:
     makes that operational: between ``begin`` (construction) and
     :meth:`commit`, the database is never observed in an intermediate
     state -- commit installs the new document and bumps the version in
-    one swap (invalidating every session's cached view and the
-    permission caches keyed by the document), while :meth:`rollback`
+    one swap (every cached permission table and view goes stale until
+    it is advanced onto the new document), while :meth:`rollback`
     (or an exception inside the ``with`` block) leaves the pre-script
     theory exactly as it was.
 
@@ -112,9 +112,9 @@ class Transaction:
         Args:
             document: the new source document (``dbnew``).
             changes: the update's structural delta, published to the
-                permission and view caches for incremental maintenance;
-                None (or a conservative change-set) makes every cache
-                fall back to full re-derivation.
+                view cache for incremental maintenance; None (or a
+                conservative change-set) makes every entry fall back to
+                full re-derivation.
             origin: provenance for the write-ahead log (the committed
                 script, when there is one); None logs a full state
                 record instead.
@@ -331,13 +331,13 @@ class SecureXMLDatabase:
     def permissions_for(self, user: str) -> PermissionTable:
         """Derive the full ``perm`` table for a subject (axiom 14).
 
-        Served through the resolver's fingerprint cache: repeated calls
-        for users sharing a permission fingerprint cost O(1) until the
-        document or the applicable rules change.
+        Served from the same fingerprint cache entry as
+        :meth:`build_view` (advanced across commits like the view), so
+        repeated calls for users sharing a permission fingerprint cost
+        O(1) until the document or the applicable rules change; a
+        table lookup never builds a view.
         """
-        return self._resolver.resolve_cached(
-            self._document, self._policy, user
-        )
+        return self._view_cache.table_for(self, user)
 
     def check(self, user: str, privilege, nid) -> bool:
         """Decide one ``perm(user, nid, privilege)`` fact.
@@ -355,20 +355,23 @@ class SecureXMLDatabase:
         Keys are the union of
         :attr:`repro.security.perm.PermissionResolver.stats` and
         :attr:`repro.security.viewcache.ViewCache.stats` (prefixed
-        ``view_``), e.g. ``view_hits`` / ``view_incremental_patches`` /
-        ``full_resolves``, plus ``rules_compiled`` (compiled-cache
-        misses of the one XPath engine that rule paths, queries and
-        XUpdate PATHs share) and the degradation ledger:
-        ``degraded_rebuilds`` (resolver path-patches and view patches
-        that raised and were re-derived from scratch, summed) and
-        ``degraded_view_serves`` (reads that fell all the way back
-        from the shared cache to a per-session build).
+        ``view_``, except ``table_cache_hits``), e.g. ``view_hits`` /
+        ``view_incremental_patches`` / ``full_resolves``, plus
+        ``rules_compiled`` (compiled-cache misses of the one XPath
+        engine that rule paths, queries and XUpdate PATHs share) and
+        the degradation ledger: ``degraded_rebuilds`` (resolver
+        path-patches and cache-entry patches that raised and were
+        re-derived from scratch, summed) and ``degraded_view_serves``
+        (reads that fell all the way back from the shared cache to a
+        per-session build).
         """
         out = {"version": self._version, "read_only": self._read_only}
         out.update(self._resolver.stats)
         out["rules_compiled"] = self._engine.paths_compiled
-        out.update({f"view_{k}": v for k, v in self._view_cache.stats.items()})
-        out["degraded_rebuilds"] += self._view_cache.stats["degraded_rebuilds"]
+        cache = dict(self._view_cache.stats)
+        out["table_cache_hits"] = cache.pop("table_cache_hits")
+        out.update({f"view_{k}": v for k, v in cache.items()})
+        out["degraded_rebuilds"] += cache["degraded_rebuilds"]
         out["degraded_view_serves"] = self._degraded_view_serves
         # Pinned to 0 for bench/harness.py, which indexes both keys.
         out["static_decisions"] = out["static_fallbacks"] = 0
@@ -421,13 +424,13 @@ class SecureXMLDatabase:
         changes: Optional[ChangeSet] = None,
         origin: Optional[CommitOrigin] = None,
     ) -> None:
-        # The single point where the theory is replaced: document and
-        # version move together, so cached views (keyed by version) and
-        # permission caches (keyed weakly by document identity and its
-        # mutation stamp) can never observe a half-installed state.
-        # The change-set (possibly None = "unknown extent") is published
-        # to the permission resolver and the view cache *after* the
-        # swap, so their maintenance sees the installed generation.
+        # The single point where the theory is replaced.  Cache entries
+        # are current only for the installed document object at its
+        # mutation stamp, so they can never serve a half-installed
+        # state.  The change-set (possibly None = "unknown extent") is
+        # published to the view cache -- which feeds the resolver's path
+        # cache -- *after* the swap, so maintenance sees the installed
+        # generation.
         if self._read_only:
             from ..errors import ReadOnlyReplica
 
@@ -451,8 +454,7 @@ class SecureXMLDatabase:
         old_document = self._document
         self._document = document
         self._version += 1
-        self._resolver.note_commit(old_document, document, changes)
-        self._view_cache.note_commit(self._version, changes)
+        self._view_cache.note_commit(self, old_document, changes)
 
     # ------------------------------------------------------------------
     # durability

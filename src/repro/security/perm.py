@@ -33,20 +33,21 @@ publishes a :class:`~repro.xupdate.changeset.ChangeSet`
 - anything else is dropped and lazily re-evaluated on next use
   (conservative fallback; correctness never depends on the delta).
 
-A cached *table* is advanced across the same commit by patching, not
-re-resolving (the paper's ``dbnew = db +- delta``, formulae (2)-(9)),
-on its first lookup after the commit (a table nobody asks for costs
-the commit nothing; one still unpatched at the next commit is dropped):
-each table entry keeps the per-rule selections it was replayed from,
-every selection contributes the nodes whose membership changed (none
-when carried, the touched-region diff when patched, old vs new when
+A *table* is advanced across the same commits by patching, not
+re-resolving (the paper's ``dbnew = db +- delta``, formulae (2)-(9)):
+:meth:`PermissionResolver.patch_table` takes a table, the per-rule
+selections it was replayed from and the change-set since, every
+selection contributes the nodes whose membership changed (none when
+carried, the touched-region diff when patched, old vs new when
 re-evaluated), and axiom 14 is replayed on those *dirty* nodes only.
 The full :meth:`PermissionResolver.resolve` is the same replay with
 every selected node dirty.  A patched table never mutates what the old
 one shares -- served views and :meth:`PermissionTable.for_user` facades
 hold its dictionaries -- so a privilege's dict and set are copied
 (C-level, no rehash) only when its decisions change, and a commit that
-changes no decision carries the *same* table object.
+changes no decision carries the *same* table object.  The resolver
+keeps no tables: :class:`~repro.security.viewcache.ViewCache` holds
+each fingerprint's table beside its view and decides when to patch.
 
 Whole permission tables are shared across users through
 :meth:`fingerprint`: any two users whose applicable rule lists are
@@ -66,7 +67,6 @@ from __future__ import annotations
 import logging
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Collection,
@@ -87,13 +87,9 @@ from ..xpath.skeleton import PathSkeleton, analyze_path
 from .policy import ACCEPT, Policy, SecurityRule
 from .privileges import Privilege
 
-__all__ = ["PermissionTable", "PermissionResolver", "TABLE_CACHE_SIZE"]
+__all__ = ["PermissionTable", "PermissionResolver"]
 
 logger = logging.getLogger("repro.security.perm")
-
-#: Shared permission tables a resolver keeps (LRU-evicted): one entry
-#: per distinct permission fingerprint.
-TABLE_CACHE_SIZE = 256
 
 
 @dataclass
@@ -191,25 +187,6 @@ Selections = Dict[str, Tuple[NodeId, ...]]
 _Advanced = Dict[str, Tuple[Tuple[NodeId, ...], Collection[NodeId]]]
 
 
-@dataclass
-class _TableEntry:
-    """One cached table, pinned to a document generation, with the
-    rule-path selections it was replayed from (what a commit patches).
-
-    A commit leaves a *pending* entry (``table`` None): ``pending`` is
-    the previous generation's entry, the commit's change-set and its
-    advanced ``$USER``-free selections, and the first lookup finishes
-    the patch.  A table nobody asks for costs the commit nothing, and
-    one still pending at the next commit is dropped.
-    """
-
-    doc: XMLDocument
-    stamp: int
-    table: Optional[PermissionTable]
-    selections: Optional[Selections]
-    pending: Optional[Tuple["_TableEntry", object, "_Advanced"]] = None
-
-
 class PermissionResolver:
     """Derives :class:`PermissionTable` objects from a policy.
 
@@ -233,12 +210,10 @@ class PermissionResolver:
         self._path_cache: "weakref.WeakKeyDictionary[XMLDocument, Tuple[int, Dict[str, Tuple[NodeId, ...]]]]" = (
             weakref.WeakKeyDictionary()
         )
-        self._tables: "OrderedDict[Fingerprint, _TableEntry]" = OrderedDict()
         self._skeletons: Dict[str, Optional[PathSkeleton]] = {}
-        # Concurrent readers share these caches and commit maintenance
-        # rewrites them; an RLock because resolve_cached -> resolve ->
-        # _select_rule_path nests.
-        self._lock = threading.RLock()
+        # Concurrent readers share the path cache and commit maintenance
+        # rewrites it.
+        self._lock = threading.Lock()
         #: Decision counters; read via ``SecureXMLDatabase.stats()``.
         self.stats: Dict[str, int] = {
             "path_evals": 0,  # engine.select calls on rule paths
@@ -246,13 +221,12 @@ class PermissionResolver:
             "paths_carried": 0,  # selections carried across a commit
             "paths_patched": 0,  # selections patched locally
             "paths_dropped": 0,  # selections invalidated by a commit
-            "table_cache_hits": 0,  # tables served from the fingerprint cache
             "tables_carried": 0,  # tables carried across a commit
             "tables_patched": 0,  # tables patched on a commit's dirty nodes
             "delta_resolves": 0,  # re-resolves with a maintained path cache
             "full_resolves": 0,  # re-resolves with no carried state
             "conservative_commits": 0,  # commits without a usable change-set
-            "degraded_rebuilds": 0,  # patches that raised; dropped, re-derived
+            "degraded_rebuilds": 0,  # path patches that raised; dropped
         }
 
     @property
@@ -325,8 +299,11 @@ class PermissionResolver:
     # ------------------------------------------------------------------
     # commit maintenance
     # ------------------------------------------------------------------
-    def note_commit(self, old_doc, new_doc, changes=None) -> None:
-        """Advance the caches across a commit ``old_doc -> new_doc``.
+    def note_commit(
+        self, old_doc, new_doc, changes=None
+    ) -> Optional[_Advanced]:
+        """Advance the shared path cache across a commit
+        ``old_doc -> new_doc``.
 
         Args:
             old_doc: the document generation being replaced.
@@ -334,29 +311,27 @@ class PermissionResolver:
             changes: the commit's
                 :class:`~repro.xupdate.changeset.ChangeSet`, or None
                 when the committer did not track one.  A missing or
-                conservative change-set drops every cache bound to
+                conservative change-set drops the selections cached for
                 ``old_doc`` (the safe fallback).
+
+        Returns:
+            The ``$USER``-free selections advanced across the commit,
+            for :meth:`patch_table` to share between every table it
+            patches across this one commit; None when the change-set
+            is missing or conservative.
         """
         with self._lock:
-            self._note_commit_locked(old_doc, new_doc, changes)
-
-    def _note_commit_locked(self, old_doc, new_doc, changes) -> None:
-        entry = self._path_cache.pop(old_doc, None)
-        if changes is None or changes.conservative:
-            self.stats["conservative_commits"] += 1
-            if entry is not None:
-                self.stats["paths_dropped"] += len(entry[1])
-            for fp in [
-                fp for fp, te in self._tables.items() if te.doc is not new_doc
-            ]:
-                del self._tables[fp]
-            return
-        labels = changes.labels
-        star_text = self._engine.star_matches_text
-        # $USER-free paths advanced across this commit, shared by the
-        # path cache and every table patched against new_doc.
-        advanced: _Advanced = {}
-        if entry is not None and entry[0] == old_doc.mutation_stamp:
+            entry = self._path_cache.pop(old_doc, None)
+            if changes is None or changes.conservative:
+                self.stats["conservative_commits"] += 1
+                if entry is not None:
+                    self.stats["paths_dropped"] += len(entry[1])
+                return None
+            advanced: _Advanced = {}
+            if entry is None or entry[0] != old_doc.mutation_stamp:
+                return advanced
+            labels = changes.labels
+            star_text = self._engine.star_matches_text
             carried: Dict[str, Tuple[NodeId, ...]] = {}
             for path, nodes in entry[1].items():
                 if self._path_stable(path, labels):
@@ -386,31 +361,19 @@ class PermissionResolver:
                 else:
                     self.stats["paths_dropped"] += 1
             self._path_cache[new_doc] = (new_doc.mutation_stamp, carried)
-        for fp in list(self._tables):
-            tentry = self._tables[fp]
-            if tentry.doc is new_doc:
-                continue
-            if (
-                tentry.doc is old_doc
-                and tentry.stamp == old_doc.mutation_stamp
-                and tentry.table is not None
-            ):
-                self._tables[fp] = _TableEntry(
-                    new_doc, new_doc.mutation_stamp, None, None,
-                    (tentry, changes, advanced),
-                )
-            else:
-                del self._tables[fp]  # stale generation, or never patched
+            return advanced
 
-    def _patch_table(
+    def patch_table(
         self,
-        tentry: _TableEntry,
+        table: PermissionTable,
+        selections: Selections,
         fp: Fingerprint,
         new_doc: XMLDocument,
         changes,
         advanced: _Advanced,
-    ) -> _TableEntry:
-        """Advance one cached table across a commit.
+    ) -> Tuple[PermissionTable, Selections]:
+        """Advance a table, derived for ``fp`` and replayed from
+        ``selections``, across ``changes`` onto ``new_doc``.
 
         Each rule path's selection is advanced -- carried, patched or
         re-evaluated -- and contributes the nodes whose membership it
@@ -418,28 +381,30 @@ class PermissionResolver:
         no extra term: each is in the diff of every selection that held
         it (a carried selection holds none -- its skeleton would meet
         the removed labels).  A table no decision of which changed is
-        carried as the same object.
+        carried as the same object.  ``advanced`` holds selections
+        already advanced across the same ``changes`` (from
+        :meth:`note_commit`) and receives the ``$USER``-free ones this
+        call advances, so tables patched across one change-set share
+        them.
         """
         rules, user = fp
-        selections: Selections = {}
+        new_selections: Selections = {}
         moved: Dict[str, Collection[NodeId]] = {}
-        for path, nodes in tentry.selections.items():
+        for path, nodes in selections.items():
             step = advanced.get(path)
             if step is None:
                 step = self._advance(path, nodes, new_doc, changes, {"USER": user})
                 if "$" not in path:  # user-independent: share it
                     advanced[path] = step
-            selections[path], moved[path] = step
+            new_selections[path], moved[path] = step
         dirty: Dict[Privilege, Set[NodeId]] = {}
         for rule in rules:
             nodes = moved[rule.path]
             if nodes:
                 dirty.setdefault(rule.privilege, set()).update(nodes)
-        table = _patched(tentry.table, rules, selections, dirty)
-        self.stats[
-            "tables_carried" if table is tentry.table else "tables_patched"
-        ] += 1
-        return _TableEntry(new_doc, new_doc.mutation_stamp, table, selections)
+        patched = _patched(table, rules, new_selections, dirty)
+        self.stats["tables_carried" if patched is table else "tables_patched"] += 1
+        return patched, new_selections
 
     def _advance(
         self,
@@ -514,58 +479,18 @@ class PermissionResolver:
             }
         return table, selections
 
-    def resolve_cached(
-        self, doc: XMLDocument, policy: Policy, user: str
-    ) -> PermissionTable:
-        """Like :meth:`resolve`, but shared across users and commits.
-
-        The table is served from the fingerprint cache when the same
-        (applicable rules, document generation) pair was already
-        resolved -- for any user --, patched from the previous
-        generation's table when :meth:`note_commit` left it pending, and
-        fully resolved and recorded otherwise.  The returned table's
-        ``user`` field always names the requesting user (a shared table
-        is wrapped in a per-user facade).
-        """
+    def derive(
+        self, doc: XMLDocument, fp: Fingerprint, user: str
+    ) -> Tuple[PermissionTable, Selections]:
+        """The full replay for ``user``'s fingerprint ``fp``, with the
+        selections :meth:`patch_table` later advances; counted as a
+        ``delta_resolve`` when the path cache was carried onto ``doc``
+        by a commit, a ``full_resolve`` otherwise."""
         with self._lock:
-            fingerprint = self.fingerprint(policy, user)
-            entry = self._tables.get(fingerprint)
-            if (
-                entry is not None
-                and entry.doc is doc
-                and entry.stamp == doc.mutation_stamp
-            ):
-                if entry.table is not None:
-                    self.stats["table_cache_hits"] += 1
-                    self._tables.move_to_end(fingerprint)
-                    return entry.table.for_user(user)
-                previous, changes, advanced = entry.pending
-                try:
-                    entry = self._patch_table(
-                        previous, fingerprint, doc, changes, advanced
-                    )
-                except Exception:
-                    self.stats["degraded_rebuilds"] += 1
-                    logger.exception(
-                        "table patch failed; falling back to a full resolve"
-                    )
-                else:
-                    self._tables[fingerprint] = entry
-                    self._tables.move_to_end(fingerprint)
-                    return entry.table.for_user(user)
-            path_entry = self._path_cache.get(doc)
-            maintained = (
-                path_entry is not None and path_entry[0] == doc.mutation_stamp
-            )
-            table, selections = self._resolve(doc, fingerprint[0], user)
-            self.stats["delta_resolves" if maintained else "full_resolves"] += 1
-            self._tables[fingerprint] = _TableEntry(
-                doc, doc.mutation_stamp, table, selections
-            )
-            self._tables.move_to_end(fingerprint)
-            while len(self._tables) > TABLE_CACHE_SIZE:
-                self._tables.popitem(last=False)
-            return table
+            entry = self._path_cache.get(doc)
+            maintained = entry is not None and entry[0] == doc.mutation_stamp
+        self.stats["delta_resolves" if maintained else "full_resolves"] += 1
+        return self._resolve(doc, fp[0], user)
 
 
 #: The privileges axioms 15-17 consult (view membership and masking).

@@ -31,7 +31,8 @@ from .write import SecureUpdateResult, SecureWriteExecutor
 __all__ = ["ExplainEntry", "SESSION_CACHE_SIZE", "Session", "SessionCache"]
 
 #: Served sessions a server or replica keeps: each pins its user's view,
-#: so the bound is :data:`~repro.security.viewcache.VIEW_CACHE_SIZE`.
+#: so the bound is :data:`~repro.security.viewcache.VIEW_CACHE_SIZE`,
+#: the number of fingerprints whose table and view the database keeps.
 SESSION_CACHE_SIZE = 128
 
 

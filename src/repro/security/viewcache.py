@@ -1,4 +1,5 @@
-"""Shared, incrementally-maintained view cache (the serving layer).
+"""The one per-fingerprint cache: permission tables and views (the
+serving layer).
 
 The seed treated view materialization as strictly per-session state:
 every session rebuilt its own pruned copy of the document (axioms
@@ -7,27 +8,36 @@ of role-shaped permission tables, and (b) most commits touch a tiny
 region of the tree.  At serving scale that is the dominant cost --
 O(sessions x |doc|) per commit.
 
-:class:`ViewCache` removes both factors:
+:class:`ViewCache` removes both factors, for axiom 14's table and for
+the view derived from it, in one entry per permission fingerprint:
 
-**Sharing.** Views are keyed by ``(version, permission fingerprint)``
+**Sharing.** Entries are keyed by the permission fingerprint
 (:meth:`~repro.security.perm.PermissionResolver.fingerprint`): any two
 users whose applicable rules are identical and ``$USER``-free provably
-see byte-identical views, so one materialization serves them all.  Each
-session receives a cheap per-user *facade* (same underlying document
-and permission dictionaries, its own ``user`` field) -- views are
-treated as immutable once published, which the rest of the codebase
-already assumes (updates replace documents, never mutate views).
+hold the same table and see byte-identical views, so one derivation
+serves them all.  Each caller receives a cheap per-user *facade* (same
+underlying document and permission dictionaries, its own ``user``
+field) -- tables and views are treated as immutable once published,
+which the rest of the codebase already assumes (updates replace
+documents, never mutate views).
 
-**Incremental patching.** On a commit that published a usable
-:class:`~repro.xupdate.changeset.ChangeSet`, a stale cached view is
-*patched*: the dirty regions are the change-set's touched roots plus
-any nodes whose read/position outcome differs between the old and new
-permission tables, and only those subtrees are re-pruned against the
-new source (the rest of the cached view document is carried).  A
-missing or conservative change-set, or a cache entry too far behind the
-bounded change log, falls back to the full axioms-15-17 build --
-patching is an optimization, never a correctness requirement; the
-differential property suite pins patched == from-scratch.
+**One staleness rule.** An entry holds one document generation (the
+document object, its mutation stamp and the database version), the
+table derived for it, the per-rule selections the table was replayed
+from, and the view, or None until one is asked for.  It is *current*
+when it was derived from the installed document at its present stamp.
+It is *behind* when the change log still holds every change-set since
+its version, none conservative, and their mutation stamps chain from
+the entry's to the installed document's: the table is then advanced by
+the composed change-set (:meth:`PermissionResolver.patch_table`) and a
+held view is patched on the dirty regions -- the change-set's touched
+roots plus the nodes whose read/position outcome the table patch
+flipped -- and only those subtrees are re-grown (the rest of the view
+document is carried).  Anything else -- a missing or conservative
+change-set, an entry older than the log, a document edited in place --
+derives both from scratch: patching is an optimization, never a
+correctness requirement; the differential property suite pins patched
+== from-scratch.
 
 Hit/patch/build decisions are counted in :attr:`ViewCache.stats` and
 surfaced through ``SecureXMLDatabase.stats()``.
@@ -40,80 +50,88 @@ import logging
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import DOCUMENT_ID, NodeId, document_order_key
 from ..xupdate.changeset import ChangeSet
-from .perm import Fingerprint, PermissionTable
+from .perm import Fingerprint, PermissionTable, Selections
 from .view import View, ViewBuilder, grow
 
 __all__ = ["CHANGE_LOG_SIZE", "VIEW_CACHE_SIZE", "ViewCache"]
 
 logger = logging.getLogger("repro.security.viewcache")
 
-#: Cached views (LRU-evicted): one entry per distinct permission
-#: fingerprint per policy shape.
+#: Cached fingerprints (LRU-evicted): each entry holds one table and at
+#: most one view.
 VIEW_CACHE_SIZE = 128
 
-#: Commits of change-set history kept; a cached view older than the
-#: log cannot be patched and is rebuilt.
+#: Commits of change-set history kept; an entry older than the log
+#: cannot be advanced and is derived again.
 CHANGE_LOG_SIZE = 64
 
 
 @dataclass
 class _Entry:
-    """One materialized view pinned to a database version."""
+    """One fingerprint's table and view, pinned to one document
+    generation."""
 
+    doc: XMLDocument
+    stamp: int
     version: int
-    view: View
+    table: PermissionTable
+    selections: Selections
+    view: Optional[View] = None
 
 
 class ViewCache:
-    """Materialized views shared across sessions and carried across
-    commits: at most :data:`VIEW_CACHE_SIZE` views, patched from the
-    last :data:`CHANGE_LOG_SIZE` commits' change-sets."""
+    """Permission tables and views shared across sessions and carried
+    across commits: at most :data:`VIEW_CACHE_SIZE` fingerprints,
+    advanced from the last :data:`CHANGE_LOG_SIZE` commits'
+    change-sets."""
 
     def __init__(self) -> None:
         self._entries: "OrderedDict[Fingerprint, _Entry]" = OrderedDict()
-        self._log: "OrderedDict[int, Optional[ChangeSet]]" = OrderedDict()
+        # version -> (usable change-set or None, the replaced document's
+        # stamp at commit, the installed document's stamp at commit).
+        self._log: "OrderedDict[int, Tuple[Optional[ChangeSet], int, int]]" = (
+            OrderedDict()
+        )
+        # The latest commit's version and the $USER-free selections the
+        # resolver advanced across it, shared by every table patched at
+        # lag 1.
+        self._shared: Tuple[int, Optional[dict]] = (-1, None)
         # Serving happens from many reader threads at once and cache
         # bookkeeping (LRU moves, entry replacement) is not atomic, so
-        # the whole serve/commit surface is one critical section.  An
-        # RLock because a full build re-enters the resolver, which may
-        # call back while this lock is held.
-        self._lock = threading.RLock()
+        # the whole serve/commit surface is one critical section.
+        self._lock = threading.Lock()
         #: Decision counters; read via ``SecureXMLDatabase.stats()``.
         self.stats: Dict[str, int] = {
-            "hits": 0,  # served at the current version, no work
-            "incremental_patches": 0,  # stale entry patched in place
+            "hits": 0,  # views served at the current generation, no work
+            "incremental_patches": 0,  # held views patched across commits
             "full_builds": 0,  # axioms 15-17 from scratch
             "degraded_rebuilds": 0,  # patch raised; entry discarded, rebuilt
+            "table_cache_hits": 0,  # tables served at the current generation
         }
 
     # ------------------------------------------------------------------
     # commit feed
     # ------------------------------------------------------------------
-    def note_commit(self, version: int, changes: Optional[ChangeSet]) -> None:
-        """Record the change-set that produced ``version`` (None when
-        the committer did not track one)."""
+    def note_commit(
+        self, database, old_doc: XMLDocument, changes: Optional[ChangeSet]
+    ) -> None:
+        """Record the commit that installed ``database.document`` over
+        ``old_doc`` as ``database.version`` (``changes`` None when the
+        committer did not track one), and advance the resolver's shared
+        path cache across it."""
         with self._lock:
-            self._log[version] = changes
+            doc, version = database.document, database.version
+            advanced = database.resolver.note_commit(old_doc, doc, changes)
+            usable = changes if advanced is not None else None
+            self._log[version] = (usable, old_doc.mutation_stamp, doc.mutation_stamp)
             while len(self._log) > CHANGE_LOG_SIZE:
                 self._log.popitem(last=False)
-
-    def _composed_changes(
-        self, from_version: int, to_version: int
-    ) -> Optional[ChangeSet]:
-        """The composite change-set across ``(from_version, to_version]``,
-        or None when any step is missing or conservative."""
-        steps: List[ChangeSet] = []
-        for v in range(from_version + 1, to_version + 1):
-            cs = self._log.get(v)
-            if cs is None or cs.conservative:
-                return None
-            steps.append(cs)
-        return ChangeSet.merge_all(steps)
+            self._shared = (version, advanced)
 
     # ------------------------------------------------------------------
     # serving
@@ -129,50 +147,101 @@ class ViewCache:
                 the materialization is shared with other users.
         """
         with self._lock:
-            resolver = database.resolver
-            policy = database.policy
-            doc = database.document
-            version = database.version
-            fingerprint = resolver.fingerprint(policy, user)
-            entry = self._entries.get(fingerprint)
-            if entry is not None and entry.version == version:
-                if entry.view.source is doc:
-                    self.stats["hits"] += 1
-                    self._entries.move_to_end(fingerprint)
-                    return self._facade(entry.view, user)
-                # Same version counter but a different document object can
-                # only mean a foreign commit path; treat as stale.
-                entry = None
-            table = resolver.resolve_cached(doc, policy, user)
-            if entry is not None and entry.version < version:
-                changes = self._composed_changes(entry.version, version)
-                if changes is not None:
-                    # A patch that raises must not leave a half-patched
-                    # entry behind: discard it, count the degradation,
-                    # and re-derive from scratch below.
-                    try:
-                        view = self._patch(entry.view, doc, policy, table, changes)
-                    except Exception:
-                        self._entries.pop(fingerprint, None)
-                        self.stats["degraded_rebuilds"] += 1
-                        logger.exception(
-                            "incremental view patch failed for %r; "
-                            "discarding entry and rebuilding", user
-                        )
-                    else:
-                        self.stats["incremental_patches"] += 1
-                        self._store(fingerprint, version, view)
-                        return self._facade(view, user)
-            view = ViewBuilder(resolver).build(doc, policy, user, permissions=table)
-            self.stats["full_builds"] += 1
-            self._store(fingerprint, version, view)
-            return self._facade(view, user)
+            entry, current = self._entry(database, user)
+            if entry.view is None:
+                entry.view = ViewBuilder(database.resolver).build(
+                    entry.doc,
+                    database.policy,
+                    user,
+                    permissions=entry.table.for_user(user),
+                )
+                self.stats["full_builds"] += 1
+            elif current:
+                self.stats["hits"] += 1
+            return self._facade(entry.view, user)
 
-    def _store(self, fingerprint: Fingerprint, version: int, view: View) -> None:
-        self._entries[fingerprint] = _Entry(version, view)
-        self._entries.move_to_end(fingerprint)
+    def table_for(self, database, user: str) -> PermissionTable:
+        """The current permission table for ``user`` (axiom 14), from
+        the same entry as :meth:`view_for`; builds no view."""
+        with self._lock:
+            entry, current = self._entry(database, user)
+            if current:
+                self.stats["table_cache_hits"] += 1
+            return entry.table.for_user(user)
+
+    def _entry(self, database, user: str) -> Tuple[_Entry, bool]:
+        """The user's entry brought to the installed generation, and
+        whether it already was there."""
+        resolver = database.resolver
+        # Version before document: a commit installs the document first,
+        # so an entry never claims a newer version than its document.
+        version = database.version
+        doc = database.document
+        fp = resolver.fingerprint(database.policy, user)
+        entry = self._entries.get(fp)
+        current = (
+            entry is not None
+            and entry.doc is doc
+            and entry.stamp == doc.mutation_stamp
+        )
+        if entry is not None and not current:
+            entry = self._advance(database, fp, entry, doc, version)
+        if entry is None:
+            table, selections = resolver.derive(doc, fp, user)
+            entry = _Entry(doc, doc.mutation_stamp, version, table, selections)
+        self._entries[fp] = entry
+        self._entries.move_to_end(fp)
         while len(self._entries) > VIEW_CACHE_SIZE:
             self._entries.popitem(last=False)
+        return entry, current
+
+    def _advance(
+        self,
+        database,
+        fp: Fingerprint,
+        entry: _Entry,
+        doc: XMLDocument,
+        version: int,
+    ) -> Optional[_Entry]:
+        """``entry`` carried onto ``doc`` (at ``version``) by the
+        change-sets logged since it was derived, or None when it must be
+        derived from scratch: a step is missing or conservative, or the
+        stamps do not chain (a document was edited in place outside a
+        commit)."""
+        if entry.version >= version:
+            return None
+        steps: List[ChangeSet] = []
+        stamp = entry.stamp
+        for v in range(entry.version + 1, version + 1):
+            step = self._log.get(v)
+            if step is None or step[0] is None or step[1] != stamp:
+                return None
+            steps.append(step[0])
+            stamp = step[2]
+        if stamp != doc.mutation_stamp:
+            return None
+        if len(steps) == 1 and self._shared[0] == version:
+            changes, advanced = steps[0], self._shared[1]
+        else:
+            changes, advanced = ChangeSet.merge_all(steps), {}
+        # A patch that raises must not leave a half-patched entry
+        # behind: discard it, count the degradation, and let the caller
+        # re-derive from scratch.
+        try:
+            table, selections = database.resolver.patch_table(
+                entry.table, entry.selections, fp, doc, changes, advanced
+            )
+            view = entry.view
+            if view is not None:
+                view = self._patch(view, doc, database.policy, table, changes)
+                self.stats["incremental_patches"] += 1
+        except Exception:
+            self.stats["degraded_rebuilds"] += 1
+            logger.exception(
+                "incremental patch failed; discarding entry and rebuilding"
+            )
+            return None
+        return _Entry(doc, doc.mutation_stamp, version, table, selections, view)
 
     @staticmethod
     def _facade(view: View, user: str) -> View:
@@ -231,7 +300,7 @@ class ViewCache:
             doc=new_doc,
             source=new_source,
             restricted=frozenset(restricted),
-            permissions=table,
+            permissions=table.for_user(old_view.user),
             policy=policy,
         )
 

@@ -88,6 +88,11 @@ __all__ = ["DatabaseServer"]
 
 logger = logging.getLogger("repro.serving")
 
+#: Consecutive disk-I/O-failed commits after which :meth:`stats`
+#: reports ``disk_sick`` True -- the failover supervisor treats a sick
+#: primary disk as a promotion reason.
+DISK_SICK_THRESHOLD = 3
+
 
 class _WalDegraded(Exception):
     """Internal: the write-ahead log was detached mid-attempt; the
@@ -144,9 +149,6 @@ class DatabaseServer:
             in :meth:`stats`) rather than refusing every write.
         checkpoint_every: automatically :meth:`checkpoint` after this
             many committed writes; None disables auto-checkpointing.
-        dedup_capacity: entries in the exactly-once dedup table
-            (idempotency key -> acknowledged summary, FIFO-bounded; see
-            :class:`~repro.serving.dedup.DedupTable`).
         scrub_interval: seconds between background integrity-scrub
             steps over the attached log's directory (see
             :class:`repro.scrub.Scrubber`); None (the default) runs no
@@ -154,12 +156,6 @@ class DatabaseServer:
             for caller-paced scrubbing.
         scrub_budget: byte budget per scrub step (None = each step is
             a full pass).
-        scrub_deep: scrub checkpoints by recomputing their SHA-256
-            (not just checking the integrity header exists).
-        disk_sick_threshold: consecutive disk-I/O-failed commits after
-            which :meth:`stats` reports ``disk_sick`` True -- the
-            failover supervisor treats a sick primary disk as a
-            promotion reason.
         clock: monotonic time source (injectable for tests).
         sleep: how to wait out a backoff delay (injectable for tests).
         rng: randomness source for jitter (seedable for tests).
@@ -177,11 +173,8 @@ class DatabaseServer:
         wal=None,
         wal_failure_threshold: int = 3,
         checkpoint_every: Optional[int] = None,
-        dedup_capacity: int = 1024,
         scrub_interval: Optional[float] = None,
         scrub_budget: Optional[int] = None,
-        scrub_deep: bool = False,
-        disk_sick_threshold: int = 3,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
@@ -195,15 +188,11 @@ class DatabaseServer:
             raise ValueError("checkpoint_every must be >= 1 or None")
         if scrub_interval is not None and scrub_interval <= 0:
             raise ValueError("scrub_interval must be positive or None")
-        if disk_sick_threshold < 1:
-            raise ValueError("disk_sick_threshold must be >= 1")
         self._wal_failure_threshold = wal_failure_threshold
         self._wal_consecutive_failures = 0
-        self._disk_sick_threshold = disk_sick_threshold
         self._disk_io_consecutive = 0
         self._scrub_interval = scrub_interval
         self._scrub_budget = scrub_budget
-        self._scrub_deep = scrub_deep
         self._scrubber = None
         self._scrub_thread: Optional[threading.Thread] = None
         self._scrub_stop = threading.Event()
@@ -223,7 +212,7 @@ class DatabaseServer:
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
         self._lock = RWLock()
-        self._dedup = DedupTable(dedup_capacity)
+        self._dedup = DedupTable()
         self._fenced_at: Optional[int] = None
         self._sessions = SessionCache(database.login)
         self._counters_lock = threading.Lock()
@@ -852,7 +841,6 @@ class DatabaseServer:
             self._scrubber = Scrubber(
                 wal.directory,
                 budget_bytes=self._scrub_budget,
-                deep=self._scrub_deep,
             )
         return self._scrubber
 
@@ -1067,7 +1055,7 @@ class DatabaseServer:
             out["wal_fsync_policy"] = str(wal.fsync_policy)
             out["wal_failed"] = wal.failed
         out["disk_sick"] = (
-            self._disk_io_consecutive >= self._disk_sick_threshold
+            self._disk_io_consecutive >= DISK_SICK_THRESHOLD
         )
         out["scrub"] = (
             self._scrubber.counters if self._scrubber is not None else None

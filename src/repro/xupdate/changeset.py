@@ -21,11 +21,14 @@ whole script) that makes that localization possible:
   disjoint from this set provably selects the same nodes before and
   after the commit (see :mod:`repro.xpath.skeleton`).
 
-Downstream consumers (:class:`~repro.security.perm.PermissionResolver`,
-:class:`~repro.security.viewcache.ViewCache`) treat a missing or
-:attr:`conservative` change-set as "anything may have changed" and fall
-back to full re-derivation, so producing a change-set is always an
-optimization, never a correctness requirement.
+Its one consumer is :class:`~repro.security.viewcache.ViewCache`: it
+logs each commit's change-set, feeds it to the
+:class:`~repro.security.perm.PermissionResolver`'s shared path cache,
+and advances each cached permission table and view by the change-sets
+composed (:meth:`ChangeSet.merge_all`) since the entry was derived.  A
+missing or :attr:`conservative` change-set means "anything may have
+changed" and falls back to full re-derivation, so producing a
+change-set is always an optimization, never a correctness requirement.
 """
 
 from __future__ import annotations

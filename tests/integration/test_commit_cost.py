@@ -21,6 +21,9 @@ document: 5,499 -> 43,299 hashes and 1,204 -> 9,604 lists from 120 to
 
 The database is the benchmark's hospital (``tests/hospital.py``).
 
+A read two commits behind advances its table by the composed
+change-set, beside its view, instead of re-resolving it.
+
 A write's privilege checks are table lookups too: the view it selects
 on already holds the user's permission table, so no check replays a
 rule's chain automaton (``PathSkeleton.matches``) per node.
@@ -112,6 +115,28 @@ def test_a_commit_patches_tables_instead_of_resolving():
         > before["tables_carried"] + before["tables_patched"]
     )
     assert after["view_incremental_patches"] > before["view_incremental_patches"]
+    assert after["view_full_builds"] == before["view_full_builds"]
+
+
+def test_a_read_two_commits_behind_patches_its_table():
+    """The reader's entry is two commits behind: its table is advanced
+    by the composed change-set beside its view, not re-resolved."""
+    db = bench_hospital(120)
+    writer, reader = db.login("laporte"), db.login("beaufort")
+    writer.execute(update_script("patient00007", "warm"))
+    reader.query("/patients/patient00007/diagnosis")
+    writer.execute(update_script("patient00042", "dx1"))
+    writer.execute(update_script("patient00043", "dx2"))
+    before = db.stats()
+    reader.query("/patients/patient00042/diagnosis")
+    after = db.stats()
+    assert after["full_resolves"] == before["full_resolves"]
+    assert after["delta_resolves"] == before["delta_resolves"]
+    assert (
+        after["tables_carried"] + after["tables_patched"]
+        > before["tables_carried"] + before["tables_patched"]
+    )
+    assert after["view_incremental_patches"] == before["view_incremental_patches"] + 1
     assert after["view_full_builds"] == before["view_full_builds"]
 
 

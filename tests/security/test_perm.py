@@ -153,7 +153,7 @@ class TestExplanation:
         decided = 0
         for user in sorted(db.subjects.users):
             table = db.resolver.resolve(doc, policy, user)
-            shared = db.resolver.resolve_cached(doc, policy, user)
+            shared = db.permissions_for(user)
             for privilege in Privilege:
                 winner = {}
                 for rule in policy.rules_for(user, privilege):

@@ -161,12 +161,10 @@ class TestDeciderInternals:
 
     def test_memo_tracks_document_mutation(self):
         # The table cache is pinned to the document's mutation stamp:
-        # a mutated document is never answered from a stale table.
+        # a document edited in place is never answered from a stale
+        # table.
         db = _fresh_db()
-        doc = db.document.copy()
-        nid = db.engine.select(doc, "//name")[0]
-        table = db.resolver.resolve_cached(doc, db.policy, "alice")
-        assert table.holds(nid, Privilege.READ)
-        doc.relabel(nid, "diagnosis")  # bumps the mutation stamp
-        table = db.resolver.resolve_cached(doc, db.policy, "alice")
-        assert not table.holds(nid, Privilege.READ)
+        nid = db.engine.select(db.document, "//name")[0]
+        assert db.permissions_for("alice").holds(nid, Privilege.READ)
+        db.document.relabel(nid, "diagnosis")  # bumps the mutation stamp
+        assert not db.permissions_for("alice").holds(nid, Privilege.READ)
