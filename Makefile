@@ -13,9 +13,14 @@ test:
 # storage layer is injected and the atomicity invariant asserted.
 # Differential mode is armed so every XPath evaluation in the lane
 # (all compiled: xpath/compiler.py is the only executor) is re-checked
-# against the AST interpreter kept as repro.testing.xpath_oracle.
+# against the AST interpreter kept as repro.testing.xpath_oracle.  The
+# lane then runs the security and XUpdate suites under the same mode,
+# so every secured query, rule path and write-select -- the child steps
+# the per-parent name index answers included -- is checked against the
+# oracle's sibling scan, not only the kill-point cases.
 fault:
 	REPRO_XPATH_DIFFERENTIAL=1 $(PYTEST) -x -q -m fault
+	REPRO_XPATH_DIFFERENTIAL=1 $(PYTEST) -x -q tests/security tests/xupdate
 
 # Concurrency chaos lane: 200+ seeded schedules through the serving
 # layer (plus real-thread soaks), asserting serial-equivalence of the

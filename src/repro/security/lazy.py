@@ -208,6 +208,16 @@ class LazyView:
         """Visible non-attribute children, in document order."""
         return [c for c in self._source.children(nid) if self.visible(c)]
 
+    def children_named(self, parent: NodeId, label: str) -> List[NodeId]:
+        """Visible element children labelled ``label`` (as the user sees
+        labels, RESTRICTED included): a scan of :meth:`children`, the
+        reading :meth:`XMLDocument.children_named` indexes."""
+        return [
+            c
+            for c in self.children(parent)
+            if self.kind(c) is NodeKind.ELEMENT and self.label(c) == label
+        ]
+
     def attributes(self, nid: NodeId) -> List[NodeId]:
         """Visible attribute nodes, in document order."""
         return [a for a in self._source.attributes(nid) if self.visible(a)]

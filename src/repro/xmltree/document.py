@@ -24,6 +24,18 @@ first write to a shared list replaces it with a private copy
 node's empty list, a graft's filtered lists, a renumbering's rebuilt
 ones -- are owned from birth.  Nothing outside this module touches
 ``_children``.
+
+Name index: :meth:`XMLDocument.children_named` answers a child step by
+name from a lazily built, per-parent ``label -> element ids`` map.  An
+entry records the sibling list it was built from and is used only while
+that list ``is`` the document's current one, so a copy-on-first-write
+(:meth:`XMLDocument._own`) retires it by itself.  :meth:`copy` copies
+the entry dict, so two generations share entries exactly as they share
+lists; an entry is never mutated, only dropped -- in this document
+alone -- when its list is written in place (``_install``,
+``remove_subtree``) or one of its children is relabelled.  Persistent
+numbering (section 3.1) is what keeps this cheap: an id never changes,
+so an entry stays valid for as long as its list is shared.
 """
 
 from __future__ import annotations
@@ -56,6 +68,11 @@ __all__ = ["XMLDocument", "DocumentError"]
 
 class DocumentError(Exception):
     """Structural error: unknown node, illegal parent/child combination..."""
+
+
+#: One name-index entry: (the sibling list it was built from,
+#: label -> element children in document order).
+_NameEntry = Tuple[List[NodeId], Dict[str, List[NodeId]]]
 
 
 _DOCUMENT_NODE = Node(DOCUMENT_ID, NodeKind.DOCUMENT, "/")
@@ -111,6 +128,9 @@ class XMLDocument:
         # Lazy per-kind index for the //*, //node(), //text() fast paths.
         self._kind_index: Optional[Dict[NodeKind, Set[NodeId]]] = None
         self._kind_index_stamp = -1
+        # parent -> (the sibling list it was built from, label -> element
+        # ids in document order); see the module docstring's name index.
+        self._name_index: Dict[NodeId, _NameEntry] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -176,6 +196,30 @@ class XMLDocument:
             for c in self._children.get(nid, ())
             if self._nodes[c].kind in _CHILD_KINDS
         ]
+
+    def children_named(self, parent: NodeId, label: str) -> Sequence[NodeId]:
+        """``child::label``: the element children of ``parent`` labelled
+        ``label``, in document order -- a lookup, not a sibling scan.
+
+        The first call for a parent builds its ``label -> ids`` entry in
+        one pass over the sibling list; later calls, in this generation
+        and in every copy still sharing the list, are dict reads.  The
+        result is shared with the index: callers must not mutate it.
+        """
+        kids = self._children.get(parent)
+        if kids is None:
+            return ()
+        entry = self._name_index.get(parent)
+        if entry is None or entry[0] is not kids:
+            # Two readers racing here build equal entries; either wins.
+            named: Dict[str, List[NodeId]] = {}
+            nodes = self._nodes
+            for kid in kids:
+                node = nodes[kid]
+                if node.kind is NodeKind.ELEMENT:
+                    named.setdefault(node.label, []).append(kid)
+            entry = self._name_index[parent] = (kids, named)
+        return entry[1].get(label, ())
 
     def attributes(self, nid: NodeId) -> List[NodeId]:
         """Attribute nodes of an element, in document order."""
@@ -438,6 +482,7 @@ class XMLDocument:
         if node.is_document:
             raise DocumentError("the document node cannot be relabelled")
         self._nodes[nid] = node.relabelled(new_label)
+        self._name_index.pop(nid.parent(), None)
         self.mutation_stamp += 1
 
     def set_value(self, nid: NodeId, new_value: str) -> None:
@@ -458,13 +503,17 @@ class XMLDocument:
         if node.is_document:
             raise DocumentError("the document node cannot be removed")
         removed = list(self.subtree(nid))
+        name_index = self._name_index
         for r in removed:
             self._nodes.pop(r, None)
             self._children.pop(r, None)
+            name_index.pop(r, None)
             if self._owned is not None:
                 self._owned.discard(r)
-        kids = self._own(nid.parent())
+        parent = nid.parent()
+        kids = self._own(parent)
         del kids[order_index(kids, nid)]
+        name_index.pop(parent, None)
         self.mutation_stamp += 1
         return len(removed)
 
@@ -575,6 +624,7 @@ class XMLDocument:
         dup._label_index_stamp = -1
         dup._kind_index = None
         dup._kind_index_stamp = -1
+        dup._name_index = dict(self._name_index)
         dup.renumber_count = self.renumber_count
         dup.renumbered_nodes = self.renumbered_nodes
         dup.last_renumber_mapping = dict(self.last_renumber_mapping)
@@ -638,6 +688,7 @@ class XMLDocument:
         self._nodes = new_nodes
         self._children = new_children
         self._owned = None  # every list was just rebuilt
+        self._name_index = {}
         self.mutation_stamp += 1
         return mapping
 
@@ -657,13 +708,15 @@ class XMLDocument:
 
     def _install(self, node: Node) -> None:
         nid = node.nid
-        kids = self._own(nid.parent())
+        parent = nid.parent()
+        kids = self._own(parent)
         # Keep the sibling list strictly increasing: appending (loading,
         # append_child) is O(1), anything else a bisect on the stored key.
         if not kids or kids[-1] < nid:
             kids.append(nid)
         else:
             kids.insert(order_index(kids, nid), nid)
+        self._name_index.pop(parent, None)
         self._nodes[nid] = node
         self._children[nid] = []  # a fresh id: no list to keep
         if self._owned is not None:

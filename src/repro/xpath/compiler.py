@@ -22,6 +22,12 @@ compiling an XPath string into a reusable, shareable evaluator object:
 - **axis fusion**: the ``//`` desugar pair ``descendant-or-self::node()
   / child::T`` compiles to a single descendant scan (answered from the
   document's label/kind indexes when available);
+- **child steps by name**: ``child::name``, ``*[$v]`` (under
+  ``lone_variable_name_test``) and ``*[name()='lit']`` /
+  ``*['lit'=name()]`` (non-empty ``lit``) compile to a
+  ``children_named`` lookup on the document's per-parent name index
+  instead of a test of every sibling; the consumed predicate is the
+  first one, and any later predicates run on the looked-up list;
 - **constant folding**: a predicate whose expression is context-free
   (literals, numbers, arithmetic/comparisons over them) is folded at
   compile time -- ``[3]`` becomes a slice, ``[true-valued]`` disappears,
@@ -520,6 +526,10 @@ def _compile_fused_descendant(test, flags: CompatFlags) -> _StepFn:
     def fused(current: NodeSet, ctx: Context) -> NodeSet:
         doc = ctx.doc
         if indexed is not None and hasattr(doc, "nodes_with_label"):
+            if current == _FROM_DOCUMENT:
+                # Every indexed node is a strict descendant of the
+                # document node: no ancestor test to make.
+                return sort_document_order(indexed(doc))
             return sort_document_order(
                 [n for n in indexed(doc) for c in current if c.is_ancestor_of(n)]
             )
@@ -537,6 +547,8 @@ def _compile_fused_descendant(test, flags: CompatFlags) -> _StepFn:
     return fused
 
 
+#: The context a ``//T`` from the document node starts from.
+_FROM_DOCUMENT = [DOCUMENT_ID]
 #: What the paper-compat lone ``*`` matches off the attribute axis.
 _STAR_KINDS = (NodeKind.ELEMENT, NodeKind.TEXT, NodeKind.COMMENT)
 #: Kind tests answerable from the document's kind index.
@@ -590,6 +602,22 @@ _AXIS_FNS = {
 
 
 def _compile_step(step: Step, flags: CompatFlags) -> _StepFn:
+    """A step as a closure: a ``children_named`` lookup for the child
+    steps the name index answers, an axis scan for the rest."""
+    if step.axis != "child":
+        return _compile_scan(step, flags)
+    test = step.test
+    if isinstance(test, NameTest) and not test.is_wildcard:
+        name = test.name
+        return _compile_lookup(lambda ctx: name, step.predicates, None, flags)
+    scan = _compile_scan(step, flags)
+    bound = _bound_child_name(step, flags)
+    if bound is None:
+        return scan
+    return _compile_lookup(bound, step.predicates[1:], scan, flags)
+
+
+def _compile_scan(step: Step, flags: CompatFlags) -> _StepFn:
     axis_fn = _AXIS_FNS.get(step.axis)
     if axis_fn is None:
         raise XPathEvaluationError(f"unknown axis {step.axis!r}")
@@ -612,6 +640,90 @@ def _compile_step(step: Step, flags: CompatFlags) -> _StepFn:
         return sort_document_order(gathered)
 
     return run
+
+
+def _compile_lookup(
+    name_of: Callable[[Context], Optional[str]],
+    predicates: Tuple[Expr, ...],
+    scan: Optional[_StepFn],
+    flags: CompatFlags,
+) -> _StepFn:
+    """A child step answered by ``doc.children_named(node, name_of(ctx))``,
+    then ``predicates`` -- on the looked-up list, so positions are the
+    ones the scan would give.  ``name_of`` returns None only when a
+    ``scan`` of the step is given to fall back to."""
+    pred_fns = _compile_predicates(predicates, flags)
+
+    def run_named(current: NodeSet, ctx: Context) -> NodeSet:
+        name = name_of(ctx)
+        if name is None:
+            return scan(current, ctx)
+        doc = ctx.doc
+        gathered: List[NodeId] = []
+        for context_node in current:
+            candidates = doc.children_named(context_node, name)
+            for pred in pred_fns:
+                if not candidates:
+                    break
+                candidates = pred(candidates, ctx)
+            gathered.extend(candidates)
+        if len(current) == 1:
+            return gathered  # one sibling list: in order, no duplicates
+        return sort_document_order(gathered)
+
+    return run_named
+
+
+def _bound_child_name(
+    step: Step, flags: CompatFlags
+) -> Optional[Callable[[Context], Optional[str]]]:
+    """``ctx -> label`` when a ``*`` child step's first predicate makes
+    it select exactly the element children carrying that label --
+    ``*[$v]`` under the lone-variable reading, ``*[name()='lit']`` or
+    ``*['lit'=name()]`` -- so the step is a lookup; None otherwise.
+
+    The label function returns None where the lookup would not be
+    exact -- an unbound ``$v`` (the scan raises only if a candidate
+    reaches the predicate) or a ``name()`` the context's library
+    redefines -- and the step scans.  A non-empty literal is required
+    of the ``name()`` form because text and comment nodes, which the
+    paper-compat ``*`` also matches, have the empty name.
+    """
+    test = step.test
+    if not (isinstance(test, NameTest) and test.is_wildcard and step.predicates):
+        return None
+    first = step.predicates[0]
+    if flags.lone_variable_name_test and isinstance(first, VariableRef):
+        variable = first.name
+
+        def bound_name(ctx: Context) -> Optional[str]:
+            value = ctx.variables.get(variable)
+            return None if value is None else to_string(value, ctx.doc)
+
+        return bound_name
+    literal = _name_equals_literal(first)
+    if not literal:
+        return None
+    core_name = CORE_FUNCTIONS["name"]
+    return lambda ctx: literal if ctx.functions.get("name") is core_name else None
+
+
+def _name_equals_literal(predicate: Expr) -> Optional[str]:
+    """``lit`` for a ``name()='lit'`` or ``'lit'=name()`` predicate."""
+    if not isinstance(predicate, BinaryOp) or predicate.op != "=":
+        return None
+    for call, literal in (
+        (predicate.left, predicate.right),
+        (predicate.right, predicate.left),
+    ):
+        if (
+            isinstance(call, FunctionCall)
+            and call.name == "name"
+            and not call.args
+            and isinstance(literal, Literal)
+        ):
+            return literal.value
+    return None
 
 
 def _compile_test(axis: str, test, flags: CompatFlags) -> Optional[Callable]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, TYPE_CHECKING
 
+from ..xmltree.node import NodeKind
 from .values import (
     NodeSet,
     XPathValue,
@@ -62,6 +63,10 @@ def _fn_count(ctx: "Context", args: List[XPathValue]) -> XPathValue:
     return float(len(args[0]))
 
 
+#: Node kinds whose ``name()`` / ``local-name()`` is the empty string.
+_UNNAMED = frozenset({NodeKind.DOCUMENT, NodeKind.TEXT, NodeKind.COMMENT})
+
+
 def _name_of(ctx: "Context", args: List[XPathValue], name: str) -> str:
     if args:
         _require(is_node_set(args[0]), f"{name}() requires a node-set")
@@ -72,7 +77,9 @@ def _name_of(ctx: "Context", args: List[XPathValue], name: str) -> str:
     else:
         target = ctx.node
     node = ctx.doc.node(target)
-    if node.is_document or node.is_text:
+    # Only elements, attributes and processing instructions have an
+    # expanded-name (spec 5); a text or comment label is its content.
+    if node.kind in _UNNAMED:
         return ""
     return node.label
 

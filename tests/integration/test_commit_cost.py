@@ -7,17 +7,19 @@ view patched on its dirty regions -- must do work proportional to the
 delta.  Two counts per write + read cycle stand in for that work, with
 no stopwatch:
 
-- ``NodeId.__hash__`` calls outside XPath evaluation.  Evaluation is
-  left out because the child step still tests every sibling of
-  ``/patients`` (the per-parent name index is a separate item); every
-  other dict or set touch of an id is counted.
+- ``NodeId.__hash__`` calls, XPath evaluation included: every dict or
+  set touch of an id.  A child step by name is a lookup in the parent's
+  name index (``XMLDocument.children_named``), so ``/patients/<name>``
+  does not test every sibling of ``/patients``.
 - sibling lists a ``copy()`` made during the cycle ended up not sharing
   with the document it was copied from.
 
 Re-listing every sibling list per copy and re-resolving each cached
 permission table over whole selections made both grow with the
 document: 5,499 -> 43,299 hashes and 1,204 -> 9,604 lists from 120 to
-960 patients.
+960 patients.  A child step that scanned its siblings made a warm
+point read hash 376 -> 2,896 ids and rule 5's selection for one user
+507 -> 3,867; both are now the same count at either size.
 
 The database is the benchmark's hospital (``tests/hospital.py``).
 
@@ -33,10 +35,24 @@ from repro.security.privileges import Privilege
 from repro.security.write import SecureWriteExecutor
 from repro.xmltree import XMLDocument
 from repro.xmltree.labels import NodeId
-from repro.xpath.compiler import CompiledXPath
 from repro.xpath.skeleton import PathSkeleton
 
 from tests.hospital import bench_hospital, update_script
+
+
+def count_hashes(action, monkeypatch):
+    """``(action(), NodeId.__hash__ calls it made)``."""
+    hashes = [0]
+    original_hash = NodeId.__hash__
+
+    def counted_hash(self):
+        hashes[0] += 1
+        return original_hash(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NodeId, "__hash__", counted_hash)
+        result = action()
+    return result, hashes[0]
 
 
 def cycle_counts(patients: int, monkeypatch) -> dict:
@@ -48,36 +64,21 @@ def cycle_counts(patients: int, monkeypatch) -> dict:
         writer.execute(update_script("patient00007", f"warm{warm}"))
         reader.query("/patients/patient00007/diagnosis")
 
-    counting = [True]
-    hashes = [0]
     copies = []
-    original_hash = NodeId.__hash__
-    original_call = CompiledXPath.__call__
     original_copy = XMLDocument.copy
-
-    def counted_hash(self):
-        if counting[0]:
-            hashes[0] += 1
-        return original_hash(self)
-
-    def uncounted_call(self, ctx):
-        counting[0] = False
-        try:
-            return original_call(self, ctx)
-        finally:
-            counting[0] = True
 
     def recorded_copy(self):
         dup = original_copy(self)
         copies.append((self, dup))
         return dup
 
-    with monkeypatch.context() as patch:
-        patch.setattr(NodeId, "__hash__", counted_hash)
-        patch.setattr(CompiledXPath, "__call__", uncounted_call)
-        patch.setattr(XMLDocument, "copy", recorded_copy)
+    def cycle():
         result = writer.execute(update_script("patient00042", "dxnew"))
-        read = reader.query("/patients/patient00042/diagnosis")
+        return result, reader.query("/patients/patient00042/diagnosis")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(XMLDocument, "copy", recorded_copy)
+        (result, read), hashes = count_hashes(cycle, monkeypatch)
     assert len(result.affected) == 1 and len(read) == 1
     assert copies, "a write copies the document"
     lists = sum(
@@ -86,15 +87,56 @@ def cycle_counts(patients: int, monkeypatch) -> dict:
         for parent, kids in dup._children.items()
         if kids is not source._children.get(parent)
     )
-    return {"hashes": hashes[0], "lists": lists}
+    return {"hashes": hashes, "lists": lists}
 
 
 def test_commit_work_does_not_grow_with_the_document(monkeypatch):
-    """8x the patients: both counts grow < 1.5x (they are flat)."""
+    """8x the patients: both counts grow < 1.5x (they are flat), and
+    the cycle, evaluation included, hashes exactly as many ids."""
     small = cycle_counts(120, monkeypatch)
     large = cycle_counts(960, monkeypatch)
     for count in ("hashes", "lists"):
         assert large[count] < 1.5 * max(small[count], 1), (count, small, large)
+    assert large["hashes"] == small["hashes"], (small, large)
+
+
+def point_read_hashes(patients: int, monkeypatch) -> int:
+    """Ids hashed by beaufort's warm point read of one diagnosis."""
+    db = bench_hospital(patients)
+    reader = db.login("beaufort")
+    path = "/patients/patient00042/diagnosis"
+    reader.query(path)
+    read, hashes = count_hashes(lambda: reader.query(path), monkeypatch)
+    assert len(read) == 1
+    return hashes
+
+
+def test_a_warm_point_read_hashes_the_same_at_any_size(monkeypatch):
+    """``/patients/<name>/diagnosis`` looks its two names up: its count
+    does not depend on how many siblings ``<name>`` has."""
+    assert point_read_hashes(960, monkeypatch) == point_read_hashes(120, monkeypatch)
+
+
+def rule_5_hashes(patients: int, monkeypatch) -> int:
+    """Ids hashed by rule 5's selection for one patient user."""
+    db = bench_hospital(patients)
+    path = "/patients/*[$USER]/descendant-or-self::*"
+    user = {"USER": "patient00042"}
+    db.engine.select(db.document, path, variables=user)
+    selected, hashes = count_hashes(
+        lambda: db.engine.select(db.document, path, variables=user), monkeypatch
+    )
+    # The paper-compat ``*`` matches the two text nodes too.
+    assert [db.document.label(n) for n in selected][::2] == [
+        "patient00042", "cardiology", "dx0000002a"
+    ]
+    return hashes
+
+
+def test_rule_5_selects_one_user_in_a_flat_count(monkeypatch):
+    """``*[$USER]`` is a name lookup bound per login: selecting one
+    user's subtree costs that subtree, not the patient count."""
+    assert rule_5_hashes(960, monkeypatch) == rule_5_hashes(120, monkeypatch)
 
 
 def test_a_commit_patches_tables_instead_of_resolving():

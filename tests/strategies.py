@@ -57,11 +57,37 @@ def fragments(draw, max_depth: int = 3, max_children: int = 3) -> Fragment:
 
 
 @st.composite
-def documents(draw, max_depth: int = 3, max_children: int = 3) -> XMLDocument:
-    """A random document with a random root-element subtree."""
+def documents(
+    draw, max_depth: int = 3, max_children: int = 3, comments_and_pis: bool = False
+) -> XMLDocument:
+    """A random document with a random root-element subtree.
+
+    With ``comments_and_pis``, up to four comment or processing-
+    instruction nodes, labelled ``a`` or ``b`` like elements, are then
+    placed among the existing nodes.  Off by default: the
+    storable round-trip properties draw documents without them.
+    """
     doc = XMLDocument()
     fragment = draw(fragments(max_depth=max_depth, max_children=max_children))
     fragment.attach(doc, doc.document_node.nid)
+    if comments_and_pis:
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            nodes = [
+                n for n in doc.all_nodes()
+                if not n.is_document and doc.kind(n) is not NodeKind.ATTRIBUTE
+            ]
+            target = draw(st.sampled_from(nodes))
+            kind = draw(
+                st.sampled_from((NodeKind.COMMENT, NodeKind.PROCESSING_INSTRUCTION))
+            )
+            label = draw(st.sampled_from(LABELS[:2]))
+            where = draw(st.sampled_from(("append", "before", "after")))
+            if where == "append" and doc.kind(target) is NodeKind.ELEMENT:
+                doc.append_child(target, kind, label, "d")
+            elif where == "before":
+                doc.insert_before(target, kind, label, "d")
+            else:
+                doc.insert_after(target, kind, label, "d")
     return doc
 
 
@@ -193,17 +219,31 @@ _FUNCTIONS = (
 )
 
 
+#: First predicates that make a ``*`` child step a name-index lookup
+#: (``{}`` is a label, a text, or empty); ``$v`` is one only under the
+#: lone-variable reading, and ``name()=''`` never is.
+_NAME_LOOKUPS = ("$v", "name()='{}'", "'{}'=name()")
+
+
 @st.composite
 def _xpath_steps(draw, depth: int) -> str:
     """One to three steps joined by ``/`` or ``//``, each with up to
-    two predicates."""
+    two predicates; some are ``*`` steps whose first predicate names
+    the child (see ``_NAME_LOOKUPS``)."""
     parts = []
     for index in range(draw(st.integers(min_value=1, max_value=3))):
         if index:
             parts.append(draw(st.sampled_from(("/", "/", "//"))))
-        shape = draw(st.integers(min_value=0, max_value=9))
+        shape = draw(st.integers(min_value=0, max_value=11))
         if shape == 0:
             parts.append(draw(st.sampled_from((".", ".."))))
+            continue
+        if shape >= 10 and depth > 0:
+            literal = draw(st.sampled_from(LABELS + TEXTS + ("",)))
+            step = "*[" + draw(st.sampled_from(_NAME_LOOKUPS)).format(literal) + "]"
+            if draw(st.booleans()):
+                step += f"[{draw(xpath_expressions(max_depth=depth - 1))}]"
+            parts.append(step)
             continue
         test = draw(st.sampled_from(_NODE_TESTS))
         if shape <= 4:  # abbreviated child step
@@ -213,6 +253,39 @@ def _xpath_steps(draw, depth: int) -> str:
         if depth > 0:
             for _ in range(draw(st.sampled_from((0, 0, 0, 1, 1, 2)))):
                 step += f"[{draw(xpath_expressions(max_depth=depth - 1))}]"
+        parts.append(step)
+    return "".join(parts)
+
+
+#: Second predicates for :func:`name_lookup_paths`: positions, tests of
+#: the child's own content, and name tests that contradict the first.
+_SECOND_PREDICATES = (
+    "1", "2", "last()", "position() > 1", "text()", "*", "@x", "comment()",
+    "$v", "name() = 'a'", "not(b)", "string-length(name()) = 1",
+)
+
+
+@st.composite
+def name_lookup_paths(draw) -> str:
+    """One to three child steps, each a name test or a ``*`` step whose
+    first predicate names the child (``_NAME_LOOKUPS``, or an unbound
+    ``$unbound``), sometimes with a second predicate: the shapes the
+    per-parent name index answers, from the document node, the context
+    node or under ``//``."""
+    parts = [draw(st.sampled_from(("", "/", "//", ".//")))]
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        if index:
+            parts.append(draw(st.sampled_from(("/", "//"))))
+        # The labels comments and PIs carry, and the text's empty name,
+        # first: they are where a lookup and the scan can differ.
+        literal = draw(st.sampled_from(LABELS[:2] + ("",) + LABELS[2:]))
+        form = draw(st.sampled_from(("name",) + _NAME_LOOKUPS + ("$unbound",)))
+        if form == "name":
+            step = literal or "*"
+        else:
+            step = "*[" + form.format(literal) + "]"
+        if draw(st.booleans()):
+            step += f"[{draw(st.sampled_from(_SECOND_PREDICATES))}]"
         parts.append(step)
     return "".join(parts)
 

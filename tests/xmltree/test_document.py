@@ -1,6 +1,9 @@
 """Unit tests for the XMLDocument store and its geometry accessors."""
 
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -663,3 +666,100 @@ def test_copy_shares_sibling_lists_until_the_first_write():
     # The original lost ownership too: its next write copies as well.
     doc.remove_subtree(doc.children(root)[0])
     assert [dup.label(n) for n in dup.children(root)] == ["a", "c", "d"]
+
+
+# ----------------------------------------------------------------------
+# the per-parent name index
+# ----------------------------------------------------------------------
+def name_answers(doc):
+    """``children_named`` for every parent and every label in use (and
+    one in none), checked against ``children`` filtered by hand."""
+    labels = {doc.label(n) for n in doc.all_nodes()} | {"absent"}
+    answers = {}
+    for parent in doc.all_nodes():
+        for label in labels:
+            got = list(doc.children_named(parent, label))
+            assert got == [
+                kid for kid in doc.children(parent)
+                if doc.kind(kid) is NodeKind.ELEMENT and doc.label(kid) == label
+            ], (parent, label)
+            answers[parent, label] = got
+    return answers
+
+
+@pytest.mark.parametrize(
+    "scheme", (PersistentDeweyScheme, LSDXScheme, RenumberingScheme)
+)
+@given(
+    fragment=fragments(max_depth=3, max_children=3),
+    edits=st.lists(_COPY_EDITS, max_size=25),
+)
+@settings(max_examples=60, deadline=None)
+def test_children_named_matches_a_scan_in_every_generation(scheme, fragment, edits):
+    """A document and two copies share index entries as they share
+    sibling lists; after every append, insert, remove, relabel,
+    attribute write, graft, renumbering or re-copy each generation's
+    ``children_named`` still equals its filtered ``children``, and the
+    generations not written to answer exactly as before."""
+    first = XMLDocument(scheme())
+    fragment.attach(first, DOCUMENT_ID)
+    name_answers(first)  # entries built before the copies share them
+    docs = [first, first.copy()]
+    docs.append(docs[1].copy())
+    answers = [name_answers(doc) for doc in docs]
+    for which, edit, pick, extra in edits:
+        if edit == "recopy":
+            docs[which] = docs[(which + 1 + extra % 2) % 3].copy()
+        else:
+            apply_copy_edit(docs[which], edit, pick, extra)
+        for index, doc in enumerate(docs):
+            now = name_answers(doc)
+            if index != which:
+                assert now == answers[index], index
+            answers[index] = now
+
+
+def test_readers_racing_on_a_shared_document_all_see_the_scan():
+    """Reader threads build and rebuild one document's entries while a
+    writer keeps copying it and writing to the copies (dropping their
+    shared entries): every answer any reader gets is the scan's."""
+    doc = parse_xml("<r>" + "".join(f"<p{i % 7}><q/></p{i % 7}>" for i in range(60)) + "</r>")
+    root = doc.root
+    expected = {
+        f"p{k}": [c for c in doc.children(root) if doc.label(c) == f"p{k}"]
+        for k in range(7)
+    }
+    stop = threading.Event()
+    errors = []
+
+    def reader():
+        while not stop.is_set():
+            for label, want in expected.items():
+                got = list(doc.children_named(root, label))
+                if got != want:
+                    errors.append((label, got))
+            doc._name_index.clear()  # force the next round to rebuild
+
+    def writer():
+        while not stop.is_set():
+            dup = doc.copy()
+            dup.append_child(root, NodeKind.ELEMENT, "p0")
+            dup.relabel(dup.children(root)[0], "p1")
+            if list(dup.children_named(root, "p0")) == expected["p0"]:
+                errors.append("copy sees the original's entry")
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(1.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[:3]

@@ -22,7 +22,7 @@ import pytest
 import repro
 from repro.core import medical_document
 from repro.testing import xpath_oracle
-from repro.xmltree import parse_xml
+from repro.xmltree import NodeKind, parse_xml
 from repro.xpath import XPathEngine, XPathEvaluationError
 from repro.xpath.compiler import (
     CompiledXPath,
@@ -267,6 +267,60 @@ def test_fused_descendant_scan_matches_generic(engine):
     assert engine.compile_evaluator(".//*").evaluate(
         doc, context_node=inner
     ) == xpath_oracle.evaluate_path(engine, doc, ".//*", context_node=inner)
+
+
+class TestChildLookups:
+    """Child steps by name -- ``name``, ``*[$v]``, ``*[name()='lit']``,
+    ``*['lit'=name()]`` -- are ``children_named`` lookups; each must
+    select what the oracle's sibling scan does."""
+
+    @staticmethod
+    def doc():
+        """Nested ``a``s, each with ``b`` elements and a comment and a
+        processing instruction labelled ``b`` (the parser keeps
+        neither, so they are added through the API)."""
+        doc = parse_xml("<r><a><a><b/><b>1</b></a><b/>t</a><b/><c/></r>")
+        for a in doc.nodes_with_label("a"):
+            first = doc.children(a)[0]
+            doc.insert_after(first, NodeKind.COMMENT, "b")
+            doc.append_child(a, NodeKind.PROCESSING_INSTRUCTION, "b", "d")
+        return doc
+
+    PATHS = (
+        "//a/b",  # nested contexts: a's own b follows the inner a's b's
+        "//a/*[name()='b']",
+        "//a/*['b'=name()]",
+        "//a/*[$v]",
+        "//a/*[name()='b'][1]",
+        "//a/b[last()]",
+        "//a/*[$v][text()]",
+        "/r/a/*[name()='']",  # an empty literal is the text's name
+        "/r/a/*[name()='b' or name()='a']",
+        "/r/c/*[$unbound]",  # no candidate: the variable is never read
+        "/r/*[$v]/b",
+    )
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("lone", (False, True))
+    @pytest.mark.parametrize("star", (False, True))
+    def test_lookup_matches_oracle(self, path, lone, star):
+        doc = self.doc()
+        engine = XPathEngine(lone_variable_name_test=lone, star_matches_text=star)
+        variables = {"v": "b"}
+        assert engine.evaluate(doc, path, variables=variables) == (
+            xpath_oracle.evaluate_path(engine, doc, path, variables=variables)
+        )
+
+    def test_unbound_variable_with_candidates_raises(self, paper_engine):
+        doc = self.doc()
+        with pytest.raises(XPathEvaluationError, match="unbound variable"):
+            paper_engine.evaluate(doc, "/r/a/*[$unbound]")
+
+    def test_a_redefined_name_function_is_not_looked_up(self):
+        doc = self.doc()
+        engine = XPathEngine(extra_functions={"name": lambda ctx, args: "b"})
+        got = engine.select(doc, "/r/*[name()='b']")
+        assert [doc.label(n) for n in got] == ["a", "b", "c"]
 
 
 class TestOracleStaysOutOfServingProcesses:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.xmltree import parse_xml
+from repro.xmltree import NodeKind, parse_xml
 from repro.xpath import XPathEngine, XPathEvaluationError
 
 
@@ -49,6 +49,18 @@ class TestNodeSetFunctions:
     def test_local_name_strips_prefix(self, engine):
         doc = parse_xml("<x:a/>")
         assert ev(engine, doc, "local-name(/*)") == "a"
+
+    def test_a_comment_has_no_name(self):
+        """A comment has no expanded-name: ``name()`` and
+        ``local-name()`` are empty, so ``*[name()='x']`` never selects
+        a comment labelled ``x``, even where ``*`` matches comments."""
+        doc = parse_xml("<a><x/></a>")
+        comment = doc.append_child(doc.root, NodeKind.COMMENT, "x")
+        star = XPathEngine(star_matches_text=True)
+        assert ev(star, doc, "name(/a/comment())") == ""
+        assert ev(star, doc, "local-name(/a/comment())") == ""
+        got = star.select(doc, "/a/*[name()='x']")
+        assert comment not in got and [doc.label(n) for n in got] == ["x"]
 
     def test_sum(self, engine, doc):
         assert ev(engine, doc, "sum(//n)") == 10.5
