@@ -46,9 +46,11 @@ replication:
 
 # Network front-end lane: the framing codec's round-trip properties,
 # the asyncio protocol server end to end over real sockets (sessions,
-# typed results, deadlines, pipelining, close-on-violation), and the
-# group committer's leader/follower, amortization, isolation and
-# crash-window semantics (group-* and net-mid-frame kill-points).
+# typed results, deadlines, pipelining, close-on-violation), and group
+# commit -- the only path a served write takes: leader/follower,
+# amortization, isolation, crash-window semantics (group-* and
+# net-mid-frame kill-points), and its one retry schedule driven both
+# by the blocking GroupCommitter.commit and by the server over a socket.
 netserve:
 	$(PYTEST) -x -q -m netserve
 

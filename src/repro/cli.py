@@ -487,8 +487,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Opens the file through :meth:`DatabaseServer.open` (crash recovery
     + write-ahead log with the requested durability), then listens
     with the asyncio front-end: per-connection sessions, pipelining,
-    deadline propagation, and -- unless ``--no-group-commit`` --
-    concurrent write scripts batched into single-fsync commit groups.
+    deadline propagation, and every write script committed through a
+    group commit (concurrent scripts share one fsync; ``--max-batch 1``
+    gives one fsync per commit).
     Prints ``listening on HOST:PORT`` once accepting (port 0 picks a
     free one), then runs until interrupted.
     """
@@ -509,7 +510,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server,
         host=args.host,
         port=args.port,
-        group_commit=not args.no_group_commit,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
         max_pipeline=args.max_pipeline,
@@ -572,8 +572,6 @@ def _stress_over_network(args, script: str, reader_user: str) -> int:
         command += ["--overload", args.overload]
     if args.deadline is not None:
         command += ["--deadline", str(args.deadline)]
-    if args.no_group_commit:
-        command += ["--no-group-commit"]
     proc = subprocess.Popen(
         command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
@@ -878,9 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="0 picks a free port (printed on startup)")
     p.add_argument("--durability", default="always",
-                   help="WAL fsync policy: always | batch(N,ms) | os")
-    p.add_argument("--no-group-commit", action="store_true",
-                   help="one fsync per commit instead of batched groups")
+                   help="WAL fsync policy: always | os")
     p.add_argument("--max-batch", type=int, default=128,
                    help="commit group size ceiling")
     p.add_argument("--max-delay-ms", type=float, default=2.0,
@@ -923,8 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'repro serve' subprocess (temp copy of the file)")
     p.add_argument("--durability", default="always",
                    help="[--net] the spawned server's WAL fsync policy")
-    p.add_argument("--no-group-commit", action="store_true",
-                   help="[--net] disable group commit in the spawned server")
     p.add_argument("--max-delay-ms", type=float, default=2.0,
                    help="[--net] the spawned server's group window")
     p.set_defaults(handler=cmd_stress)

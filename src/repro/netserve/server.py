@@ -33,15 +33,16 @@ access control for that one ``logged(s)``.
 enforces everywhere (admission queue, lock waits, mid-script
 checkpoints) -- the client's budget rides all the way down.
 
-**Group commit.**  ``execute`` requests go through a
-:class:`~repro.serving.group.GroupCommitter` (unless constructed with
-``group_commit=False``): concurrently arriving scripts from different
-connections batch into one WAL fsync.  Only the group's *leader*
-occupies a pool thread; followers park on an asyncio future resolved
-by a ticket callback, which is what lets a thousand concurrent writers
-ride a pool of a few threads.  A member whose attempt hits a commit
-race is re-submitted into a later group on the server's retry
-schedule, sleeping on the event loop -- never inside a group.
+**Group commit.**  Every ``execute`` request goes through a
+:class:`~repro.serving.group.GroupCommitter`: concurrently arriving
+scripts from different connections batch into one WAL fsync, and
+``max_batch=1`` gives one fsync per commit through the same path.
+The front end drives the committer's one retry schedule
+(:meth:`~repro.serving.group.GroupCommitter.schedule`): only the
+group's *leader* occupies a pool thread; followers park on an asyncio
+future resolved by a ticket callback, which is what lets a thousand
+concurrent writers ride a pool of a few threads, and a raced member's
+backoff sleeps on the event loop -- never inside a group.
 
 The ``net-mid-frame`` kill-point (:mod:`repro.faults`) makes
 the server crash half-way through writing a response frame -- the
@@ -52,12 +53,13 @@ outcome unknown.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set
 
-from ..errors import ProtocolError, RetryExhausted
+from ..errors import ProtocolError
 from ..serving.group import CommitTicket, GroupCommitter
 from ..serving.server import DatabaseServer
 from ..faults import InjectedFault, kill_point
@@ -102,10 +104,6 @@ class NetServer:
         host: bind address (default loopback).
         port: bind port; 0 picks a free one (read :attr:`port` after
             :meth:`start`).
-        group_commit: batch concurrent ``execute`` requests through a
-            :class:`GroupCommitter` (False falls back to one
-            :meth:`DatabaseServer.execute` per request -- the
-            one-fsync-per-commit baseline E25 measures against).
         max_batch / max_delay_ms: the group committer's window (see
             :class:`GroupCommitter`).
         max_frame: per-frame byte ceiling, both directions.
@@ -119,7 +117,6 @@ class NetServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        group_commit: bool = True,
         max_batch: int = 128,
         max_delay_ms: float = 2.0,
         max_frame: int = DEFAULT_MAX_FRAME,
@@ -133,10 +130,8 @@ class NetServer:
         self._server = server
         self._host = host
         self._port = port
-        self._group = (
-            GroupCommitter(server, max_batch=max_batch, max_delay_ms=max_delay_ms)
-            if group_commit
-            else None
+        self._group = GroupCommitter(
+            server, max_batch=max_batch, max_delay_ms=max_delay_ms
         )
         self._max_frame = max_frame
         self._max_pipeline = max_pipeline
@@ -163,8 +158,8 @@ class NetServer:
         return self._server
 
     @property
-    def group(self) -> Optional[GroupCommitter]:
-        """The commit batcher, or None when running ungrouped."""
+    def group(self) -> GroupCommitter:
+        """The commit batcher every ``execute`` goes through."""
         return self._group
 
     @property
@@ -363,7 +358,6 @@ class NetServer:
             stats.update(
                 {f"net_{k}": v for k, v in self.stats().items()}
             )
-            stats["net_group_commit"] = self._group is not None
             return stats
         if op == "execute":
             return await self._execute(user, frame, deadline)
@@ -412,16 +406,7 @@ class NetServer:
             raise ProtocolError(
                 "idempotency_key must be a non-empty string"
             )
-        if self._group is None:
-            result = await self._blocking(
-                lambda: self._server.execute(
-                    user, script, strict, deadline, idempotency_key=idem
-                )
-            )
-        else:
-            result = await self._group_commit(
-                user, script, strict, deadline, idem
-            )
+        result = await self._commit(user, script, strict, deadline, idem)
         if getattr(result, "deduped", False):
             # Answered from the exactly-once ledger: the counts are the
             # original acknowledgement's, already scalars.
@@ -442,62 +427,22 @@ class NetServer:
             "deduped": False,
         }
 
-    async def _group_commit(self, user, script, strict, budget, idem=None):
-        """The async twin of :meth:`GroupCommitter.commit`: lead on a
-        pool thread, follow on an awaited ticket callback, re-submit
-        races with the backoff sleep taken on the event loop."""
-        server = self._server
+    async def _commit(self, user, script, strict, budget, idem):
+        """Drive :meth:`GroupCommitter.schedule` on the event loop:
+        lead on a pool thread, follow on an awaited ticket callback,
+        sleep each backoff here."""
         group = self._group
-        deadline = server._deadline(budget)
-        policy = server.retry
-        loop = asyncio.get_running_loop()
-        delay = 0.0
-        last: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            ticket = group.submit(
-                user, script, strict, deadline, idempotency_key=idem
-            )
-            resolved: asyncio.Future = loop.create_future()
-
-            def _settle(t: CommitTicket, fut=resolved) -> None:
-                loop.call_soon_threadsafe(
-                    lambda: fut.done() or fut.set_result(t)
-                )
-
-            ticket.add_done_callback(_settle)
-            if ticket.leader:
-                await self._blocking(group.drive, ticket)
-            timeout = deadline.timeout()
-            try:
-                await asyncio.wait_for(asyncio.shield(resolved), timeout)
-            except asyncio.TimeoutError:
-                raise server._deadline_error(
-                    deadline, user, "group-commit", "group flush"
-                )
-            if not ticket.retry:
-                if ticket.error is not None:
-                    raise ticket.error
-                return ticket.result
-            last = ticket.error
-            if attempt == policy.max_attempts:
-                break
-            remaining = deadline.remaining()
-            if remaining <= 0.0:
-                server._breaker.record_failure()
-                raise server._deadline_error(
-                    deadline, user, "group-commit", "backoff"
-                )
-            delay = policy.next_delay(delay, server._rng)
-            server._count("retries")
-            await asyncio.sleep(min(delay, remaining))
-        server._breaker.record_failure()
-        server._count("retry_exhausted")
-        raise RetryExhausted(
-            f"group commit by {user!r} lost {policy.max_attempts} "
-            f"attempt(s); giving up",
-            attempts=policy.max_attempts,
-            last_error=last,
-        ) from last
+        for step in group.schedule(user, script, strict, budget, idem):
+            if not isinstance(step, CommitTicket):
+                await asyncio.sleep(step)
+            elif step.leader:
+                await self._blocking(group.drive, step)
+            else:
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        _settled(step), step.deadline.timeout()
+                    )
+        return step.result
 
     # ------------------------------------------------------------------
     # plumbing
@@ -527,6 +472,21 @@ class NetServer:
         return await asyncio.get_running_loop().run_in_executor(
             self._pool, lambda: fn(*args)
         )
+
+
+def _settled(ticket: CommitTicket) -> "asyncio.Future":
+    """A future on the running loop, resolved when ``ticket`` is (the
+    ticket's callback fires on the leader's thread)."""
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
+
+    def settle(_ticket: CommitTicket) -> None:
+        loop.call_soon_threadsafe(
+            lambda: future.done() or future.set_result(None)
+        )
+
+    ticket.add_done_callback(settle)
+    return future
 
 
 def _wire_value(session, value) -> Dict[str, Any]:

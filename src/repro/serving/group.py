@@ -45,17 +45,25 @@ acknowledged, exactly like a crashed group, so a deposed primary can
 never hand out a late ack for a write the new primary's history does
 not contain.
 
-Thread-agnostic by design: :meth:`commit` is the blocking wrapper for
-thread-per-caller use (tests, the chaos lanes), while the asyncio
-front-end (:mod:`repro.netserve`) uses :meth:`submit`/:meth:`drive`
-plus ticket callbacks so ten thousand parked writers cost no threads.
+A flushed group that committed anything counts toward the server's
+``checkpoint_every`` (:meth:`DatabaseServer.checkpoint` runs on the
+leader once the tickets are resolved), as one :meth:`DatabaseServer.execute`
+does.
+
+Thread-agnostic by design: the retry schedule exists once, as the
+:meth:`GroupCommitter.schedule` generator (submit, settle, re-submit a
+raced member after a backoff, give up with ``RetryExhausted``).
+:meth:`commit` drives it on the caller's thread (tests, the chaos
+lanes); the asyncio front-end (:mod:`repro.netserve`) drives it on its
+event loop with ticket callbacks, so ten thousand parked writers cost
+no threads.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 from ..errors import (
     ConcurrentUpdateError,
@@ -257,7 +265,7 @@ class GroupCommitter:
         wal = server.database.wal
         committed: List[CommitTicket] = []
         applied = 0
-        fsyncs_before = wal.stats["fsyncs"] if wal is not None else 0
+        synced = False  # did this group's own sync_group() fsync?
         failure: Optional[BaseException] = None
         try:
             with wal.group() if wal is not None else _null():
@@ -287,7 +295,7 @@ class GroupCommitter:
                             current=server.fenced_at or 0,
                         )
                     if wal is not None:
-                        wal.sync_group()
+                        synced = wal.sync_group()
         except BaseException as exc:  # noqa: BLE001 -- poison, never leak
             failure = exc
         if failure is not None:
@@ -305,16 +313,13 @@ class GroupCommitter:
                 member.retry, member.error = True, failure
             committed = []
         if committed:
-            fsyncs_issued = (
-                wal.stats["fsyncs"] - fsyncs_before if wal is not None else 0
-            )
             server._count("group_commits")
             server._count("grouped_records", len(committed))
-            server._count(
-                "group_fsyncs_saved", max(0, len(committed) - fsyncs_issued)
-            )
+            server._count("group_fsyncs_saved", len(committed) - synced)
         for member in group.members:
             member._resolve()
+        if committed:
+            server._maybe_auto_checkpoint()
 
     def _apply(
         self, member: CommitTicket, committed: List[CommitTicket]
@@ -342,24 +347,28 @@ class GroupCommitter:
             committed.append(member)
 
     # ------------------------------------------------------------------
-    # blocking wrapper (thread-per-caller use)
+    # the retry schedule and its blocking driver
     # ------------------------------------------------------------------
-    def commit(
+    def schedule(
         self,
         user: str,
         operation,
         strict: bool = False,
         deadline: "Optional[float | Deadline]" = None,
         idempotency_key: Optional[str] = None,
-    ):
-        """Apply an update through group commit, absorbing races.
+    ) -> Iterator["CommitTicket | float"]:
+        """The one retry schedule of a group-committed write.
 
-        The blocking equivalent of :meth:`DatabaseServer.execute`: the
-        caller's thread leads its group when it is first in, parks as a
-        follower otherwise, and re-submits raced attempts on the
-        server's retry schedule.  Returns the member's
-        :class:`~repro.security.write.SecureUpdateResult`; the result
-        is durable (group-fsynced) before this returns.
+        Yields each :class:`CommitTicket` the caller must settle (drive
+        it when ``ticket.leader``, otherwise wait on it for up to
+        ``ticket.deadline.timeout()``) and each backoff, in seconds, the
+        caller must sleep.  A raced attempt is re-submitted on the
+        server's :class:`~repro.serving.retry.RetryPolicy`; a member
+        error, an expired budget or :class:`RetryExhausted` is raised
+        from the generator.  It ends normally only after its last
+        ticket settled with a durable result.  :meth:`commit` drives
+        it on a thread; :mod:`repro.netserve` drives it on an event
+        loop.
         """
         server = self._server
         deadline = server._deadline(deadline)
@@ -370,9 +379,8 @@ class GroupCommitter:
             ticket = self.submit(
                 user, operation, strict, deadline, idempotency_key
             )
-            if ticket.leader:
-                self.drive(ticket)
-            elif not ticket.wait(deadline.timeout()):
+            yield ticket
+            if not ticket.done:
                 # The group never resolved inside the budget; the
                 # outcome is unknown (the leader may still flush it) --
                 # the caller must treat this like any crashed-ack.
@@ -382,7 +390,7 @@ class GroupCommitter:
             if not ticket.retry:
                 if ticket.error is not None:
                     raise ticket.error
-                return ticket.result
+                return
             last = ticket.error
             if attempt == policy.max_attempts:
                 break
@@ -394,7 +402,7 @@ class GroupCommitter:
                 )
             delay = policy.next_delay(delay, server._rng)
             server._count("retries")
-            server._sleep(min(delay, remaining))
+            yield min(delay, remaining)
         server._breaker.record_failure()
         server._count("retry_exhausted")
         raise RetryExhausted(
@@ -403,6 +411,33 @@ class GroupCommitter:
             attempts=policy.max_attempts,
             last_error=last,
         ) from last
+
+    def commit(
+        self,
+        user: str,
+        operation,
+        strict: bool = False,
+        deadline: "Optional[float | Deadline]" = None,
+        idempotency_key: Optional[str] = None,
+    ):
+        """Apply an update through group commit, absorbing races.
+
+        The blocking driver of :meth:`schedule`: the caller's thread
+        leads its group when it is first in, parks as a follower
+        otherwise, and sleeps out each backoff.  Returns the member's
+        :class:`~repro.security.write.SecureUpdateResult`; the result
+        is durable (group-fsynced) before this returns.
+        """
+        for step in self.schedule(
+            user, operation, strict, deadline, idempotency_key
+        ):
+            if not isinstance(step, CommitTicket):
+                self._server._sleep(step)
+            elif step.leader:
+                self.drive(step)
+            else:
+                step.wait(step.deadline.timeout())
+        return step.result
 
 
 class _null:

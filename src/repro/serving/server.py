@@ -273,8 +273,8 @@ class DatabaseServer:
            snapshot file.
         2. Otherwise the snapshot file at ``path`` is loaded.
         3. A fresh :class:`~repro.wal.WriteAheadLog` is attached with
-           the requested ``durability`` (an fsync policy spec:
-           ``"always"``, ``"batch(N,ms)"`` or ``"os"``), and an initial
+           the requested ``durability`` (fsync policy ``"always"`` or
+           ``"os"``), and an initial
            checkpoint is cut if the directory has none -- so the log
            alone can always rebuild the database.
 
@@ -286,7 +286,8 @@ class DatabaseServer:
         Args:
             path: the snapshot file (must exist unless the log
                 directory already holds a recoverable state).
-            durability: fsync policy for the attached log.
+            durability: fsync policy for the attached log,
+                ``"always"`` or ``"os"``.
             wal_dir: the log directory (default ``path + ".wal"``).
             backup_count: rolling ``.bak`` generations kept by
                 checkpoints' ``save_to_file``.
@@ -1052,7 +1053,7 @@ class DatabaseServer:
         if wal is not None:
             out.update({f"wal_{k}": v for k, v in wal.stats.items()})
             out["wal_lsn"] = wal.lsn
-            out["wal_fsync_policy"] = str(wal.fsync_policy)
+            out["wal_fsync_policy"] = wal.fsync_policy
             out["wal_failed"] = wal.failed
         out["disk_sick"] = (
             self._disk_io_consecutive >= DISK_SICK_THRESHOLD

@@ -34,7 +34,6 @@ from .frame import FrameReader
 from .log import (
     Checkpoint,
     DamageClass,
-    FsyncPolicy,
     QUARANTINE_SUFFIX,
     ScanResult,
     TornTail,
@@ -61,7 +60,6 @@ __all__ = [
     "Checkpoint",
     "DamageClass",
     "FrameReader",
-    "FsyncPolicy",
     "QUARANTINE_SUFFIX",
     "RecoveryResult",
     "ScanResult",

@@ -43,10 +43,11 @@ below what the directory already holds is refused.  See
 :mod:`repro.replication.supervisor` for who bumps it and why.
 
 Fsync policy: ``"always"`` fsyncs every append (a commit acknowledged
-is a commit recovered); ``"batch(N,ms)"`` fsyncs after N pending
-appends or ms milliseconds, whichever comes first (bounded loss window,
-much cheaper); ``"os"`` never fsyncs (the OS page cache decides --
-segment rotations and checkpoints still fsync).
+is a commit recovered); ``"os"`` never fsyncs (the OS page cache
+decides -- segment rotations and checkpoints still fsync).  Batching
+is not a policy: a served commit reaches the log through group commit
+(:mod:`repro.serving.group`), whose :meth:`WriteAheadLog.group` window
+defers each member's fsync to the group's one :meth:`sync_group`.
 
 Kill-points consulted (:mod:`repro.faults`): ``wal-before-append``
 before any byte of a record is written, ``wal-mid-record`` tearing the
@@ -62,9 +63,8 @@ import contextlib
 import os
 import re
 import threading
-import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
     WalCorruptionError,
@@ -85,7 +85,6 @@ from .frame import MAGIC, FrameReader, TornTail, WalRecord, encode_frame
 __all__ = [
     "Checkpoint",
     "DamageClass",
-    "FsyncPolicy",
     "QUARANTINE_SUFFIX",
     "ScanResult",
     "TornTail",
@@ -108,51 +107,12 @@ _SEGMENT_RE = re.compile(r"^segment-(\d{10})\.wal$")
 _CHECKPOINT_RE = re.compile(
     r"^checkpoint-(\d{10})-(\d{10})(?:-e(\d+))?\.xml$"
 )
-_BATCH_RE = re.compile(r"^batch\((\d+),(\d+(?:\.\d+)?)\)$")
 
 #: Sidecar marker a quarantined segment carries: ``<segment>.quarantined``
 #: holding the diagnosis.  A quarantined segment is never replayed, never
 #: streamed past, and blocks re-opening the log for writing until
 #: anti-entropy repair (or an operator) clears it.
 QUARANTINE_SUFFIX = ".quarantined"
-
-
-@dataclass(frozen=True)
-class FsyncPolicy:
-    """When appended records are forced to stable storage.
-
-    Attributes:
-        kind: ``"always"``, ``"batch"`` or ``"os"``.
-        batch_records: (batch) fsync after this many pending appends.
-        batch_ms: (batch) ...or this many milliseconds, whichever first.
-    """
-
-    kind: str
-    batch_records: int = 1
-    batch_ms: float = 0.0
-
-    @classmethod
-    def parse(cls, spec: "str | FsyncPolicy") -> "FsyncPolicy":
-        """Parse ``"always"`` / ``"os"`` / ``"batch(N,ms)"``."""
-        if isinstance(spec, FsyncPolicy):
-            return spec
-        if spec in ("always", "os"):
-            return cls(spec)
-        match = _BATCH_RE.match(spec.replace(" ", ""))
-        if match:
-            records, ms = int(match.group(1)), float(match.group(2))
-            if records < 1:
-                raise ValueError("batch record count must be >= 1")
-            return cls("batch", records, ms)
-        raise ValueError(
-            f"unknown fsync policy {spec!r} "
-            f"(expected 'always', 'os' or 'batch(N,ms)')"
-        )
-
-    def __str__(self) -> str:
-        if self.kind == "batch":
-            return f"batch({self.batch_records},{self.batch_ms:g})"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -601,15 +561,13 @@ class WriteAheadLog:
             existing directory resumes after its last usable record; a
             torn tail left by a crash is truncated first (and counted
             in :attr:`stats` as ``torn_tail_repaired``).
-        fsync: durability policy -- ``"always"`` (default),
-            ``"batch(N,ms)"`` or ``"os"``; see :class:`FsyncPolicy`.
+        fsync: durability policy -- ``"always"`` (default) or
+            ``"os"`` (see the module docstring).
         segment_bytes: rotate to a fresh segment file once the current
             one grows past this size.
         retain_checkpoints: how many checkpoint generations
             :meth:`checkpoint` keeps; older snapshots and the segments
             only they need are deleted.
-        clock: monotonic time source for the batch policy (injectable
-            for tests).
         epoch: the fencing epoch to write under.  None (default)
             adopts whatever the directory already holds (0 for a fresh
             or pre-epoch log); an explicit epoch must be >= the
@@ -629,36 +587,36 @@ class WriteAheadLog:
         self,
         directory: str,
         *,
-        fsync: "str | FsyncPolicy" = "always",
+        fsync: str = "always",
         segment_bytes: int = 4 << 20,
         retain_checkpoints: int = 2,
-        clock: Callable[[], float] = time.monotonic,
         epoch: Optional[int] = None,
     ) -> None:
+        if fsync not in ("always", "os"):
+            raise ValueError(
+                f"unknown fsync policy {fsync!r} (expected 'always' or 'os')"
+            )
         if retain_checkpoints < 1:
             raise ValueError("retain_checkpoints must be >= 1")
         if epoch is not None and epoch < 0:
             raise ValueError("epoch must be >= 0")
         self._requested_epoch = epoch
         self._directory = os.path.abspath(directory)
-        self._policy = FsyncPolicy.parse(fsync)
+        self._policy = fsync
         self._segment_bytes = segment_bytes
         self._retain = retain_checkpoints
-        self._clock = clock
         self._lock = threading.RLock()
         self._handle = None
         self._failed: Optional[str] = None
         self._failed_disk = None  # the DiskError that poisoned the log
         self._fenced = False
         self._pending = 0
-        self._last_sync = clock()
         self._bound_db = None
         self._group_threads: set = set()
         self._annotations: Dict[int, Dict[str, Any]] = {}
         self._stats: Dict[str, int] = {
             "appends": 0,
             "fsyncs": 0,
-            "deferred_fsyncs": 0,
             "grouped_appends": 0,
             "group_syncs": 0,
             "rotations": 0,
@@ -801,7 +759,7 @@ class WriteAheadLog:
         return self._lsn
 
     @property
-    def fsync_policy(self) -> FsyncPolicy:
+    def fsync_policy(self) -> str:
         """The active durability policy."""
         return self._policy
 
@@ -841,7 +799,7 @@ class WriteAheadLog:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Counters: appends, fsyncs, deferred_fsyncs, grouped_appends,
+        """Counters: appends, fsyncs, grouped_appends,
         group_syncs, rotations, checkpoints, state_fallbacks,
         torn_tail_repaired."""
         with self._lock:
@@ -873,8 +831,8 @@ class WriteAheadLog:
 
         The payload must be JSON-serializable; ``lsn`` is assigned
         here.  Under fsync policy ``always`` the record is durable when
-        this returns; under ``batch``/``os`` it may still be in flight
-        (see :meth:`sync`).
+        this returns; under ``os`` (or inside a :meth:`group` window) it
+        may still be in flight (see :meth:`sync`).
 
         Raises:
             WalWriteError: the log previously failed (torn in-memory
@@ -945,19 +903,8 @@ class WriteAheadLog:
             # whatever the configured policy says.
             self._stats["grouped_appends"] += 1
             return
-        policy = self._policy
-        if policy.kind == "os":
-            return
-        if policy.kind == "batch":
-            due = (
-                self._pending >= policy.batch_records
-                or (self._clock() - self._last_sync) * 1000.0
-                >= policy.batch_ms
-            )
-            if not due:
-                self._stats["deferred_fsyncs"] += 1
-                return
-        self._fsync_now()
+        if self._policy == "always":
+            self._fsync_now()
 
     def _poison(self, what: str, exc: Exception, op: str) -> WalWriteError:
         """Stop trusting the writer after the disk refused ``what``, and
@@ -982,7 +929,6 @@ class WriteAheadLog:
             # pages; the only safe stance is to stop trusting the tail.
             raise self._poison("fsync", exc, "fsync") from exc
         self._pending = 0
-        self._last_sync = self._clock()
         self._stats["fsyncs"] += 1
 
     def _sync_locked(self) -> bool:

@@ -1,10 +1,12 @@
 """GroupCommitter semantics: leader/follower structure, one fsync per
-group, member isolation, and retry behavior -- at the library layer
-(the wire-level path is covered in test_server.py)."""
+group, member isolation, and retry behavior -- at the library layer,
+with the retry cases also driven over a socket (the rest of the
+wire-level path is covered in test_server.py)."""
 
 import pytest
 
-from repro.errors import RetryExhausted
+from repro.errors import ConcurrentUpdateError, RemoteError, RetryExhausted
+from repro.netserve import NetClient, serve_in_thread
 from repro.serving import DatabaseServer, GroupCommitter, RetryPolicy
 from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog, recover
@@ -153,61 +155,99 @@ class TestMemberIsolation:
             committer.commit("w1", "<not-xupdate/>")
 
 
+def retry_stack(wal_dir, **server_options):
+    db = editors_database()
+    wal = WriteAheadLog(wal_dir, fsync="always")
+    db.attach_wal(wal)
+    wal.checkpoint(db)
+    return DatabaseServer(db, **server_options)
+
+
+def commit_blocking(server, script):
+    """Drive the retry schedule on this thread (GroupCommitter.commit)."""
+    committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+    return committer.commit("w1", script).fully_applied
+
+
+def commit_over_socket(server, script):
+    """Drive the retry schedule on NetServer's event loop, over a real
+    socket."""
+    with serve_in_thread(server, max_batch=1, max_delay_ms=0.0) as handle:
+        with NetClient(handle.host, handle.port, timeout=10.0) as client:
+            client.open_session("w1")
+            return client.execute(script)["fully_applied"]
+
+
+def race(server, times):
+    """Make ``server.execute_once`` raise a commit race ``times`` times
+    (forever when None) before committing for real; returns the count
+    of races raised so far."""
+    original = server.execute_once
+    raced = {"count": 0}
+
+    def racing_once(user, operation, strict=False, deadline=None,
+                    idempotency_key=None):
+        if times is None or raced["count"] < times:
+            raced["count"] += 1
+            raise ConcurrentUpdateError("simulated interleaved commit")
+        return original(
+            user, operation, strict, deadline,
+            idempotency_key=idempotency_key,
+        )
+
+    server.execute_once = racing_once
+    return raced
+
+
 class TestRetry:
+    """The blocking wrapper and the asyncio front end drive the same
+    retry schedule, so each case runs through both and must leave the
+    same ledger."""
+
+    def assert_raced_member_lands(self, wal_dir, drive):
+        server = retry_stack(wal_dir, retry=RetryPolicy(max_attempts=4))
+        raced = race(server, 1)
+        assert drive(server, append_script("eventually")) is True
+        assert raced["count"] == 1
+        stats = server.stats()
+        assert stats["retries"] == 1
+        assert stats["retry_exhausted"] == 0
+        assert stats["commits"] == 1
+
     def test_raced_member_is_resubmitted_not_group_blocking(self, wal_dir):
         """A ConcurrentUpdateError inside a group marks the ticket
         retryable; commit() re-submits it into a later group and the
         write eventually lands."""
-        db = editors_database()
-        wal = WriteAheadLog(wal_dir, fsync="always")
-        db.attach_wal(wal)
-        wal.checkpoint(db)
-        server = DatabaseServer(db, retry=RetryPolicy(max_attempts=4))
-        committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
-        # Force exactly one race: the first execute_once sees a version
-        # bump injected underneath it.
-        original = server.execute_once
-        raced = {"count": 0}
+        self.assert_raced_member_lands(wal_dir, commit_blocking)
 
-        def racing_once(user, operation, strict=False, deadline=None,
-                        idempotency_key=None):
-            if raced["count"] == 0:
-                raced["count"] += 1
-                from repro.errors import ConcurrentUpdateError
+    def test_raced_member_is_resubmitted_over_the_wire(self, wal_dir):
+        self.assert_raced_member_lands(wal_dir, commit_over_socket)
 
-                raise ConcurrentUpdateError("simulated interleaved commit")
-            return original(
-                user, operation, strict, deadline,
-                idempotency_key=idempotency_key,
-            )
-
-        server.execute_once = racing_once
-        result = committer.commit("w1", append_script("eventually"))
-        assert result.fully_applied
-        assert raced["count"] == 1
-        assert server.stats()["retries"] >= 1
+    def exhaust(self, wal_dir, drive):
+        server = retry_stack(
+            wal_dir, retry=RetryPolicy(max_attempts=2), sleep=lambda s: None
+        )
+        raced = race(server, None)
+        with pytest.raises((RetryExhausted, RemoteError)) as info:
+            drive(server, append_script("never"))
+        assert raced["count"] == 2
+        stats = server.stats()
+        assert stats["retries"] == 1
+        assert stats["retry_exhausted"] == 1
+        assert stats["commits"] == 0
+        return info.value
 
     def test_retry_exhaustion_raises_with_the_last_race(self, wal_dir):
-        db = editors_database()
-        wal = WriteAheadLog(wal_dir, fsync="always")
-        db.attach_wal(wal)
-        wal.checkpoint(db)
-        server = DatabaseServer(
-            db, retry=RetryPolicy(max_attempts=2), sleep=lambda s: None
-        )
-        committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+        error = self.exhaust(wal_dir, commit_blocking)
+        assert isinstance(error, RetryExhausted)
+        assert error.attempts == 2
+        assert isinstance(error.last_error, ConcurrentUpdateError)
 
-        def always_races(user, operation, strict=False, deadline=None,
-                         idempotency_key=None):
-            from repro.errors import ConcurrentUpdateError
-
-            raise ConcurrentUpdateError("permanent race")
-
-        server.execute_once = always_races
-        with pytest.raises(RetryExhausted) as info:
-            committer.commit("w1", append_script("never"))
-        assert info.value.attempts == 2
-        assert server.stats()["retry_exhausted"] == 1
+    def test_retry_exhaustion_relays_over_the_wire(self, wal_dir):
+        error = self.exhaust(wal_dir, commit_over_socket)
+        assert isinstance(error, RemoteError)
+        assert error.kind == "RetryExhausted"
+        assert "lost 2 attempt(s)" in error.remote_message
 
 
 class TestValidation:

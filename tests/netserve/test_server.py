@@ -81,7 +81,6 @@ class TestTypedResults:
                 assert stats["reads"] >= 1
                 assert stats["net_connections_opened"] >= 1
                 assert stats["net_frames_in"] >= 2
-                assert stats["net_group_commit"] is True
 
     def test_execute_error_kinds_relay_by_class_name(self, wal_dir):
         with served(wal_dir) as (handle, _):

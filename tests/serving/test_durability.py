@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import WalWriteError
 from repro.faults import InjectedFault, inject
-from repro.serving import DatabaseServer
+from repro.serving import DatabaseServer, GroupCommitter
 from repro.storage import backup_path, load_from_file, save_to_file
 from repro.wal import WriteAheadLog, list_checkpoints, recover, scan_directory
 
@@ -57,8 +57,9 @@ class TestOpen:
         assert reopened.database.version == expected["version"] + 1
 
     def test_open_honors_durability_spec(self, db_path):
-        server = DatabaseServer.open(db_path, durability="batch(4,1000)")
-        assert str(server.database.wal.fsync_policy) == "batch(4,1000)"
+        server = DatabaseServer.open(db_path, durability="os")
+        assert server.database.wal.fsync_policy == "os"
+        assert server.stats()["wal_fsync_policy"] == "os"
 
     def test_open_missing_everything_fails(self, tmp_path):
         from repro.errors import StorageError
@@ -80,13 +81,28 @@ class TestCheckpoint:
         assert open(backup_path(db_path), encoding="utf-8").read() == before
         assert "<a>" in open(db_path, encoding="utf-8").read()
 
-    def test_auto_checkpoint_every_n_commits(self, db_path):
+    def assert_auto_checkpoints_every_3(self, db_path, write):
         server = DatabaseServer.open(db_path, checkpoint_every=3)
         for i in range(7):
-            server.execute("w1", append_script(f"e{i}"))
+            write(server, append_script(f"e{i}"))
         # commits 3 and 6 crossed the threshold, plus the initial cut
         assert server.stats()["checkpoints"] == 3
         assert "<e2>" in open(db_path, encoding="utf-8").read()
+
+    def test_auto_checkpoint_every_n_commits(self, db_path):
+        self.assert_auto_checkpoints_every_3(
+            db_path, lambda server, script: server.execute("w1", script)
+        )
+
+    def test_auto_checkpoint_every_n_group_commits(self, db_path):
+        """``serve`` writes only through group commit: a flushed group
+        counts toward ``checkpoint_every`` as an ``execute`` does."""
+        self.assert_auto_checkpoints_every_3(
+            db_path,
+            lambda server, script: GroupCommitter(
+                server, max_delay_ms=0.0
+            ).commit("w1", script),
+        )
 
     def test_auto_checkpoint_failure_never_fails_the_write(self, db_path):
         server = DatabaseServer.open(db_path, checkpoint_every=1)

@@ -306,6 +306,24 @@ class TestStress:
         out = capsys.readouterr().out
         assert "shed:" in out
 
+    def test_stress_over_the_network(self, seeded, capsys):
+        """``--net`` spawns ``repro serve`` on a temp copy; every write
+        goes through its group committer."""
+        before = open(seeded, "rb").read()
+        code = run(
+            "stress", seeded, "alice", APPEND_BOB, "--net", "--rounds", "2",
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        ledger = dict(
+            line.strip().split(": ", 1)
+            for line in out.splitlines() if line.startswith("  ")
+        )
+        assert int(ledger["commits"]) == 2 * 2  # writers x rounds
+        assert int(ledger["group_commits"]) >= 1
+        assert int(ledger["retry_exhausted"]) == 0
+        assert open(seeded, "rb").read() == before
+
 
 class TestFailoverCli:
     @pytest.fixture
