@@ -51,6 +51,9 @@ replication:
 # amortization, isolation, crash-window semantics (group-* and
 # net-mid-frame kill-points), and its one retry schedule driven both
 # by the blocking GroupCommitter.commit and by the server over a socket.
+# Malformed and non-Unicode requests never reach the circuit breaker: a
+# script that does not parse fails alone before admission, and a frame
+# whose JSON spells a lone surrogate is a protocol error.
 netserve:
 	$(PYTEST) -x -q -m netserve
 

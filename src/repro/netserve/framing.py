@@ -13,7 +13,11 @@ peers: a prefix announcing more than ``max_frame`` bytes is rejected
 (:class:`~repro.errors.FrameTooLarge`), so a bad peer cannot balloon
 the server's memory, and a frame whose bytes are not valid UTF-8 JSON
 of one object raises :class:`~repro.errors.ProtocolError` instead of
-wedging the decoder.  Both are unrecoverable for the connection -- the
+wedging the decoder.  So does a body whose JSON escapes spell a lone
+surrogate (``"\\ud800"``): ``json.loads`` accepts it, but the string
+has no UTF-8 encoding, so nothing downstream -- the write-ahead log
+stores request text verbatim -- could ever encode it again.  Both are
+unrecoverable for the connection -- the
 stream offset can no longer be trusted -- which is why the server
 answers with one final error frame and closes.
 """
@@ -21,6 +25,7 @@ answers with one final error frame and closes.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from typing import Any, Dict, List
 
@@ -35,6 +40,11 @@ DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 
 #: The 4-byte big-endian unsigned length prefix.
 HEADER = struct.Struct(">I")
+
+#: A JSON escape in the surrogate range.  Raw surrogate bytes already
+#: fail the UTF-8 decode; only an escape can smuggle one in, so a body
+#: without a match needs no further check.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
 def encode_frame(
@@ -101,7 +111,8 @@ class FrameDecoder:
             FrameTooLarge: a length prefix announced a body beyond
                 ``max_frame`` (raised before buffering the body).
             ProtocolError: a complete body was not one UTF-8 JSON
-                object, or the decoder already failed earlier.
+                object, its strings hold a lone surrogate, or the
+                decoder already failed earlier.
         """
         if self._error is not None:
             raise self._error
@@ -140,5 +151,15 @@ class FrameDecoder:
             raise ProtocolError(
                 f"frame must encode a JSON object, got {type(obj).__name__}"
             )
+        if _SURROGATE_ESCAPE.search(body):
+            # A match may still be a valid pair (or an escaped
+            # backslash): the exact check is whether the object's
+            # text has a UTF-8 encoding at all.
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ProtocolError(
+                    f"frame body holds a lone surrogate: {exc}"
+                ) from exc
         self.frames_decoded += 1
         return obj

@@ -42,7 +42,14 @@ The front end drives the committer's one retry schedule
 group's *leader* occupies a pool thread; followers park on an asyncio
 future resolved by a ticket callback, which is what lets a thousand
 concurrent writers ride a pool of a few threads, and a raced member's
-backoff sleeps on the event loop -- never inside a group.
+backoff sleeps on the event loop -- never inside a group.  The
+schedule parses the script text once, before its first submit, so on
+the event loop, where the frame's JSON was decoded too: a script that
+does not parse fails only its own request and never reaches the
+circuit breaker, and the commit logs the text as received.  Parsing
+on a pool thread instead would cost an executor hop per write (+13 %
+``op_p50_ms`` on ``write_group``, E29); the price of not paying it is
+that a very large script holds the loop while it parses.
 
 The ``net-mid-frame`` kill-point (:mod:`repro.faults`) makes
 the server crash half-way through writing a response frame -- the

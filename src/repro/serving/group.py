@@ -72,6 +72,7 @@ from ..errors import (
     WalWriteError,
 )
 from ..faults import kill_point
+from ..xupdate.parser import parse_xupdate
 from .retry import Deadline
 from .server import DatabaseServer
 
@@ -369,7 +370,14 @@ class GroupCommitter:
         ticket settled with a durable result.  :meth:`commit` drives
         it on a thread; :mod:`repro.netserve` drives it on an event
         loop.
+
+        A text ``operation`` is parsed here, once, before the first
+        submit: a malformed script fails only this request (its parse
+        error is raised before admission or the breaker see it), and a
+        raced member re-submits the parsed script.
         """
+        if isinstance(operation, str):
+            operation = parse_xupdate(operation)
         server = self._server
         deadline = server._deadline(deadline)
         policy = server.retry

@@ -79,6 +79,7 @@ from ..security.session import Session, SessionCache
 from ..security.write import AccessDenied, SecureUpdateResult
 from ..xpath.values import NodeSet, XPathValue
 from ..xupdate.operations import UpdateScript, XUpdateOperation
+from ..xupdate.parser import parse_xupdate
 from .admission import AdmissionController, CircuitBreaker
 from .dedup import DedupTable, DedupedResult
 from .retry import Deadline, RetryPolicy
@@ -529,7 +530,13 @@ class DatabaseServer:
             AccessDenied, UpdateAborted: as for
                 :meth:`Session.execute`; these are application
                 outcomes and do not trip the circuit breaker.
+            XUpdateParseError, XMLSyntaxError: ``operation`` is text
+                that is not an XUpdate script.  It is parsed once, up
+                front: a malformed request fails alone, before
+                admission, and never counts against the breaker.
         """
+        if isinstance(operation, str):
+            operation = parse_xupdate(operation)
         deadline = self._deadline(deadline)
         opname, oppath = _describe(operation)
         self._ensure_not_fenced(user, opname, oppath)

@@ -1056,7 +1056,10 @@ class WriteAheadLog:
         commit point (under its commit lock) *before* the install.
 
         A replayable origin (a session or admin script) is logged as
-        its XUpdate text, round-trip-verified; anything else -- a
+        its XUpdate text: the text it was parsed from when it has one
+        (a served write logs what the client sent, never re-encoded),
+        otherwise :func:`dump_xupdate`'s round-trip-verified
+        serialization of the operation objects; anything else -- a
         direct ``commit()`` of a document, an operation with no XUpdate
         spelling -- falls back to a full ``state`` snapshot record
         (counted in :attr:`stats` as ``state_fallbacks``).

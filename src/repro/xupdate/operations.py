@@ -11,8 +11,8 @@ parameters and the link axioms that interpret them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional, Tuple, Union
 
 from ..xmltree.fragments import Fragment
 
@@ -121,9 +121,19 @@ class Remove(XUpdateOperation):
 
 @dataclass(frozen=True)
 class UpdateScript:
-    """An ordered batch of operations: one ``<xupdate:modifications>``."""
+    """An ordered batch of operations: one ``<xupdate:modifications>``.
+
+    ``source`` is the XUpdate text the script was parsed from, set only
+    by :func:`~repro.xupdate.parser.parse_xupdate`; a script built from
+    Python objects has none.  It is not a constructor argument and
+    takes no part in ``==``, ``hash()`` or ``repr()``: two scripts with
+    the same operations are the same script, however they were spelled.
+    """
 
     operations: Tuple[XUpdateOperation, ...]
+    source: Optional[str] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __iter__(self):
         return iter(self.operations)

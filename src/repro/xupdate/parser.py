@@ -145,6 +145,10 @@ def _content_fragments(instruction: Fragment, what: str) -> List[Fragment]:
 def parse_xupdate(source: str) -> UpdateScript:
     """Parse an XUpdate document into an :class:`UpdateScript`.
 
+    The returned script records ``source`` as its
+    :attr:`~UpdateScript.source`, so :func:`~repro.xupdate.dump_xupdate`
+    hands the same text back instead of re-encoding the operations.
+
     Raises:
         XUpdateParseError: for unknown instructions or missing
             attributes.
@@ -197,4 +201,6 @@ def parse_xupdate(source: str) -> UpdateScript:
             )
         else:
             raise XUpdateParseError(f"unknown instruction <xupdate:{local}>")
-    return UpdateScript(tuple(operations))
+    script = UpdateScript(tuple(operations))
+    object.__setattr__(script, "source", source)
+    return script

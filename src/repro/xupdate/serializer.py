@@ -6,11 +6,22 @@ becomes an ``<xupdate:modifications>`` document that
 :func:`~repro.xupdate.parser.parse_xupdate` turns back into an *equal*
 script.  The write-ahead log (:mod:`repro.wal`) depends on that
 round-trip to make committed scripts replayable: a record is only as
-good as the script it reconstructs, so :func:`dump_xupdate` emits the
-constructor syntax (``xupdate:element`` / ``xupdate:attribute`` /
-``xupdate:text`` / ``xupdate:comment``) rather than literal XML --
-constructors carry any label, including ones that would collide with
-the ``xupdate:`` prefix itself.
+good as the script it reconstructs.
+
+A script that came out of :func:`parse_xupdate` already has such a
+text -- the one it was parsed from, kept as
+:attr:`~repro.xupdate.operations.UpdateScript.source` -- and
+:func:`dump_xupdate` returns it unchanged: the parser is deterministic
+and every operation and fragment is frozen, so re-parsing it yields an
+equal script by construction.  A served write is therefore logged as
+the text the client sent, encoded once.
+
+Only a script built from Python objects is serialized here.  It is
+spelled in the constructor syntax (``xupdate:element`` /
+``xupdate:attribute`` / ``xupdate:text`` / ``xupdate:comment``) rather
+than literal XML -- constructors carry any label, including ones that
+would collide with the ``xupdate:`` prefix itself -- and the output is
+re-parsed to check the round trip.
 
 Not every programmatically built operation has an XUpdate spelling: a
 bare attribute fragment, a whitespace-only text tree, or a rename whose
@@ -113,23 +124,28 @@ def dump_xupdate(
 ) -> str:
     """Serialize a script (or one operation) to XUpdate XML text.
 
+    A script parsed by :func:`parse_xupdate` is returned as its
+    :attr:`~UpdateScript.source`, byte for byte: that text parses to
+    the script by definition, so nothing is serialized or verified.
+
     Args:
         operation: an :class:`UpdateScript` or a single operation; a
             single operation is emitted as a one-instruction script.
-        verify: re-parse the output and require equality with the input
-            script (the default) -- guarantees the text is a faithful,
-            replayable description, which is what the write-ahead log
-            needs.
+        verify: re-parse the serialized output and require equality
+            with the input script (the default) -- guarantees the text
+            is a faithful, replayable description, which is what the
+            write-ahead log needs.
 
     Raises:
         XUpdateSerializeError: the operation has no XUpdate spelling,
             or (with ``verify``) the round-trip is not exact.
     """
-    script = (
-        operation
-        if isinstance(operation, UpdateScript)
-        else UpdateScript((operation,))
-    )
+    if isinstance(operation, UpdateScript):
+        if operation.source is not None:
+            return operation.source
+        script = operation
+    else:
+        script = UpdateScript((operation,))
     bundle = element(
         "xupdate:modifications",
         *[_instruction(op) for op in script],

@@ -29,13 +29,23 @@ change-set, beside its view, instead of re-resolving it.
 A write's privilege checks are table lookups too: the view it selects
 on already holds the user's permission table, so no check replays a
 rule's chain automaton (``PathSkeleton.matches``) per node.
+
+A served write encodes its script once: the text is parsed once, before
+the retry loop, and the log records that text, so the commit serializes
+no XML (``dump_xupdate`` used to serialize the script and re-parse it).
 """
+
+import sys
 
 from repro.security.privileges import Privilege
 from repro.security.write import SecureWriteExecutor
+from repro.serving import DatabaseServer, GroupCommitter
+from repro.wal import WriteAheadLog
 from repro.xmltree import XMLDocument
 from repro.xmltree.labels import NodeId
+from repro.xmltree.serializer import serialize
 from repro.xpath.skeleton import PathSkeleton
+from repro.xupdate.parser import parse_xupdate
 
 from tests.hospital import bench_hospital, update_script
 
@@ -232,3 +242,79 @@ def test_can_after_a_served_view_is_one_table_lookup():
     assert held == db.resolver.resolve(db.document, db.policy, "beaufort").holds(
         service, Privilege.READ
     )
+
+
+def count_calls(function, patch) -> list:
+    """Record the arguments of every call to ``function``.
+
+    ``from ... import name`` binds the function in each importing
+    module, so every ``repro`` module's binding is replaced."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    patch.setattr(module, attr, counted)
+    return calls
+
+
+def served_hospital(tmp_path):
+    """``(server, committer)`` over a logged hospital, warmed up."""
+    db = bench_hospital(120)
+    db.attach_wal(WriteAheadLog(str(tmp_path / "db.wal")))
+    db.wal.checkpoint(db)
+    server = DatabaseServer(db)
+    committer = GroupCommitter(server, max_delay_ms=0.0)
+    for warm in range(3):
+        committer.commit("laporte", update_script("patient00007", f"w{warm}"))
+    return server, committer
+
+
+def test_a_served_write_parses_once_and_serializes_nothing(
+    tmp_path, monkeypatch
+):
+    _, committer = served_hospital(tmp_path)
+    script = update_script("patient00042", "dxnew")
+    with monkeypatch.context() as patch:
+        parses = count_calls(parse_xupdate, patch)
+        serializes = count_calls(serialize, patch)
+        result = committer.commit("laporte", script)
+    assert len(result.affected) == 1
+    assert parses == [(script,)]
+    assert serializes == []
+
+
+def test_a_raced_member_is_resubmitted_without_reparsing(
+    tmp_path, monkeypatch
+):
+    """A real commit race: another commit lands while the member's
+    first attempt runs, so its transaction raises
+    ``ConcurrentUpdateError`` and the committer re-submits it."""
+    server, committer = served_hospital(tmp_path)
+    script = update_script("patient00042", "dxnew")
+    original_apply = SecureWriteExecutor.apply
+    raced = []
+
+    def racing_apply(self, *args, **kwargs):
+        result = original_apply(self, *args, **kwargs)
+        if not raced:
+            raced.append(True)
+            interloper = update_script("patient00043", "interloper")
+            server.database.admin_update(interloper)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SecureWriteExecutor, "apply", racing_apply)
+        parses = count_calls(parse_xupdate, patch)
+        serializes = count_calls(serialize, patch)
+        result = committer.commit("laporte", script)
+    assert raced and server.stats()["commit_races"] == 1
+    assert len(result.affected) == 1
+    # The interloper's own text is parsed too; the member's, once.
+    assert [call for call in parses if call == (script,)] == [(script,)]
+    assert serializes == []

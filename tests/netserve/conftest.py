@@ -25,11 +25,11 @@ def wal_dir(tmp_path):
 
 
 @contextlib.contextmanager
-def served(wal_dir, *, server_options=None, **net_options):
-    """A live network stack over a fresh editors database: yields
-    ``(handle, server)`` with the listener accepting and the WAL
-    checkpointed; everything is torn down on exit."""
-    db = editors_database()
+def served(wal_dir, *, database=None, server_options=None, **net_options):
+    """A live network stack over ``database`` (default: a fresh editors
+    database): yields ``(handle, server)`` with the listener accepting
+    and the WAL checkpointed; everything is torn down on exit."""
+    db = editors_database() if database is None else database
     wal = WriteAheadLog(wal_dir, fsync="always")
     db.attach_wal(wal)
     wal.checkpoint(db)

@@ -55,9 +55,19 @@ SCRIPTS = [
 @pytest.mark.parametrize("source", SCRIPTS, ids=["append", "inserts",
                                                  "mutators", "comment"])
 def test_round_trip(source):
-    script = parse_xupdate(source)
+    # Rebuilt from its operations, the script has no source text, so
+    # the serializer (not the parser's copy of ``source``) runs.
+    script = UpdateScript(tuple(parse_xupdate(source)))
+    assert script.source is None
     out = dump_xupdate(script)
+    assert out != source
     assert parse_xupdate(out) == script
+
+
+@pytest.mark.parametrize("source", SCRIPTS, ids=["append", "inserts",
+                                                 "mutators", "comment"])
+def test_a_parsed_script_dumps_to_its_own_source(source):
+    assert dump_xupdate(parse_xupdate(source)) == source
 
 
 def test_single_operation_becomes_a_script():
