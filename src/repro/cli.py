@@ -640,9 +640,10 @@ def cmd_stress(args: argparse.Namespace) -> int:
     """Hammer the database through the concurrent serving layer.
 
     Spawns writer threads (each applying the XUpdate script ``--rounds``
-    times through :class:`~repro.serving.DatabaseServer`, so commit
-    races are absorbed by retry/backoff) alongside reader threads, then
-    prints the serving ledger.  Purely in-memory: the database file is
+    times through :meth:`~repro.serving.DatabaseServer.execute`, the
+    same one-seat group-commit path and retry schedule a socket write
+    takes, so commit races are absorbed by backoff) alongside reader
+    threads, then prints the serving ledger.  Purely in-memory: the database file is
     never modified.  With ``--net``, the same load instead crosses
     sockets to a spawned ``repro serve`` subprocess (serving a temp
     copy), one connection per thread.

@@ -36,7 +36,10 @@ checkpoints) -- the client's budget rides all the way down.
 **Group commit.**  Every ``execute`` request goes through a
 :class:`~repro.serving.group.GroupCommitter`: concurrently arriving
 scripts from different connections batch into one WAL fsync, and
-``max_batch=1`` gives one fsync per commit through the same path.
+``max_batch=1`` gives one fsync per commit through the same path --
+the path an in-process :meth:`DatabaseServer.execute` takes too.
+Each reply is the summary taken under the write lock when its member
+committed, so it carries that commit's own version.
 The front end drives the committer's one retry schedule
 (:meth:`~repro.serving.group.GroupCommitter.schedule`): only the
 group's *leader* occupies a pool thread; followers park on an asyncio
@@ -414,25 +417,12 @@ class NetServer:
                 "idempotency_key must be a non-empty string"
             )
         result = await self._commit(user, script, strict, deadline, idem)
-        if getattr(result, "deduped", False):
-            # Answered from the exactly-once ledger: the counts are the
-            # original acknowledgement's, already scalars.
-            return {
-                "fully_applied": result.fully_applied,
-                "selected": result.selected,
-                "affected": result.affected,
-                "denied": result.denied,
-                "version": result.version,
-                "deduped": True,
-            }
-        return {
-            "fully_applied": result.fully_applied,
-            "selected": len(result.selected),
-            "affected": len(result.affected),
-            "denied": len(result.denials),
-            "version": self._server.database.version,
-            "deduped": False,
-        }
+        # The summary was taken under the write lock at commit time (or
+        # is the original acknowledgement, for a ledger replay): the
+        # live version may already include later members of the group.
+        reply = dict(result.summary)
+        reply["deduped"] = getattr(result, "deduped", False)
+        return reply
 
     async def _commit(self, user, script, strict, budget, idem):
         """Drive :meth:`GroupCommitter.schedule` on the event loop:

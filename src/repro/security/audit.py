@@ -24,10 +24,13 @@ __all__ = ["AUDIT_LOG_SIZE", "AuditRecord", "AuditLog", "REJECTION_EVENTS"]
 #: for as long as the server runs.
 AUDIT_LOG_SIZE = 4096
 
-#: Serving-layer rejection events the log accepts (ISSUE 4): a request
-#: shed by admission control, expired against its deadline, or given
-#: up after exhausting its commit-race retries.
-REJECTION_EVENTS = ("shed", "deadline", "retry-exhausted", "fenced")
+#: Serving-layer rejection events the log accepts: a request
+#: shed by admission control, expired against its deadline, given up
+#: after exhausting its retries, refused by a fenced server, or shed
+#: because its log volume is full and reclaiming space failed.
+REJECTION_EVENTS = (
+    "shed", "deadline", "retry-exhausted", "fenced", "disk-full"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,8 +53,9 @@ class AuditRecord:
             ``"abort"`` for a script rollback, or a serving-layer
             rejection: ``"shed"`` (admission control refused the
             request), ``"deadline"`` (the request's budget expired),
-            ``"retry-exhausted"`` (every backoff retry lost a commit
-            race).
+            ``"retry-exhausted"`` (every backoff retry was spent),
+            ``"fenced"`` (the server was deposed) or ``"disk-full"``
+            (the log volume is full and reclaiming space failed).
         rolled_back: for aborts, how many completed operations of the
             script were rolled back.
     """

@@ -31,7 +31,7 @@ result reports both sets.  ``strict=True`` turns any denial into an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlineExceeded, ReproError, UpdateAborted
 from ..faults import kill_point
@@ -91,6 +91,10 @@ class SecureUpdateResult:
         denials: selected nodes refused, with reasons.
         changes: the structural delta of the applied mutations, used by
             the serving layer for incremental view maintenance.
+        summary: the acknowledgement a served commit answers with
+            (``fully_applied``, ``selected``, ``affected``, ``denied``
+            counts and the committed ``version``), set by the serving
+            layer under its write lock; None outside it.
     """
 
     document: XMLDocument
@@ -98,6 +102,9 @@ class SecureUpdateResult:
     affected: List[NodeId] = field(default_factory=list)
     denials: List[Denial] = field(default_factory=list)
     changes: ChangeSet = field(default_factory=ChangeSet)
+    summary: Optional[Dict[str, Any]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def fully_applied(self) -> bool:

@@ -56,6 +56,18 @@ class DedupedResult:
     version: int
     deduped: bool = True
 
+    @property
+    def summary(self) -> Dict[str, Any]:
+        """The remembered acknowledgement, shaped like a fresh commit's
+        ``SecureUpdateResult.summary``."""
+        return {
+            "fully_applied": self.fully_applied,
+            "selected": self.selected,
+            "affected": self.affected,
+            "denied": self.denied,
+            "version": self.version,
+        }
+
     @classmethod
     def from_entry(cls, entry: Dict[str, Any]) -> "DedupedResult":
         """Build from a stored (or log-replayed) summary dict."""

@@ -45,28 +45,40 @@ acknowledged, exactly like a crashed group, so a deposed primary can
 never hand out a late ack for a write the new primary's history does
 not contain.
 
-A flushed group that committed anything counts toward the server's
+Disk-full ladder: a member whose own append hit ``ENOSPC`` committed
+nothing.  Once the group's sync has settled -- so no member can be
+acknowledged past it -- the leader reclaims space (re-open the log,
+checkpoint to rotate and prune) and the member re-submits; when the
+reclaim fails the member is shed with
+:class:`~repro.errors.OverloadError` (counted ``disk_full_shed``,
+audited ``disk-full``).
+
+A flushed group that appended anything counts toward the server's
 ``checkpoint_every`` (:meth:`DatabaseServer.checkpoint` runs on the
-leader once the tickets are resolved), as one :meth:`DatabaseServer.execute`
-does.
+leader once the tickets are resolved); a member answered from the
+exactly-once ledger appended nothing and counts toward neither the
+checkpoint nor the group counters.
 
 Thread-agnostic by design: the retry schedule exists once, as the
 :meth:`GroupCommitter.schedule` generator (submit, settle, re-submit a
-raced member after a backoff, give up with ``RetryExhausted``).
-:meth:`commit` drives it on the caller's thread (tests, the chaos
-lanes); the asyncio front-end (:mod:`repro.netserve`) drives it on its
-event loop with ticket callbacks, so ten thousand parked writers cost
-no threads.
+re-submittable member after a backoff, give up with
+``RetryExhausted``), and it is the only way a served write reaches the
+log.  :meth:`commit` drives it on the caller's thread --
+:meth:`DatabaseServer.execute` is that driver over a server-owned
+committer with ``max_batch=1`` -- and the asyncio front-end
+(:mod:`repro.netserve`) drives it on its event loop with ticket
+callbacks, so ten thousand parked writers cost no threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
-import time
-from typing import Any, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional
 
 from ..errors import (
     ConcurrentUpdateError,
+    DiskFullError,
     RetryExhausted,
     StaleEpochError,
     WalWriteError,
@@ -74,7 +86,9 @@ from ..errors import (
 from ..faults import kill_point
 from ..xupdate.parser import parse_xupdate
 from .retry import Deadline
-from .server import DatabaseServer
+
+if TYPE_CHECKING:  # server.py builds its own committer from this module
+    from .server import DatabaseServer
 
 __all__ = ["CommitTicket", "GroupCommitter"]
 
@@ -88,7 +102,8 @@ class CommitTicket:
 
     - :attr:`result` is set: the commit is applied *and durable*.
     - :attr:`retry` is True: the attempt hit a commit race (or the log
-      was detached mid-attempt); nothing committed -- re-submit.
+      was detached mid-attempt, or its full disk was reclaimed);
+      nothing committed -- re-submit.
     - :attr:`error` is set: the attempt failed for this member alone,
       or the whole group failed before its fsync.
     """
@@ -161,28 +176,29 @@ class GroupCommitter:
     Args:
         server: the :class:`DatabaseServer` whose
             :meth:`~DatabaseServer.execute_once` applies each member
-            (and whose retry policy / rng / sleep pace the re-submits).
+            (and whose retry policy / rng / sleep / clock pace the
+            re-submits and time the window).
         max_batch: seal a group at this many members even if the window
             has time left.
         max_delay_ms: how long a leader waits for followers before
             flushing a non-full group -- the latency the first writer
             donates to throughput.
-        clock: monotonic time source (injectable for tests).
 
     Counters land in the server's ledger: ``group_commits`` (groups
     flushed with at least one durable commit), ``grouped_records``
     (commits that rode a group) and ``group_fsyncs_saved`` (fsyncs a
     one-per-commit policy would have issued minus what the groups
-    actually issued).
+    actually issued), so group fsyncs spent + ``group_fsyncs_saved`` =
+    ``grouped_records``.  Ledger replays append nothing and count in
+    none of them.
     """
 
     def __init__(
         self,
-        server: DatabaseServer,
+        server: "DatabaseServer",
         *,
         max_batch: int = 128,
         max_delay_ms: float = 2.0,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -191,7 +207,6 @@ class GroupCommitter:
         self._server = server
         self.max_batch = max_batch
         self.max_delay = max_delay_ms / 1000.0
-        self._clock = clock
         self._cond = threading.Condition()
         self._open: Optional[_Group] = None
 
@@ -223,7 +238,7 @@ class GroupCommitter:
             if group is None or group.sealed or (
                 len(group.members) >= self.max_batch
             ):
-                group = _Group(self._clock())
+                group = _Group(self._server._clock())
                 self._open = group
                 ticket.leader = True
             ticket.group = group
@@ -252,7 +267,7 @@ class GroupCommitter:
         with self._cond:
             seal_at = group.opened_at + self.max_delay
             while not group.sealed:
-                remaining = seal_at - self._clock()
+                remaining = seal_at - self._server._clock()
                 if remaining <= 0:
                     group.sealed = True
                     break
@@ -265,13 +280,14 @@ class GroupCommitter:
         server = self._server
         wal = server.database.wal
         committed: List[CommitTicket] = []
+        full: List[CommitTicket] = []  # own append hit ENOSPC
         applied = 0
         synced = False  # did this group's own sync_group() fsync?
         failure: Optional[BaseException] = None
         try:
-            with wal.group() if wal is not None else _null():
+            with wal.group() if wal is not None else contextlib.nullcontext():
                 for index, member in enumerate(group.members):
-                    self._apply(member, committed)
+                    self._apply(member, committed, full)
                     applied = index + 1
                     if index == 0:
                         kill_point(
@@ -302,7 +318,7 @@ class GroupCommitter:
         if failure is not None:
             server._breaker.record_failure()
             if isinstance(failure, WalWriteError):
-                server._count("wal_errors")
+                server._note_wal_failure(failure)
             # Members that committed before the group died may or may
             # not be durable: unknown outcome, never acknowledged.
             for member in committed:
@@ -313,17 +329,35 @@ class GroupCommitter:
             for member in group.members[applied:]:
                 member.retry, member.error = True, failure
             committed = []
-        if committed:
+        if full:
+            # The group's sync has settled, so reopening the log here
+            # cannot acknowledge an unsynced member.
+            reclaimed = server._reclaim_space()
+            for member in full:
+                if reclaimed:
+                    member.retry = True
+                else:
+                    member.error = server._shed_disk_full(
+                        member.user, member.operation, member.error
+                    )
+        records = sum(
+            not getattr(member.result, "deduped", False)
+            for member in committed
+        )
+        if records:
             server._count("group_commits")
-            server._count("grouped_records", len(committed))
-            server._count("group_fsyncs_saved", len(committed) - synced)
+            server._count("grouped_records", records)
+            server._count("group_fsyncs_saved", records - synced)
         for member in group.members:
             member._resolve()
-        if committed:
+        if records:
             server._maybe_auto_checkpoint()
 
     def _apply(
-        self, member: CommitTicket, committed: List[CommitTicket]
+        self,
+        member: CommitTicket,
+        committed: List[CommitTicket],
+        full: List[CommitTicket],
     ) -> None:
         """Run one member; member-local failures stay member-local."""
         server = self._server
@@ -335,13 +369,14 @@ class GroupCommitter:
         except ConcurrentUpdateError as exc:
             member.retry, member.error = True, exc
         except WalWriteError as exc:
+            member.error = exc
             if server.database.wal is None:
                 # The failing log was detached mid-attempt; nothing
                 # committed for this member -- re-run it against the
                 # degraded (snapshot-only) server.
-                member.retry, member.error = True, exc
-            else:
-                member.error = exc
+                member.retry = True
+            elif isinstance(exc.disk, DiskFullError):
+                full.append(member)
         except Exception as exc:  # noqa: BLE001 -- resolves this ticket only
             member.error = exc
         else:
@@ -363,13 +398,15 @@ class GroupCommitter:
         Yields each :class:`CommitTicket` the caller must settle (drive
         it when ``ticket.leader``, otherwise wait on it for up to
         ``ticket.deadline.timeout()``) and each backoff, in seconds, the
-        caller must sleep.  A raced attempt is re-submitted on the
+        caller must sleep.  A re-submittable attempt (a commit race, a
+        detached log, a reclaimed full disk) is re-submitted on the
         server's :class:`~repro.serving.retry.RetryPolicy`; a member
-        error, an expired budget or :class:`RetryExhausted` is raised
-        from the generator.  It ends normally only after its last
-        ticket settled with a durable result.  :meth:`commit` drives
-        it on a thread; :mod:`repro.netserve` drives it on an event
-        loop.
+        error, an expired budget or :class:`RetryExhausted` (audited
+        ``retry-exhausted``) is raised from the generator.  It ends
+        normally only after its last ticket settled with a durable
+        result.  :meth:`commit` drives it on a thread --
+        :meth:`DatabaseServer.execute` is that driver -- and
+        :mod:`repro.netserve` drives it on an event loop.
 
         A text ``operation`` is parsed here, once, before the first
         submit: a malformed script fails only this request (its parse
@@ -380,8 +417,9 @@ class GroupCommitter:
             operation = parse_xupdate(operation)
         server = self._server
         deadline = server._deadline(deadline)
+        opname, oppath = server._describe(operation)
         policy = server.retry
-        delay = 0.0
+        backoff = policy.delays(server._rng)
         last: Optional[BaseException] = None
         for attempt in range(1, policy.max_attempts + 1):
             ticket = self.submit(
@@ -393,7 +431,7 @@ class GroupCommitter:
                 # outcome is unknown (the leader may still flush it) --
                 # the caller must treat this like any crashed-ack.
                 raise server._deadline_error(
-                    deadline, user, "group-commit", "group flush"
+                    deadline, user, opname, "group flush"
                 )
             if not ticket.retry:
                 if ticket.error is not None:
@@ -405,16 +443,19 @@ class GroupCommitter:
             remaining = deadline.remaining()
             if remaining <= 0.0:
                 server._breaker.record_failure()
-                raise server._deadline_error(
-                    deadline, user, "group-commit", "backoff"
-                )
-            delay = policy.next_delay(delay, server._rng)
+                raise server._deadline_error(deadline, user, opname, "backoff")
             server._count("retries")
-            yield min(delay, remaining)
+            yield min(next(backoff), remaining)
         server._breaker.record_failure()
         server._count("retry_exhausted")
+        server._audit_rejection(
+            user, opname, oppath,
+            f"gave up after {policy.max_attempts} attempts, each one "
+            f"re-submittable; last: {last}",
+            "retry-exhausted",
+        )
         raise RetryExhausted(
-            f"group commit by {user!r} lost {policy.max_attempts} "
+            f"{opname} by {user!r} lost {policy.max_attempts} "
             f"attempt(s); giving up",
             attempts=policy.max_attempts,
             last_error=last,
@@ -446,13 +487,3 @@ class GroupCommitter:
             else:
                 step.wait(step.deadline.timeout())
         return step.result
-
-
-class _null:
-    """A no-op context manager (database without an attached log)."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> None:
-        return None

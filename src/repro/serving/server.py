@@ -10,13 +10,18 @@ one-shot calls into *requests* with a serving contract:
    all observe one frozen database generation.  The backoff *sleep*
    between write attempts happens outside the lock -- a retrying
    writer never starves readers.
-2. **Retry with backoff.**  A commit race
-   (:class:`~repro.errors.ConcurrentUpdateError` from an interleaved
-   commit -- another server, an administrative update) is absorbed by
-   re-running the write under the
+2. **One write path, one retry schedule.**  :meth:`~DatabaseServer.execute`
+   is the blocking driver of
+   :meth:`~repro.serving.group.GroupCommitter.schedule` on a
+   server-owned committer whose groups have one seat, so an
+   in-process write takes exactly the route a socket write takes:
+   every attempt is one :meth:`~DatabaseServer.execute_once`.  A
+   commit race (:class:`~repro.errors.ConcurrentUpdateError` from an
+   interleaved commit -- another server, an administrative update), a
+   detached log or a reclaimed full disk re-submits the write on the
    :class:`~repro.serving.retry.RetryPolicy`'s decorrelated-jitter
-   schedule; the race is invisible to the client unless the policy's
-   attempts run out (:class:`~repro.errors.RetryExhausted`).
+   schedule; the client sees none of it unless the policy's attempts
+   run out (:class:`~repro.errors.RetryExhausted`).
 3. **Deadlines.**  Every request carries a
    :class:`~repro.serving.retry.Deadline` (per-call or the server
    default) checked at each blocking point; on the write path it rides
@@ -34,10 +39,10 @@ one-shot calls into *requests* with a serving contract:
    per-session rebuild, see ``SecureXMLDatabase.build_view``), and
    every degradation is logged and counted in :meth:`stats`.
 
-Shed, timed-out, retry-exhausted and epoch-fenced requests are
-recorded in the database's audit log (events ``"shed"`` /
-``"deadline"`` / ``"retry-exhausted"`` / ``"fenced"``), exactly like
-aborted scripts are.
+Shed, timed-out, retry-exhausted, disk-full and epoch-fenced requests
+are recorded in the database's audit log (events ``"shed"`` /
+``"deadline"`` / ``"retry-exhausted"`` / ``"disk-full"`` /
+``"fenced"``), exactly like aborted scripts are.
 
 Example::
 
@@ -69,7 +74,6 @@ from ..errors import (
     DiskFullError,
     DiskIOError,
     OverloadError,
-    RetryExhausted,
     StaleEpochError,
     UpdateAborted,
     WalWriteError,
@@ -79,9 +83,9 @@ from ..security.session import Session, SessionCache
 from ..security.write import AccessDenied, SecureUpdateResult
 from ..xpath.values import NodeSet, XPathValue
 from ..xupdate.operations import UpdateScript, XUpdateOperation
-from ..xupdate.parser import parse_xupdate
 from .admission import AdmissionController, CircuitBreaker
 from .dedup import DedupTable, DedupedResult
+from .group import GroupCommitter
 from .retry import Deadline, RetryPolicy
 from .rwlock import RWLock
 
@@ -94,35 +98,11 @@ logger = logging.getLogger("repro.serving")
 #: primary disk as a promotion reason.
 DISK_SICK_THRESHOLD = 3
 
-
-class _WalDegraded(Exception):
-    """Internal: the write-ahead log was detached mid-attempt; the
-    attempt committed nothing and is safe to re-run.  Never escapes
-    the serving layer (:meth:`DatabaseServer.execute` retries it,
-    :meth:`DatabaseServer.execute_once` re-raises the original
-    :class:`~repro.errors.WalWriteError`, the group committer re-queues
-    the member)."""
-
-    def __init__(self, error: WalWriteError) -> None:
-        super().__init__(str(error))
-        self.error = error
-
-
-class _DiskFull(Exception):
-    """Internal: an append hit ``ENOSPC``; nothing was committed.
-
-    The signal for the disk-full admission ladder (ISSUE 10): the
-    retry loop catches it *outside* the write lock, reclaims space
-    (re-open the poisoned log, checkpoint to rotate and prune), and
-    re-runs the attempt -- or sheds the write with
-    :class:`~repro.errors.OverloadError` when reclaim fails.  A full
-    disk never detaches the log: snapshot-only durability would fail
-    on the same full volume, and shedding is honest back-pressure.
-    """
-
-    def __init__(self, error: WalWriteError) -> None:
-        super().__init__(str(error))
-        self.error = error
+#: Consecutive :class:`~repro.errors.WalWriteError` commits after which
+#: the server *detaches* the failing log and keeps serving with
+#: snapshot-only durability (counted as ``wal_degraded`` in
+#: :meth:`DatabaseServer.stats`) rather than refusing every write.
+WAL_FAILURE_THRESHOLD = 3
 
 
 class DatabaseServer:
@@ -130,7 +110,8 @@ class DatabaseServer:
 
     Args:
         database: the :class:`SecureXMLDatabase` being served.
-        retry: backoff schedule for commit races (default
+        retry: the one backoff schedule every write's re-submits
+            follow, in-process or over a socket (default
             :class:`RetryPolicy()`).
         max_in_flight: admission budget; None disables admission
             control.
@@ -142,12 +123,10 @@ class DatabaseServer:
             per-call deadline; None means unbounded.
         wal: a :class:`repro.wal.WriteAheadLog` to attach to the
             database (every commit becomes write-ahead durable); None
-            serves whatever durability the database already has.
-        wal_failure_threshold: consecutive
-            :class:`~repro.errors.WalWriteError` commits after which
-            the server *detaches* the failing log and keeps serving
-            with snapshot-only durability (counted as ``wal_degraded``
-            in :meth:`stats`) rather than refusing every write.
+            serves whatever durability the database already has.  After
+            :data:`WAL_FAILURE_THRESHOLD` consecutive refused commits
+            the failing log is detached (see :meth:`stats`'s
+            ``wal_degraded``).
         checkpoint_every: automatically :meth:`checkpoint` after this
             many committed writes; None disables auto-checkpointing.
         scrub_interval: seconds between background integrity-scrub
@@ -157,7 +136,8 @@ class DatabaseServer:
             for caller-paced scrubbing.
         scrub_budget: byte budget per scrub step (None = each step is
             a full pass).
-        clock: monotonic time source (injectable for tests).
+        clock: monotonic time source (injectable for tests); the
+            commit groups are timed on it too.
         sleep: how to wait out a backoff delay (injectable for tests).
         rng: randomness source for jitter (seedable for tests).
     """
@@ -172,7 +152,6 @@ class DatabaseServer:
         breaker: Optional[CircuitBreaker] = None,
         default_deadline: Optional[float] = None,
         wal=None,
-        wal_failure_threshold: int = 3,
         checkpoint_every: Optional[int] = None,
         scrub_interval: Optional[float] = None,
         scrub_budget: Optional[int] = None,
@@ -183,13 +162,10 @@ class DatabaseServer:
         self._database = database
         if wal is not None:
             database.attach_wal(wal)
-        if wal_failure_threshold < 1:
-            raise ValueError("wal_failure_threshold must be >= 1")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 or None")
         if scrub_interval is not None and scrub_interval <= 0:
             raise ValueError("scrub_interval must be positive or None")
-        self._wal_failure_threshold = wal_failure_threshold
         self._wal_consecutive_failures = 0
         self._disk_io_consecutive = 0
         self._scrub_interval = scrub_interval
@@ -216,6 +192,9 @@ class DatabaseServer:
         self._dedup = DedupTable()
         self._fenced_at: Optional[int] = None
         self._sessions = SessionCache(database.login)
+        # One seat per group: a group seals on submit, so an in-process
+        # write never waits out a batching window.
+        self._committer = GroupCommitter(self, max_batch=1, max_delay_ms=0.0)
         self._counters_lock = threading.Lock()
         self._counters: Dict[str, int] = {
             "reads": 0,  # read requests served
@@ -491,7 +470,7 @@ class DatabaseServer:
         return result
 
     # ------------------------------------------------------------------
-    # writes (exclusive lock + retry)
+    # writes (exclusive lock + the committer's retry schedule)
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -504,12 +483,18 @@ class DatabaseServer:
         """Apply an update as ``user``, absorbing commit races.
 
         The operation is executed through the user's session exactly
-        like :meth:`Session.execute`, but governed: admission control
-        and the circuit breaker gate entry, each attempt runs under
-        the exclusive lock, a commit race is retried on the backoff
-        schedule (sleeping *outside* the lock), and the deadline is
-        checkpointed before every script operation so an expired
-        request aborts via the savepoint path with nothing committed.
+        like :meth:`Session.execute`, but governed: this is the
+        blocking driver of the server's own one-seat
+        :class:`~repro.serving.group.GroupCommitter`, so it runs the
+        same :meth:`~repro.serving.group.GroupCommitter.schedule` a
+        socket write runs.  Each attempt is one :meth:`execute_once`
+        (fencing, circuit breaker, admission, the exclusive lock); a
+        commit race, a detached log or a reclaimed full disk is
+        re-submitted on the backoff schedule (sleeping *outside* the
+        lock), and the deadline is checkpointed before every script
+        operation so an expired request aborts via the savepoint path
+        with nothing committed.  The result is durable (the group's
+        sync honoured the log's fsync policy) before this returns.
 
         A non-None ``idempotency_key`` makes the write exactly-once
         across retries and failover: a key already acknowledged
@@ -520,13 +505,17 @@ class DatabaseServer:
         too.
 
         Raises:
-            OverloadError: shed by admission control (audited).
+            OverloadError: shed by admission control, or the log volume
+                is full and reclaiming space failed (both audited).
             DeadlineExceeded: the budget expired at any phase
                 (audited; nothing committed).
             CircuitOpenError: the write circuit is open.
-            RetryExhausted: every attempt hit a commit race (audited).
+            RetryExhausted: every attempt was re-submittable -- a
+                commit race, say -- and the attempts ran out (audited).
             StaleEpochError: this server was fenced by a promotion
                 (never acknowledged; re-submit to the current primary).
+            WalWriteError: the log refused the commit (below the
+                detach threshold) or its group's sync failed.
             AccessDenied, UpdateAborted: as for
                 :meth:`Session.execute`; these are application
                 outcomes and do not trip the circuit breaker.
@@ -535,23 +524,9 @@ class DatabaseServer:
                 front: a malformed request fails alone, before
                 admission, and never counts against the breaker.
         """
-        if isinstance(operation, str):
-            operation = parse_xupdate(operation)
-        deadline = self._deadline(deadline)
-        opname, oppath = _describe(operation)
-        self._ensure_not_fenced(user, opname, oppath)
-        self._breaker.allow()
-        session = self.session(user)
-        self._admit(deadline, user, opname, oppath)
-        try:
-            result = self._execute_with_retry(
-                session, operation, strict, deadline, opname, oppath,
-                idempotency_key,
-            )
-        finally:
-            self._admission.release()
-        self._maybe_auto_checkpoint()
-        return result
+        return self._committer.commit(
+            user, operation, strict, deadline, idempotency_key
+        )
 
     def execute_once(
         self,
@@ -565,114 +540,43 @@ class DatabaseServer:
 
         Exactly one trip through admission, the breaker and the
         exclusive lock; a commit race surfaces as
-        :class:`~repro.errors.ConcurrentUpdateError` instead of being
-        absorbed.  This is the primitive the
-        :class:`~repro.serving.group.GroupCommitter` batches -- the
-        committer owns the backoff schedule, so a racing member never
-        holds its group hostage through a sleep.
+        :class:`~repro.errors.ConcurrentUpdateError` and a refused
+        append as :class:`~repro.errors.WalWriteError` instead of being
+        absorbed.  This is the primitive every commit group runs for
+        each member -- the :class:`~repro.serving.group.GroupCommitter`
+        owns the backoff schedule and the disk-full ladder, so a racing
+        member never holds its group hostage through a sleep.
 
         Accepts an already-ticking :class:`Deadline` as well as a float
         budget, so a caller retrying across attempts keeps one decaying
         budget.
         """
         deadline = self._deadline(deadline)
-        opname, oppath = _describe(operation)
+        opname, oppath = self._describe(operation)
         self._ensure_not_fenced(user, opname, oppath)
         self._breaker.allow()
         session = self.session(user)
         self._admit(deadline, user, opname, oppath)
         try:
-            try:
-                return self._locked_attempt(
-                    session, operation, strict, deadline, opname, oppath,
-                    idem=idempotency_key,
-                )
-            except _WalDegraded as exc:
-                raise exc.error from exc
-            except _DiskFull as exc:
-                # No internal retry here: surface the original error;
-                # the caller (the group committer's backoff, or the
-                # client) decides when to try again.  Reclaim still
-                # runs so the *next* attempt finds a healthy log.
-                self._reclaim_space()
-                raise exc.error from exc
+            return self._locked_attempt(
+                session, operation, strict, deadline, opname, oppath,
+                idempotency_key,
+            )
         finally:
             self._admission.release()
 
-    def _execute_with_retry(
-        self, session, operation, strict, deadline, opname, oppath, idem=None
-    ):
-        user = session.user
-        delay = 0.0
-        last: Optional[ConcurrentUpdateError] = None
-        for attempt in range(1, self._retry.max_attempts + 1):
-            try:
-                return self._locked_attempt(
-                    session, operation, strict, deadline, opname, oppath,
-                    attempt=attempt, idem=idem,
-                )
-            except ConcurrentUpdateError as exc:
-                last = exc
-                logger.debug(
-                    "commit race for %s (%s attempt %d/%d)",
-                    user, opname, attempt, self._retry.max_attempts,
-                )
-            except _WalDegraded:
-                # The failing log was detached; the attempt committed
-                # nothing and re-runs against snapshot-only durability.
-                pass
-            except _DiskFull as exc:
-                # ENOSPC poisoned the log writer mid-append; nothing
-                # was committed.  Reclaim space outside the lock
-                # (reopen the log past the torn tail, checkpoint to
-                # rotate and prune old segments) and retry -- or shed.
-                if not self._reclaim_space():
-                    self._count("disk_full_shed")
-                    self._audit_rejection(
-                        user, opname, oppath,
-                        f"disk full and space reclaim failed: {exc.error}",
-                        "disk-full",
-                    )
-                    raise OverloadError(
-                        f"{opname} by {user!r} shed: the log volume is "
-                        f"full and reclaiming space failed; retry after "
-                        f"freeing disk ({exc.error})"
-                    ) from exc.error
-            # Retryable outcome: back off outside the lock, then again.
-            if attempt == self._retry.max_attempts:
-                break
-            remaining = deadline.remaining()
-            if remaining <= 0.0:
-                self._breaker.record_failure()
-                raise self._deadline_error(deadline, user, opname, "backoff")
-            delay = self._retry.next_delay(delay, self._rng)
-            self._count("retries")
-            self._sleep(min(delay, remaining))
-        self._breaker.record_failure()
-        self._count("retry_exhausted")
-        self._audit_rejection(
-            user, opname, oppath,
-            f"gave up after {self._retry.max_attempts} attempts, every "
-            f"commit raced a concurrent update",
-            "retry-exhausted",
-        )
-        raise RetryExhausted(
-            f"{opname} by {user!r} lost {self._retry.max_attempts} "
-            f"commit race(s); giving up",
-            attempts=self._retry.max_attempts,
-            last_error=last,
-        ) from last
-
     def _locked_attempt(
-        self, session, operation, strict, deadline, opname, oppath,
-        attempt=1, idem=None,
+        self, session, operation, strict, deadline, opname, oppath, idem
     ):
         """One write attempt under the exclusive lock.
 
         Raises ConcurrentUpdateError on a commit race (not counted as a
-        breaker failure) and :class:`_WalDegraded` when this attempt
-        pushed the failing log over the detach threshold; every other
-        outcome matches :meth:`execute`'s contract.
+        breaker failure) and the log's WalWriteError when it refused the
+        commit -- after detaching the log when this refusal reached
+        :data:`WAL_FAILURE_THRESHOLD`; every other outcome matches
+        :meth:`execute`'s contract.  A commit's acknowledgement summary
+        is computed here, under the lock, once: the exactly-once ledger
+        and the wire reply both read it.
         """
         user = session.user
         if not self._lock.acquire_write(deadline.timeout()):
@@ -717,8 +621,7 @@ class DatabaseServer:
             self._count("deadline_exceeded")
             self._audit_rejection(
                 user, opname, oppath,
-                f"deadline of {deadline.budget:.6g}s exceeded "
-                f"mid-script (attempt {attempt})",
+                f"deadline of {deadline.budget:.6g}s exceeded mid-script",
                 "deadline",
             )
             raise
@@ -732,32 +635,19 @@ class DatabaseServer:
             # The log refused to make the commit durable; nothing
             # was installed.  Feed the breaker, and after enough
             # consecutive refusals detach the log (snapshot-only
-            # durability beats refusing every write) so the caller
-            # can re-run the attempt without it.
+            # durability beats refusing every write); the committer
+            # then re-runs the attempt without it.  A full disk never
+            # counts toward detaching -- snapshot-only durability would
+            # fail on the same full volume; the committer reclaims
+            # space or sheds instead.
             self._breaker.record_failure()
-            self._count("wal_errors")
+            self._note_wal_failure(exc)
             if (
-                isinstance(exc.disk, DiskFullError)
-                and self._database.wal is not None
+                self._database.wal is not None
+                and self._wal_consecutive_failures >= WAL_FAILURE_THRESHOLD
             ):
-                # ENOSPC rides its own ladder: reclaim space outside
-                # the lock and retry, or shed.  It never counts toward
-                # detaching the log -- snapshot-only durability would
-                # fail on the same full volume.
-                self._count("disk_full_events")
-                raise _DiskFull(exc) from exc
-            if isinstance(exc.disk, DiskIOError):
-                self._count("disk_io_errors")
-                self._disk_io_consecutive += 1
-            self._wal_consecutive_failures += 1
-            if (
-                self._database.wal is None
-                or self._wal_consecutive_failures
-                < self._wal_failure_threshold
-            ):
-                raise
-            self._degrade_wal(exc)  # still under the write lock
-            raise _WalDegraded(exc) from exc
+                self._degrade_wal(exc)  # still under the write lock
+            raise
         except Exception:
             self._breaker.record_failure()
             raise
@@ -772,20 +662,30 @@ class DatabaseServer:
             self._count("writes")
             self._count("commits")
             self._commits_since_checkpoint += 1
+            result.summary = {
+                "fully_applied": bool(result.fully_applied),
+                "selected": len(result.selected),
+                "affected": len(result.affected),
+                "denied": len(result.denials),
+                "version": self._database.version,
+            }
             if idem is not None:
-                self._dedup.put(
-                    idem,
-                    {
-                        "fully_applied": bool(result.fully_applied),
-                        "selected": len(result.selected),
-                        "affected": len(result.affected),
-                        "denied": len(result.denials),
-                        "version": self._database.version,
-                    },
-                )
+                self._dedup.put(idem, result.summary)
             return result
         finally:
             self._lock.release_write()
+
+    def _note_wal_failure(self, error: WalWriteError) -> None:
+        """Count a commit the log refused (its own append, or its
+        group's sync) by the disk failure behind it."""
+        self._count("wal_errors")
+        if isinstance(error.disk, DiskFullError):
+            self._count("disk_full_events")
+            return
+        if isinstance(error.disk, DiskIOError):
+            self._count("disk_io_errors")
+            self._disk_io_consecutive += 1
+        self._wal_consecutive_failures += 1
 
     # ------------------------------------------------------------------
     # durability maintenance
@@ -810,9 +710,12 @@ class DatabaseServer:
         rotate and prune, and report whether the log is healthy again.
 
         Called with no lock held (checkpointing takes the write lock
-        itself).  Any failure -- the reopen finds quarantined damage,
-        the checkpoint itself hits ``ENOSPC`` -- returns False; the
-        caller sheds the write instead of crashing the server.
+        itself) and outside any group window, once the group's sync has
+        settled, so no member is acknowledged past the reopen.  Any
+        failure -- the reopen finds quarantined damage or cannot make
+        pending appends durable, the checkpoint itself hits ``ENOSPC``
+        -- returns False; the caller sheds the write instead of
+        crashing the server.
         """
         wal = self._database.wal
         if wal is None:
@@ -833,6 +736,24 @@ class DatabaseServer:
             "checkpoint pruned old segments"
         )
         return True
+
+    def _shed_disk_full(self, user, operation, error) -> OverloadError:
+        """The last rung of the disk-full ladder: count and audit a
+        write shed because reclaiming space failed; returns the error
+        to answer it with."""
+        opname, oppath = self._describe(operation)
+        self._count("disk_full_shed")
+        self._audit_rejection(
+            user, opname, oppath,
+            f"disk full and space reclaim failed: {error}",
+            "disk-full",
+        )
+        shed = OverloadError(
+            f"{opname} by {user!r} shed: the log volume is full and "
+            f"reclaiming space failed; retry after freeing disk ({error})"
+        )
+        shed.__cause__ = error
+        return shed
 
     # ------------------------------------------------------------------
     # background integrity scrubbing
@@ -1017,6 +938,17 @@ class DatabaseServer:
         self._audit_rejection(user, opname, "", reason, "deadline")
         return DeadlineExceeded(reason, budget=deadline.budget)
 
+    @staticmethod
+    def _describe(operation) -> tuple:
+        """(operation name, path) for audit records and messages,
+        best-effort."""
+        if isinstance(operation, str):
+            return ("xupdate", "")
+        if isinstance(operation, UpdateScript):
+            ops = list(operation)
+            return ("UpdateScript", ops[0].path if ops else "")
+        return (type(operation).__name__, getattr(operation, "path", ""))
+
     def _audit_rejection(self, user, opname, oppath, reason, event) -> None:
         try:
             self._database.audit.record_rejected(
@@ -1070,13 +1002,3 @@ class DatabaseServer:
         )
         out.update(self._database.stats())
         return copy.deepcopy(out)
-
-
-def _describe(operation) -> tuple:
-    """(operation name, path) for audit records, best-effort."""
-    if isinstance(operation, str):
-        return ("xupdate", "")
-    if isinstance(operation, UpdateScript):
-        ops = list(operation)
-        return ("UpdateScript", ops[0].path if ops else "")
-    return (type(operation).__name__, getattr(operation, "path", ""))

@@ -721,9 +721,14 @@ class WriteAheadLog:
         log and retries the shed write instead of degrading to
         snapshot-only durability.
 
+        Appends still pending an fsync are made durable first; when
+        that fsync fails the reopen is refused rather than dropping
+        them.
+
         Raises:
             WalWriteError: the log was *fenced*, not failed -- a higher
-                epoch exists elsewhere and no reopen may resurrect it.
+                epoch exists elsewhere and no reopen may resurrect it --
+                or pending appends could not be made durable.
             WalCorruptionError: the directory holds non-tail corruption
                 or quarantined segments; repair first.
         """
@@ -733,6 +738,21 @@ class WriteAheadLog:
                     f"log at {self._directory} is fenced ({self._failed}); "
                     f"a fenced log never resumes appending"
                 )
+            if self._pending and self._handle is not None:
+                # Unsynced appends -- another thread's open commit
+                # group, say -- ride this fsync.  close() would swallow
+                # its failure and the reset below would forget them, so
+                # that group's sync_group() would find nothing pending
+                # and acknowledge records the disk may have dropped.
+                # Refuse instead; the log stays failed and the group's
+                # sync refuses too.
+                try:
+                    self._handle.flush()
+                    faults.fsync(self._handle)
+                except (OSError, ValueError) as exc:
+                    raise self._poison(
+                        "fsync of pending appends", exc, "fsync"
+                    ) from exc
             self.close()
             self._failed = None
             self._failed_disk = None
@@ -1010,15 +1030,25 @@ class WriteAheadLog:
     def sync_group(self) -> bool:
         """The group's one fsync: force every deferred append durable.
 
+        Honours the fsync policy: under ``"os"`` the group's appends are
+        left to the OS like any other append and no fsync is issued,
+        but a failed log still refuses the group.
+
         Returns:
-            True when an fsync was actually issued (False when nothing
-            was pending -- e.g. a rotation already synced the batch).
+            True when an fsync was actually issued (False under ``"os"``
+            or when nothing was pending -- e.g. a rotation already
+            synced the batch).
 
         Raises:
-            WalWriteError: the fsync failed (the log is failed
-                afterwards; none of the group may be acknowledged).
+            WalWriteError: the fsync failed, or the log failed before
+                it (the log is failed afterwards; none of the group may
+                be acknowledged).
         """
         with self._lock:
+            if self._policy != "always":
+                if self._pending and self._failed is not None:
+                    raise self._refusal()
+                return False
             synced = self._sync_locked()
             self._stats["group_syncs"] += synced
             return synced

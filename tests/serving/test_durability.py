@@ -8,6 +8,7 @@ import pytest
 from repro.errors import WalWriteError
 from repro.faults import InjectedFault, inject
 from repro.serving import DatabaseServer, GroupCommitter
+from repro.serving.server import WAL_FAILURE_THRESHOLD
 from repro.storage import backup_path, load_from_file, save_to_file
 from repro.wal import WriteAheadLog, list_checkpoints, recover, scan_directory
 
@@ -120,23 +121,21 @@ class TestCheckpoint:
 
 
 class TestDegradeLadder:
-    def make_failing_server(self, tmp_path, threshold):
+    def make_failing_server(self, tmp_path):
         db = editors_database()
         wal = WriteAheadLog(str(tmp_path / "db.wal"))
-        server = DatabaseServer(
-            db, wal=wal, wal_failure_threshold=threshold
-        )
+        server = DatabaseServer(db, wal=wal)
         wal.checkpoint(db)
         wal._handle.close()  # every further append now fails
         return server
 
     def test_wal_errors_below_threshold_propagate(self, tmp_path):
-        server = self.make_failing_server(tmp_path, threshold=3)
-        for _ in range(2):
+        server = self.make_failing_server(tmp_path)
+        for _ in range(WAL_FAILURE_THRESHOLD - 1):
             with pytest.raises(WalWriteError):
                 server.execute("w1", append_script("x"))
         stats = server.stats()
-        assert stats["wal_errors"] == 2
+        assert stats["wal_errors"] == WAL_FAILURE_THRESHOLD - 1
         assert stats["wal_degraded"] == 0
         assert stats["wal_attached"] is True
         assert server.database.version == 0  # nothing installed
@@ -144,14 +143,15 @@ class TestDegradeLadder:
     def test_threshold_detaches_the_log_and_the_write_succeeds(
         self, tmp_path
     ):
-        server = self.make_failing_server(tmp_path, threshold=3)
+        server = self.make_failing_server(tmp_path)
         failures = 0
-        for _ in range(3):
+        for _ in range(WAL_FAILURE_THRESHOLD):
             try:
                 server.execute("w1", append_script("x"))
             except WalWriteError:
                 failures += 1
-        assert failures == 2  # the third attempt degraded and committed
+        # the last attempt degraded the log and committed
+        assert failures == WAL_FAILURE_THRESHOLD - 1
         stats = server.stats()
         assert stats["wal_degraded"] == 1
         assert stats["wal_attached"] is False
@@ -166,9 +166,7 @@ class TestDegradeLadder:
         db = editors_database()
         wal = WriteAheadLog(str(tmp_path / "db.wal"))
         breaker = CircuitBreaker(failure_threshold=1)
-        server = DatabaseServer(
-            db, wal=wal, wal_failure_threshold=10, breaker=breaker
-        )
+        server = DatabaseServer(db, wal=wal, breaker=breaker)
         wal.checkpoint(db)
         wal._handle.close()
         with pytest.raises(WalWriteError):
@@ -179,7 +177,7 @@ class TestDegradeLadder:
     def test_a_successful_commit_resets_the_consecutive_count(self, tmp_path):
         db = editors_database()
         wal = WriteAheadLog(str(tmp_path / "db.wal"))
-        server = DatabaseServer(db, wal=wal, wal_failure_threshold=2)
+        server = DatabaseServer(db, wal=wal)
         wal.checkpoint(db)
         with inject("wal-mid-record"):
             with pytest.raises((WalWriteError, InjectedFault)):

@@ -266,6 +266,21 @@ class TestWalClassification:
         assert wal.failed is None
         assert wal.append({"kind": "noop"}) == first + 1
 
+    def test_reopen_refuses_to_forget_unsynced_appends(self, tmp_path):
+        """A group's appends still await its sync when another writer's
+        reclaim reopens the log: if their fsync fails, the reopen fails
+        and the group's sync refuses -- never True-by-omission."""
+        wal = WriteAheadLog(str(tmp_path / "db.wal"))
+        with wal.group():
+            wal.append({"kind": "noop"})
+            disk.arm("fsync", "eio", match=".wal")
+            with pytest.raises(WalWriteError) as excinfo:
+                wal.reopen()
+            assert isinstance(excinfo.value.disk, DiskIOError)
+            assert wal.failed is not None
+            with pytest.raises(WalWriteError):
+                wal.sync_group()
+
     def test_fenced_log_refuses_reopen(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "db.wal"))
         wal.append({"kind": "noop"})
