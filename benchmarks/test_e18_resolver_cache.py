@@ -1,22 +1,27 @@
-"""E18 (added, ablation): cross-user rule-path caching in axiom 14.
+"""E18 (added, ablation): decisions on demand vs the priority replay.
 
-E16 located the architecture's bottleneck in permission resolution:
-every rule path is re-evaluated over the whole source for every user.
-Paths that never mention ``$USER`` select the same nodes for *all*
-users, so the resolver can cache them per (document, mutation stamp).
+E16 located the architecture's bottleneck in permission resolution, and
+E18 first answered it with a cross-user cache of rule-path selections.
+That cache is gone: each fingerprint's rules now compile into one label
+automaton that decides a node from its parent's state and its own
+label, so no rule path of the paper's policy is evaluated at all.
 
-Rows: workload | cold resolver | cached resolver.  A resolver always
-caches; the cold baseline is a *fresh* resolver per user (two resolvers
-share nothing), all over one engine so both rows compile each path once.  The paper's policy
-has 11 user-independent paths out of 12, so multi-user workloads (the
-normal case for a shared database) should approach a 1/users cost.
+Rows: each of the five paper users' views on a 300-patient database,
+derived by the automaton table (a fresh resolver per run, so every
+automaton is compiled and its transitions built) and by the oracle the
+resolver replaced -- every rule path evaluated over the whole document,
+rules replayed in priority order, the view grown from the replayed sets
+(:mod:`repro.testing.perm_oracle`).  Both rows run over one engine, so
+each rule path is compiled once either way.
 """
 
 import pytest
 
 from conftest import synthetic_hospital
 
-from repro.security import PermissionResolver
+from repro.security import PermissionResolver, ViewBuilder
+from repro.testing.perm_oracle import replay, replay_view
+from repro.xmltree import serialize
 from repro.xpath import XPathEngine
 
 ENGINE = XPathEngine(lone_variable_name_test=True, star_matches_text=True)
@@ -30,30 +35,30 @@ def db():
     return synthetic_hospital(PATIENTS)
 
 
-def resolve_all(db, resolver=None):
-    """Resolve every user with ``resolver``, or (None) each with a
-    fresh one."""
+def automaton_views(db):
+    builder = ViewBuilder(PermissionResolver(ENGINE))
+    return [builder.build(db.document, db.policy, user).doc for user in USERS]
+
+
+def replayed_views(db):
     return [
-        (resolver or PermissionResolver(ENGINE)).resolve(
-            db.document, db.policy, user
-        )
+        replay_view(
+            db.document,
+            replay(ENGINE, db.document, db.policy.applicable_rules(user), user),
+        )[0]
         for user in USERS
     ]
 
 
 def test_e18_five_users_without_cache(benchmark, db):
-    def run():
-        return resolve_all(db)
-
-    tables = benchmark(run)
-    assert len(tables) == len(USERS)
+    """The priority replay over whole selections (the oracle)."""
+    views = benchmark(lambda: replayed_views(db))
+    assert len(views) == len(USERS)
 
 
 def test_e18_five_users_with_cache(benchmark, db):
-    resolver = PermissionResolver(ENGINE)
-
-    def run():
-        return resolve_all(db, resolver)
-
-    tables = benchmark(run)
-    assert len(tables) == len(USERS)
+    """The automaton table, compiled afresh each run."""
+    views = benchmark(lambda: automaton_views(db))
+    assert [serialize(v) for v in views] == [
+        serialize(v) for v in replayed_views(db)
+    ]

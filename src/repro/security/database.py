@@ -342,8 +342,9 @@ class SecureXMLDatabase:
     def check(self, user: str, privilege, nid) -> bool:
         """Decide one ``perm(user, nid, privilege)`` fact.
 
-        A lookup in :meth:`permissions_for`'s table -- fingerprint-cached
-        across users and patched across commits -- so a probe never
+        Asks :meth:`permissions_for`'s table -- fingerprint-cached
+        across users and rebound across commits -- which runs the
+        permission automaton down the node's ancestry, so a probe never
         builds a view (DESIGN.md §11, one decision procedure).
         """
         return self.permissions_for(user).holds(nid, Privilege.parse(privilege))
@@ -356,14 +357,14 @@ class SecureXMLDatabase:
         :attr:`repro.security.perm.PermissionResolver.stats` and
         :attr:`repro.security.viewcache.ViewCache.stats` (prefixed
         ``view_``, except ``table_cache_hits``), e.g. ``view_hits`` /
-        ``view_incremental_patches`` / ``full_resolves``, plus
-        ``rules_compiled`` (compiled-cache misses of the one XPath
-        engine that rule paths, queries and XUpdate PATHs share) and
-        the degradation ledger: ``degraded_rebuilds`` (resolver
-        path-patches and cache-entry patches that raised and were
-        re-derived from scratch, summed) and ``degraded_view_serves``
-        (reads that fell all the way back from the shared cache to a
-        per-session build).
+        ``view_incremental_patches`` / ``full_resolves`` (permission
+        automata compiled) / ``path_evals`` (exception rule paths
+        evaluated), plus ``rules_compiled`` (compiled-cache misses of
+        the one XPath engine that rule paths, queries and XUpdate PATHs
+        share) and the degradation ledger: ``degraded_rebuilds``
+        (cache-entry patches that raised and were re-derived from
+        scratch) and ``degraded_view_serves`` (reads that fell all the
+        way back from the shared cache to a per-session build).
         """
         out = {"version": self._version, "read_only": self._read_only}
         out.update(self._resolver.stats)
@@ -371,10 +372,12 @@ class SecureXMLDatabase:
         cache = dict(self._view_cache.stats)
         out["table_cache_hits"] = cache.pop("table_cache_hits")
         out.update({f"view_{k}": v for k, v in cache.items()})
-        out["degraded_rebuilds"] += cache["degraded_rebuilds"]
+        out["degraded_rebuilds"] = cache["degraded_rebuilds"]
         out["degraded_view_serves"] = self._degraded_view_serves
-        # Pinned to 0 for bench/harness.py, which indexes both keys.
+        # Pinned to 0 for bench/harness.py, which indexes these keys.
         out["static_decisions"] = out["static_fallbacks"] = 0
+        out["delta_resolves"] = out["path_cache_hits"] = 0
+        out["paths_patched"] = out["paths_carried"] = 0
         return out
 
     # ------------------------------------------------------------------
@@ -428,9 +431,8 @@ class SecureXMLDatabase:
         # are current only for the installed document object at its
         # mutation stamp, so they can never serve a half-installed
         # state.  The change-set (possibly None = "unknown extent") is
-        # published to the view cache -- which feeds the resolver's path
-        # cache -- *after* the swap, so maintenance sees the installed
-        # generation.
+        # published to the view cache *after* the swap, so maintenance
+        # sees the installed generation.
         if self._read_only:
             from ..errors import ReadOnlyReplica
 

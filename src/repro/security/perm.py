@@ -5,243 +5,382 @@ Axiom 14 reads: subject ``s`` definitely holds privilege ``r`` on node
 path addresses ``n``) has **no later deny rule** covering the same
 subject/privilege/node.  With unique priorities this is exactly
 "the latest matching rule wins; no matching rule means no privilege"
-(closed-world assumption) -- which is how the resolver computes it: rules
-are replayed in priority order and each one overwrites the effect on the
-nodes its path selects.
+(closed-world assumption).
 
 The ``$USER`` variable in rule paths is bound to the login of the user
 whose permissions are being derived, supporting the paper's
 "patients may access their own medical file" rules 4-5.
 
-Incremental maintenance
------------------------
+Decisions on demand
+-------------------
 
-The seed re-derived every table from scratch after every commit: each
-commit produces a fresh document object, so the per-document path cache
-went cold and every rule path was re-evaluated over the whole tree for
-every user -- O(users x rules x |doc|) per commit.  This resolver
-instead *advances* its caches across commits when the committer
-publishes a :class:`~repro.xupdate.changeset.ChangeSet`
-(:meth:`PermissionResolver.note_commit`):
+A user's applicable rules, in priority order, plus the login when some
+path reads ``$USER``, form the user's permission *fingerprint*
+(:meth:`PermissionResolver.fingerprint`): two users with equal
+fingerprints provably hold the same facts, so the common role-based
+policy is compiled once per role, not once per user.
 
-- a cached rule-path selection whose label skeleton is disjoint from
-  the commit's touched labels is **carried** verbatim (the skeleton
-  test of :mod:`repro.xpath.skeleton` proves it unchanged);
-- a selection for a *patchable* path is **patched** locally: entries
-  under removed roots are dropped and nodes inside touched regions are
-  re-matched by their label chain -- no whole-document evaluation;
-- anything else is dropped and lazily re-evaluated on next use
-  (conservative fallback; correctness never depends on the delta).
+Each fingerprint's rules compile once into a
+:class:`~repro.security.automaton.LabelAutomaton` over the paths of its
+*fragment* rules (predicate-free location paths, plus ``*[$USER]`` and
+``*[name()='lit']`` child steps).  The login is a node class of the
+automaton, not a label baked into it, so every patient of the paper's
+policy shares one automaton.  Every automaton state stores, per
+privilege, the axiom-14 winner among the fragment rules that accept
+there -- the latest one.  A rule outside the fragment (predicates,
+attribute steps, unions) is an *exception*: its compiled-XPath
+selection is evaluated on the table's document generation, and a
+node's winner is the highest-priority rule among its state's winner
+and the exception rules that select it.
 
-A *table* is advanced across the same commits by patching, not
-re-resolving (the paper's ``dbnew = db +- delta``, formulae (2)-(9)):
-:meth:`PermissionResolver.patch_table` takes a table, the per-rule
-selections it was replayed from and the change-set since, every
-selection contributes the nodes whose membership changed (none when
-carried, the touched-region diff when patched, old vs new when
-re-evaluated), and axiom 14 is replayed on those *dirty* nodes only.
-The full :meth:`PermissionResolver.resolve` is the same replay with
-every selected node dirty.  A patched table never mutates what the old
-one shares -- served views and :meth:`PermissionTable.for_user` facades
-hold its dictionaries -- so a privilege's dict and set are copied
-(C-level, no rehash) only when its decisions change, and a commit that
-changes no decision carries the *same* table object.  The resolver
-keeps no tables: :class:`~repro.security.viewcache.ViewCache` holds
-each fingerprint's table beside its view and decides when to patch.
+A :class:`PermissionTable` is one automaton bound to one document
+generation.  It stores no decision: :meth:`PermissionTable.holds` runs
+the automaton down the node's ancestry, which the persistent id
+carries, so a check costs O(depth) cached transitions.  The automaton
+reads no document, so carrying a table across a commit is binding the
+same automaton to the new generation
+(:meth:`PermissionResolver.rebind`) -- only exception paths are
+evaluated again.  :class:`~repro.security.viewcache.ViewCache` holds
+each fingerprint's table beside its view and decides when to rebind;
+the resolver keeps an automaton only while some table uses it.
 
-Whole permission tables are shared across users through
-:meth:`fingerprint`: any two users whose applicable rule lists are
-identical and ``$USER``-free provably derive the same table, so the
-common role-based policy resolves once per role, not once per user.
-All decisions are counted in :attr:`PermissionResolver.stats`
-(surfaced through ``SecureXMLDatabase.stats()``).
-
-:func:`_decide` is the only routine that decides axiom 14: views,
-write checks, ``Session.can()`` and ``explain`` all read a table it
-derived (or patched); the Datalog transcription in :mod:`repro.formal`
-is its test oracle.
+The automaton state (with the exception merge) is the only place
+axiom 14 is decided: views, write checks, ``Session.can()`` and
+``explain`` all ask a table.  The priority replay over whole selections
+that this replaced is kept as the differential oracle
+(:mod:`repro.testing.perm_oracle`), beside the Datalog transcription in
+:mod:`repro.formal`.  All decisions are counted in
+:attr:`PermissionResolver.stats` (surfaced through
+``SecureXMLDatabase.stats()``).
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import (
-    Collection,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..xmltree.document import XMLDocument
-from ..xmltree.labels import NodeId, order_index, subtree_span
+from ..xmltree.labels import DOCUMENT_ID, NodeId
+from ..xmltree.node import Node, NodeKind
 from ..xpath.engine import XPathEngine
-from ..xpath.skeleton import PathSkeleton, analyze_path
+from .automaton import LabelAutomaton, State, fragment_tokens
 from .policy import ACCEPT, Policy, SecurityRule
 from .privileges import Privilege
 
 __all__ = ["PermissionTable", "PermissionResolver"]
 
-logger = logging.getLogger("repro.security.perm")
+#: A permission fingerprint: the applicable rules (in priority order)
+#: plus the user login when any applicable path references $USER.
+Fingerprint = Tuple[Tuple[SecurityRule, ...], Optional[str]]
+
+#: One node of every class but the named elements': an element no rule
+#: names (its label is no XML name), text, comment, processing
+#: instruction and attribute.
+_CLASS_PROBES = tuple(
+    Node(DOCUMENT_ID, kind, "\0")
+    for kind in (
+        NodeKind.ELEMENT,
+        NodeKind.TEXT,
+        NodeKind.COMMENT,
+        NodeKind.PROCESSING_INSTRUCTION,
+        NodeKind.ATTRIBUTE,
+    )
+)
+_ELEMENT = NodeKind.ELEMENT
+
+#: A node's view status (axioms 16-17), as :meth:`PermissionTable.shown`
+#: reports it: not in the view, shown, or shown with the RESTRICTED label.
+HIDDEN, READABLE, POSITION_ONLY = 0, 1, 2
 
 
-@dataclass
+class _Compiled:
+    """One fingerprint's rules: the label automaton of the fragment
+    rules, whose states carry each privilege's winner, and the
+    exception rules, latest first per privilege."""
+
+    def __init__(
+        self,
+        rules: Tuple[SecurityRule, ...],
+        engine: XPathEngine,
+        tokens: Callable[[str], Optional[tuple]],
+    ) -> None:
+        self.rules = rules
+        self.accepts = tuple(rule.effect == ACCEPT for rule in rules)
+        paths: Dict[str, int] = {}
+        owners: List[List[int]] = []  # path index -> its rules
+        exceptions: Dict[Privilege, List[int]] = {}
+        for index, rule in enumerate(rules):
+            path_tokens = tokens(rule.path)
+            if path_tokens is None:
+                exceptions.setdefault(rule.privilege, []).insert(0, index)
+                continue
+            if rule.path not in paths:
+                paths[rule.path] = len(owners)
+                owners.append([])
+            owners[paths[rule.path]].append(index)
+        self.exceptions = exceptions
+        #: Exception paths the view consults (axioms 15-17 read only
+        #: read and position).
+        self.view_paths = frozenset(
+            rules[index].path
+            for privilege in (Privilege.READ, Privilege.POSITION)
+            for index in exceptions.get(privilege, ())
+        )
+        self.labels = LabelAutomaton(
+            [tokens(path) for path in paths],
+            engine.star_matches_text,
+            _decider(rules, self.accepts, owners),
+        )
+        # State -> the labels of the only children its node can show.
+        self._named: Dict[State, Optional[Tuple[str, ...]]] = {}
+
+    def named_children(
+        self, state: State, login: Optional[str]
+    ) -> Optional[Tuple[str, ...]]:
+        """The labels of the only children a node in ``state`` can show
+        for ``login`` -- elements no rule names, and text, comment,
+        processing instruction and attribute children all stay hidden
+        -- or None when a child of some other class may be shown (or a
+        read or position exception rule may select any child)."""
+        if state not in self._named:
+            named: Optional[Tuple[str, ...]] = None
+            if not self.view_paths and all(
+                self.labels.step(state, probe).decision[1] == HIDDEN
+                for probe in _CLASS_PROBES
+            ):
+                named = tuple(
+                    label
+                    for label in sorted(self.labels.names)
+                    if self._shows(state, label, None)
+                )
+            self._named[state] = named
+        named = self._named[state]
+        if named is None or login is None or not self.labels.binds_user:
+            return named
+        # The login's own elements are a class apart.
+        named = tuple(label for label in named if label != login)
+        return named + (login,) if self._shows(state, login, login) else named
+
+    def _shows(self, state: State, label: str, login: Optional[str]) -> bool:
+        child = self.labels.step(state, Node(DOCUMENT_ID, _ELEMENT, label), login)
+        return child.decision[1] != HIDDEN
+
+
+def _decider(
+    rules: Tuple[SecurityRule, ...], accepts: Tuple[bool, ...], owners: List[List[int]]
+) -> Callable[[FrozenSet[int]], tuple]:
+    """A state's decision from its accepting paths: each privilege's
+    winning fragment rule (the latest that accepts), and the view
+    status it implies.  A closure, not a method, so an automaton holds
+    no reference back to its owner (which lives only while used)."""
+
+    def decide(accepting: FrozenSet[int]) -> tuple:
+        winners: Dict[Privilege, int] = {}
+        for path in accepting:
+            for index in owners[path]:
+                privilege = rules[index].privilege
+                if winners.get(privilege, -1) < index:
+                    winners[privilege] = index
+        read = winners.get(Privilege.READ, -1)
+        position = winners.get(Privilege.POSITION, -1)
+        if read >= 0 and accepts[read]:
+            shown = READABLE
+        elif position >= 0 and accepts[position]:
+            shown = POSITION_ONLY
+        else:
+            shown = HIDDEN
+        return winners, shown
+
+    return decide
+
+
 class PermissionTable:
-    """The derived ``perm`` facts for one user against one document.
+    """The ``perm`` facts for one user against one document generation,
+    decided on demand.
 
     Attributes:
         user: the subject the table was derived for.
-        granted: privilege -> set of node ids on which it is held.
-        winning_rule: privilege -> node -> the rule that decided the
-            outcome; read only by :meth:`explain` (the
-            policy-explanation API).
+        doc: the document generation the table answers for; a node not
+            in it holds nothing.
+        login: the login ``*[$USER]`` steps are tested against (the
+            fingerprint's; None when no rule path reads ``$USER``).
     """
 
-    user: str
-    granted: Dict[Privilege, Set[NodeId]] = field(default_factory=dict)
-    winning_rule: Dict[Privilege, Dict[NodeId, SecurityRule]] = field(
-        default_factory=dict
-    )
-    # Set on a table patched across a commit: the ``granted`` dict of
-    # the table it was patched from, and the nodes whose read/position
-    # status differs from it (see read_position_delta).
-    _patched_from: Optional[
-        Tuple[Dict[Privilege, Set[NodeId]], FrozenSet[NodeId]]
-    ] = field(default=None, repr=False, compare=False)
+    __slots__ = ("user", "doc", "login", "_compiled", "_selections")
+
+    def __init__(
+        self,
+        user: str,
+        doc: XMLDocument,
+        login: Optional[str],
+        compiled: _Compiled,
+        selections: Dict[str, FrozenSet[NodeId]],
+    ) -> None:
+        self.user = user
+        self.doc = doc
+        self.login = login
+        self._compiled = compiled
+        self._selections = selections
+
+    # ------------------------------------------------------------------
+    # one node
+    # ------------------------------------------------------------------
+    def state(self, nid: NodeId) -> Optional[State]:
+        """The automaton state of ``nid`` (None when not in :attr:`doc`)."""
+        return self._compiled.labels.state_of(self.doc, nid, self.login)
+
+    @property
+    def automaton(self) -> LabelAutomaton:
+        """The rules' label automaton (shared by every generation's
+        table and every login); step it with :attr:`login`."""
+        return self._compiled.labels
+
+    def named_children(self, state: State) -> Optional[Tuple[str, ...]]:
+        """See :meth:`_Compiled.named_children`."""
+        return self._compiled.named_children(state, self.login)
+
+    @property
+    def decided_by_state(self) -> bool:
+        """True when a node's view status is its state's alone (no read
+        or position exception rule): :meth:`shown` is then
+        ``state.decision[1]``."""
+        return not self._compiled.view_paths
+
+    def _winner(self, nid: NodeId, privilege: Privilege, state: State) -> int:
+        """The deciding rule's index, or -1: the state's winner unless
+        a later exception rule selects ``nid``."""
+        winner = state.decision[0].get(privilege, -1)
+        for index in self._compiled.exceptions.get(privilege, ()):
+            if index < winner:
+                break
+            if nid in self._selections[self._compiled.rules[index].path]:
+                return index
+        return winner
+
+    def _grants(self, nid: NodeId, privilege: Privilege, state: State) -> bool:
+        """Axiom 14: the deciding rule exists and accepts."""
+        winner = self._winner(nid, privilege, state)
+        return winner >= 0 and self._compiled.accepts[winner]
 
     def holds(self, nid: NodeId, privilege: Privilege) -> bool:
         """The ``perm(user, nid, privilege)`` fact."""
-        return nid in self.granted.get(privilege, ())
-
-    def nodes_with(self, privilege: Privilege) -> FrozenSet[NodeId]:
-        """All nodes on which the user holds ``privilege``."""
-        return frozenset(self.granted.get(privilege, ()))
+        state = self.state(nid)
+        return state is not None and self._grants(nid, privilege, state)
 
     def explain(self, nid: NodeId, privilege: Privilege) -> Optional[SecurityRule]:
         """The rule that decided this (privilege, node), if any matched."""
-        return self.winning_rule.get(privilege, {}).get(nid)
+        state = self.state(nid)
+        if state is None:
+            return None
+        winner = self._winner(nid, privilege, state)
+        return self._compiled.rules[winner] if winner >= 0 else None
+
+    def shown(self, nid: NodeId, state: State) -> int:
+        """``nid``'s view status (:data:`HIDDEN`, :data:`READABLE` or
+        :data:`POSITION_ONLY`) from its state: ``read`` shows it, else
+        ``position`` shows it RESTRICTED (axioms 16-17)."""
+        if self.decided_by_state:
+            return state.decision[1]
+        if self._grants(nid, Privilege.READ, state):
+            return READABLE
+        if self._grants(nid, Privilege.POSITION, state):
+            return POSITION_ONLY
+        return HIDDEN
+
+    # ------------------------------------------------------------------
+    # whole generation (the xslt oracle and the formal layer)
+    # ------------------------------------------------------------------
+    def _walk(self) -> Iterator[Tuple[NodeId, State]]:
+        """Every node of :attr:`doc` with its state, top-down."""
+        doc, step, login = self.doc, self._compiled.labels.step, self.login
+        stack = [(DOCUMENT_ID, self._compiled.labels.start)]
+        while stack:
+            nid, state = stack.pop()
+            yield nid, state
+            for kid in doc.children(nid) + doc.attributes(nid):
+                stack.append((kid, step(state, doc.node(kid), login)))
+
+    def nodes_with(self, privilege: Privilege) -> FrozenSet[NodeId]:
+        """All nodes on which the user holds ``privilege``."""
+        return frozenset(
+            nid for nid, state in self._walk() if self._grants(nid, privilege, state)
+        )
 
     def facts(self) -> Set[Tuple[str, NodeId, str]]:
         """The ``perm(s, n, r)`` facts as tuples, for the formal layer."""
         return {
             (self.user, nid, privilege.value)
-            for privilege, nodes in self.granted.items()
-            for nid in nodes
+            for privilege in Privilege
+            for nid in self.nodes_with(privilege)
         }
 
+    # ------------------------------------------------------------------
+    # sharing and commits
+    # ------------------------------------------------------------------
     def for_user(self, user: str) -> "PermissionTable":
-        """A per-user facade over this table's (shared, read-only) data.
-
-        Two users with the same permission fingerprint hold identical
-        ``perm`` facts; only the ``user`` field differs.  The facade
-        shares the underlying dictionaries, so it costs O(1).
-        """
+        """A per-user facade over this table (O(1)): two users with the
+        same permission fingerprint hold identical ``perm`` facts; only
+        the ``user`` field differs."""
         if user == self.user:
             return self
         return PermissionTable(
-            user=user,
-            granted=self.granted,
-            winning_rule=self.winning_rule,
-            _patched_from=self._patched_from,
+            user, self.doc, self.login, self._compiled, self._selections
         )
 
-    def read_position_delta(self, other: "PermissionTable") -> Set[NodeId]:
-        """Nodes whose read/position status differs between two tables.
-
-        These are exactly the nodes whose *view* membership or label
-        masking can change (axioms 15-17 consult only read/position),
-        so the view cache re-prunes only these regions.  Against the
-        table this one was patched from, that is the patch's own record
-        -- no whole-set comparison.
-        """
-        if other is self or (
-            other.granted is self.granted and other.winning_rule is self.winning_rule
-        ):
-            return set()
-        if self._patched_from is not None and self._patched_from[0] is other.granted:
-            return set(self._patched_from[1])
-        dirty: Set[NodeId] = set()
-        for privilege in _VIEW_PRIVILEGES:
-            mine = self.granted.get(privilege, set())
-            theirs = other.granted.get(privilege, set())
-            dirty |= mine ^ theirs
-        return dirty
-
-
-#: A permission fingerprint: the applicable rules (in priority order)
-#: plus the user login when any applicable path references $USER.
-Fingerprint = Tuple[Tuple[SecurityRule, ...], Optional[str]]
-
-
-#: Rule path -> its selection, in document order.
-Selections = Dict[str, Tuple[NodeId, ...]]
-#: Rule path -> its selection after a commit, and the nodes whose
-#: membership the commit changed.
-_Advanced = Dict[str, Tuple[Tuple[NodeId, ...], Collection[NodeId]]]
+    def exception_delta(self, other: "PermissionTable") -> Set[NodeId]:
+        """Nodes whose membership in a read or position exception
+        selection differs from ``other``'s (the same fingerprint on an
+        older generation): beside a commit's touched roots, the only
+        nodes whose view status can change."""
+        out: Set[NodeId] = set()
+        if other._selections is not self._selections:
+            for path in self._compiled.view_paths:
+                out |= self._selections[path] ^ other._selections[path]
+        return out
 
 
 class PermissionResolver:
-    """Derives :class:`PermissionTable` objects from a policy.
+    """Compiles fingerprints and binds them to document generations.
 
     Args:
-        engine: the XPath engine used to evaluate rule paths on the
-            source document (axiom 14 evaluates ``xpath`` on the source
-            theory ``db``).  The engine should have the paper-compat
-            ``lone_variable_name_test`` enabled if policies use the
-            paper's ``[$USER]`` shorthand.
+        engine: the XPath engine that evaluates exception rule paths on
+            the source document (axiom 14 evaluates ``xpath`` on the
+            source theory ``db``); the automaton follows its
+            paper-compat readings (``lone_variable_name_test`` for the
+            paper's ``[$USER]`` shorthand, ``star_matches_text``).
     """
 
     def __init__(self, engine: Optional[XPathEngine] = None) -> None:
         self._engine = engine if engine is not None else XPathEngine(
             lone_variable_name_test=True, star_matches_text=True
         )
-        # Cross-user cache: a rule path that never mentions $USER
-        # selects the same nodes for every user, so re-evaluating it per
-        # user is pure waste (ablation E18).  Keyed weakly by document
-        # and guarded by the document's mutation stamp, and maintained
-        # across commits (see note_commit).
-        self._path_cache: "weakref.WeakKeyDictionary[XMLDocument, Tuple[int, Dict[str, Tuple[NodeId, ...]]]]" = (
-            weakref.WeakKeyDictionary()
+        # Rule path -> its fragment tokens, or None for an exception.
+        self._tokens: Dict[str, Optional[tuple]] = {}
+        # Applicable rules -> their automaton, shared by every login
+        # (``*[$USER]`` is a node class, not a label), while a table (a
+        # cache entry, a view, a caller) uses it.
+        self._compiled: "weakref.WeakValueDictionary[Tuple[SecurityRule, ...], _Compiled]" = (
+            weakref.WeakValueDictionary()
         )
-        self._skeletons: Dict[str, Optional[PathSkeleton]] = {}
-        # Concurrent readers share the path cache and commit maintenance
-        # rewrites it.
         self._lock = threading.Lock()
         #: Decision counters; read via ``SecureXMLDatabase.stats()``.
         self.stats: Dict[str, int] = {
-            "path_evals": 0,  # engine.select calls on rule paths
-            "path_cache_hits": 0,  # selections answered from cache
-            "paths_carried": 0,  # selections carried across a commit
-            "paths_patched": 0,  # selections patched locally
-            "paths_dropped": 0,  # selections invalidated by a commit
-            "tables_carried": 0,  # tables carried across a commit
-            "tables_patched": 0,  # tables patched on a commit's dirty nodes
-            "delta_resolves": 0,  # re-resolves with a maintained path cache
-            "full_resolves": 0,  # re-resolves with no carried state
+            "full_resolves": 0,  # rule sequences compiled to an automaton
+            "path_evals": 0,  # exception rule paths evaluated
             "conservative_commits": 0,  # commits without a usable change-set
-            "degraded_rebuilds": 0,  # path patches that raised; dropped
         }
 
     @property
     def engine(self) -> XPathEngine:
         return self._engine
 
-    # ------------------------------------------------------------------
-    # fingerprints (cross-user sharing)
-    # ------------------------------------------------------------------
     def fingerprint(self, policy: Policy, user: str) -> Fingerprint:
         """The permission fingerprint of ``user`` under ``policy``.
 
         Two (policy, user) pairs with equal fingerprints provably derive
         equal tables: the fingerprint is the exact rule sequence axiom
-        14 replays, and the user login is included only when some
+        14 decides over, and the user login is included only when some
         applicable path binds ``$USER`` (otherwise the derivation never
         reads it).  Content-based, so policy mutations automatically
         change the fingerprint of affected users.
@@ -250,377 +389,72 @@ class PermissionResolver:
         user_dependent = any("$" in rule.path for rule in rules)
         return (rules, user if user_dependent else None)
 
-    # ------------------------------------------------------------------
-    # path selection (cached)
-    # ------------------------------------------------------------------
-    def _select_rule_path(
-        self,
-        doc: XMLDocument,
-        path: str,
-        variables: Dict[str, str],
-    ) -> Tuple[NodeId, ...]:
-        """Evaluate one rule path, caching user-independent paths."""
-        if "$" in path:
-            self.stats["path_evals"] += 1
-            return tuple(self._engine.select(doc, path, variables=variables))
-        with self._lock:
-            entry = self._path_cache.get(doc)
-            if entry is None or entry[0] != doc.mutation_stamp:
-                entry = (doc.mutation_stamp, {})
-                self._path_cache[doc] = entry
-            cached = entry[1].get(path)
-            if cached is None:
-                self.stats["path_evals"] += 1
-                cached = tuple(
-                    self._engine.select(doc, path, variables=variables)
-                )
-                entry[1][path] = cached
-            else:
-                self.stats["path_cache_hits"] += 1
-            return cached
+    def note_commit(self, old_doc, new_doc, changes=None) -> bool:
+        """Whether a commit ``old_doc -> new_doc`` published a usable
+        change-set: one that is present and not conservative, so a held
+        view can be patched from it.  The automata need nothing from a
+        commit."""
+        usable = changes is not None and not changes.conservative
+        if not usable:
+            self.stats["conservative_commits"] += 1
+        return usable
 
-    def _skeleton(self, path: str) -> Optional[PathSkeleton]:
-        """The (memoized) static skeleton of a rule path."""
-        if path not in self._skeletons:
-            self._skeletons[path] = analyze_path(path)
-        return self._skeletons[path]
-
-    def _path_stable(self, path: str, labels: Set[str]) -> bool:
-        """True when a commit touching ``labels`` provably leaves the
-        path's selection unchanged ($USER paths are never stable: they
-        are cheap per-user evaluations, not shared state)."""
-        if "$" in path:
-            return False
-        skeleton = self._skeleton(path)
-        if skeleton is None:
-            return False
-        return not skeleton.may_intersect(labels)
-
-    # ------------------------------------------------------------------
-    # commit maintenance
-    # ------------------------------------------------------------------
-    def note_commit(
-        self, old_doc, new_doc, changes=None
-    ) -> Optional[_Advanced]:
-        """Advance the shared path cache across a commit
-        ``old_doc -> new_doc``.
-
-        Args:
-            old_doc: the document generation being replaced.
-            new_doc: the freshly installed generation.
-            changes: the commit's
-                :class:`~repro.xupdate.changeset.ChangeSet`, or None
-                when the committer did not track one.  A missing or
-                conservative change-set drops the selections cached for
-                ``old_doc`` (the safe fallback).
-
-        Returns:
-            The ``$USER``-free selections advanced across the commit,
-            for :meth:`patch_table` to share between every table it
-            patches across this one commit; None when the change-set
-            is missing or conservative.
-        """
-        with self._lock:
-            entry = self._path_cache.pop(old_doc, None)
-            if changes is None or changes.conservative:
-                self.stats["conservative_commits"] += 1
-                if entry is not None:
-                    self.stats["paths_dropped"] += len(entry[1])
-                return None
-            advanced: _Advanced = {}
-            if entry is None or entry[0] != old_doc.mutation_stamp:
-                return advanced
-            labels = changes.labels
-            star_text = self._engine.star_matches_text
-            carried: Dict[str, Tuple[NodeId, ...]] = {}
-            for path, nodes in entry[1].items():
-                if self._path_stable(path, labels):
-                    carried[path] = nodes
-                    advanced[path] = (nodes, ())
-                    self.stats["paths_carried"] += 1
-                    continue
-                skeleton = self._skeleton(path)
-                if skeleton is not None and skeleton.patchable:
-                    # A patch that raises must not leave a torn
-                    # selection in the carried cache: drop the path
-                    # (it re-evaluates lazily on next use) and count
-                    # the degradation.
-                    try:
-                        advanced[path] = _patch_selection(
-                            nodes, new_doc, changes, skeleton, star_text
-                        )
-                        carried[path] = advanced[path][0]
-                        self.stats["paths_patched"] += 1
-                    except Exception:
-                        self.stats["paths_dropped"] += 1
-                        self.stats["degraded_rebuilds"] += 1
-                        logger.exception(
-                            "selection patch failed for path %r; dropping "
-                            "cached selection", path
-                        )
-                else:
-                    self.stats["paths_dropped"] += 1
-            self._path_cache[new_doc] = (new_doc.mutation_stamp, carried)
-            return advanced
-
-    def patch_table(
-        self,
-        table: PermissionTable,
-        selections: Selections,
-        fp: Fingerprint,
-        new_doc: XMLDocument,
-        changes,
-        advanced: _Advanced,
-    ) -> Tuple[PermissionTable, Selections]:
-        """Advance a table, derived for ``fp`` and replayed from
-        ``selections``, across ``changes`` onto ``new_doc``.
-
-        Each rule path's selection is advanced -- carried, patched or
-        re-evaluated -- and contributes the nodes whose membership it
-        changed; axiom 14 is replayed on those only.  Removed nodes need
-        no extra term: each is in the diff of every selection that held
-        it (a carried selection holds none -- its skeleton would meet
-        the removed labels).  A table no decision of which changed is
-        carried as the same object.  ``advanced`` holds selections
-        already advanced across the same ``changes`` (from
-        :meth:`note_commit`) and receives the ``$USER``-free ones this
-        call advances, so tables patched across one change-set share
-        them.
-        """
-        rules, user = fp
-        new_selections: Selections = {}
-        moved: Dict[str, Collection[NodeId]] = {}
-        for path, nodes in selections.items():
-            step = advanced.get(path)
-            if step is None:
-                step = self._advance(path, nodes, new_doc, changes, {"USER": user})
-                if "$" not in path:  # user-independent: share it
-                    advanced[path] = step
-            new_selections[path], moved[path] = step
-        dirty: Dict[Privilege, Set[NodeId]] = {}
-        for rule in rules:
-            nodes = moved[rule.path]
-            if nodes:
-                dirty.setdefault(rule.privilege, set()).update(nodes)
-        patched = _patched(table, rules, new_selections, dirty)
-        self.stats["tables_carried" if patched is table else "tables_patched"] += 1
-        return patched, new_selections
-
-    def _advance(
-        self,
-        path: str,
-        nodes: Tuple[NodeId, ...],
-        new_doc: XMLDocument,
-        changes,
-        variables: Dict[str, str],
-    ) -> Tuple[Tuple[NodeId, ...], Collection[NodeId]]:
-        """One selection across a commit, with the nodes whose
-        membership changed: carried (none), patched (the touched-region
-        diff), or re-evaluated (old against new)."""
-        if self._path_stable(path, changes.labels):
-            return nodes, ()
-        skeleton = self._skeleton(path)
-        if "$" not in path and skeleton is not None and skeleton.patchable:
-            return _patch_selection(
-                nodes, new_doc, changes, skeleton, self._engine.star_matches_text
-            )
-        fresh = self._select_rule_path(new_doc, path, variables)
-        return fresh, set(nodes).symmetric_difference(fresh)
-
-    # ------------------------------------------------------------------
-    # resolution
-    # ------------------------------------------------------------------
-    def resolve(
-        self,
-        doc: XMLDocument,
-        policy: Policy,
-        user: str,
-        privileges: Optional[Iterable[Privilege]] = None,
-    ) -> PermissionTable:
-        """Derive all ``perm(user, n, r)`` facts for one user.
+    def resolve(self, doc: XMLDocument, policy: Policy, user: str) -> PermissionTable:
+        """The ``perm(user, n, r)`` facts of ``doc``, as a table.
 
         Args:
             doc: the source document (theory ``db``).
             policy: the security policy (set ``P``).
             user: the subject whose privileges are derived; ``$USER``
                 binds to this login in rule paths.
-            privileges: restrict derivation to these privileges
-                (defaults to all five).
 
         Raises:
             repro.security.subjects.SubjectError: if ``user`` is not a
                 declared subject.
         """
-        return self._resolve(doc, policy.applicable_rules(user), user, privileges)[0]
+        return self.derive(doc, self.fingerprint(policy, user), user)
 
-    def _resolve(
-        self,
-        doc: XMLDocument,
-        rules: Sequence[SecurityRule],
-        user: str,
-        privileges: Optional[Iterable[Privilege]] = None,
-    ) -> Tuple[PermissionTable, Selections]:
-        """The full replay of ``rules`` (priority order), with the
-        selections it was replayed from."""
-        variables = {"USER": user}
-        selections: Selections = {}
-        for rule in rules:
-            if rule.path not in selections:
-                selections[rule.path] = self._select_rule_path(
-                    doc, rule.path, variables
-                )
-        table = PermissionTable(user=user)
-        wanted = tuple(privileges) if privileges is not None else tuple(Privilege)
-        for privilege in wanted:
-            outcome = _decide(rules, privilege, selections)
-            table.winning_rule[privilege] = outcome
-            table.granted[privilege] = {
-                nid for nid, rule in outcome.items() if rule.effect == ACCEPT
-            }
-        return table, selections
-
-    def derive(
-        self, doc: XMLDocument, fp: Fingerprint, user: str
-    ) -> Tuple[PermissionTable, Selections]:
-        """The full replay for ``user``'s fingerprint ``fp``, with the
-        selections :meth:`patch_table` later advances; counted as a
-        ``delta_resolve`` when the path cache was carried onto ``doc``
-        by a commit, a ``full_resolve`` otherwise."""
+    def derive(self, doc: XMLDocument, fp: Fingerprint, user: str) -> PermissionTable:
+        """``user``'s table for fingerprint ``fp`` on ``doc``: the
+        rules' automaton, compiled unless a live table already uses it,
+        bound to ``doc`` and the fingerprint's login."""
+        rules, login = fp
         with self._lock:
-            entry = self._path_cache.get(doc)
-            maintained = entry is not None and entry[0] == doc.mutation_stamp
-        self.stats["delta_resolves" if maintained else "full_resolves"] += 1
-        return self._resolve(doc, fp[0], user)
+            compiled = self._compiled.get(rules)
+            if compiled is None:
+                compiled = self._compiled[rules] = _Compiled(
+                    rules, self._engine, self._fragment
+                )
+                self.stats["full_resolves"] += 1
+        selections = self._select(compiled, doc, user)
+        return PermissionTable(user, doc, login, compiled, selections)
 
+    def rebind(self, table: PermissionTable, doc: XMLDocument) -> PermissionTable:
+        """``table``'s automaton bound to ``doc`` (a later generation):
+        O(1) unless the fingerprint has exception rules, whose paths
+        are evaluated again."""
+        compiled = table._compiled
+        selections = self._select(compiled, doc, table.user)
+        return PermissionTable(table.user, doc, table.login, compiled, selections)
 
-#: The privileges axioms 15-17 consult (view membership and masking).
-_VIEW_PRIVILEGES = (Privilege.READ, Privilege.POSITION)
+    def _fragment(self, path: str) -> Optional[tuple]:
+        if path not in self._tokens:
+            self._tokens[path] = fragment_tokens(
+                path, self._engine.lone_variable_name_test
+            )
+        return self._tokens[path]
 
-
-def _selects(selection: Sequence[NodeId], nid: NodeId) -> bool:
-    """Membership in a document-ordered selection, by bisect."""
-    at = order_index(selection, nid)
-    return at < len(selection) and selection[at] == nid
-
-
-def _decide(
-    rules: Sequence[SecurityRule],
-    privilege: Privilege,
-    selections: Selections,
-    dirty: Optional[Collection[NodeId]] = None,
-) -> Dict[NodeId, SecurityRule]:
-    """Axiom 14 for one privilege: each node's winning rule.
-
-    Rules are replayed in priority order and each overwrites the
-    outcome on the nodes its path selects -- the operational form of
-    "no subsequent deny".  ``dirty`` restricts the replay to those
-    nodes; None means every selected node (the full resolve).  A node
-    no rule selects has no entry (closed world).
-    """
-    outcome: Dict[NodeId, SecurityRule] = {}
-    for rule in rules:
-        if rule.privilege is not privilege:
-            continue
-        selected = selections[rule.path]
-        if dirty is not None:
-            selected = [nid for nid in dirty if _selects(selected, nid)]
-        outcome.update(dict.fromkeys(selected, rule))
-    return outcome
-
-
-def _patched(
-    table: PermissionTable,
-    rules: Sequence[SecurityRule],
-    selections: Selections,
-    dirty: Mapping[Privilege, Set[NodeId]],
-) -> PermissionTable:
-    """``table`` with axiom 14 replayed on each privilege's ``dirty``
-    nodes against the advanced ``selections``.
-
-    Nothing ``table`` holds is mutated: a privilege whose decisions
-    change gets copies of its dict and set, the others stay shared, and
-    with no change at all ``table`` itself is returned.
-    """
-    granted, winning = table.granted, table.winning_rule
-    new_granted: Optional[Dict[Privilege, Set[NodeId]]] = None
-    new_winning: Dict[Privilege, Dict[NodeId, SecurityRule]] = {}
-    flipped: Set[NodeId] = set()
-    for privilege, nodes in dirty.items():
-        before = winning.get(privilege, {})
-        decided = _decide(rules, privilege, selections, nodes)
-        changed = [nid for nid in nodes if before.get(nid) is not decided.get(nid)]
-        if not changed:
-            continue
-        if new_granted is None:
-            new_granted, new_winning = dict(granted), dict(winning)
-        outcome = new_winning[privilege] = dict(before)
-        was = granted.get(privilege, set())
-        now = new_granted[privilege] = set(was)
-        for nid in changed:
-            rule = decided.get(nid)
-            if rule is None:
-                del outcome[nid]
-            else:
-                outcome[nid] = rule
-            if rule is not None and rule.effect == ACCEPT:
-                now.add(nid)
-            else:
-                now.discard(nid)
-            if privilege in _VIEW_PRIVILEGES and (nid in was) != (nid in now):
-                flipped.add(nid)
-    if new_granted is None:
-        return table
-    return PermissionTable(
-        user=table.user,
-        granted=new_granted,
-        winning_rule=new_winning,
-        _patched_from=(granted, frozenset(flipped)),
-    )
-
-
-def _patch_selection(
-    nodes: Tuple[NodeId, ...],
-    new_doc: XMLDocument,
-    changes,
-    skeleton: PathSkeleton,
-    star_matches_text: bool,
-) -> Tuple[Tuple[NodeId, ...], Set[NodeId]]:
-    """Maintain one patchable path selection across a commit.
-
-    Each touched root's subtree is cut out of the (document-ordered)
-    selection as one contiguous run, then every node inside the touched
-    regions is re-matched by its label chain (the
-    :meth:`PathSkeleton.matches` NFA) and merged back in at its place --
-    work proportional to the updated regions, never the document; the
-    rest of the selection only moves as a block.
-
-    Returns:
-        The new selection -- ``nodes`` itself when the commit left it
-        alone -- and the nodes whose membership changed (cut and not
-        re-matched, or re-matched and not cut).
-    """
-    regrown = changes.added | changes.relabelled
-    patched = list(nodes)
-    cut: Set[NodeId] = set()
-    for root in regrown | changes.removed:
-        lo, hi = subtree_span(patched, root)
-        if lo < hi:
-            cut.update(patched[lo:hi])
-            del patched[lo:hi]
-    candidates: Set[NodeId] = set()
-    for root in regrown:
-        if root in new_doc:
-            candidates.update(new_doc.subtree(root))
-    for nid in changes.revalued:
-        if nid in new_doc:
-            candidates.add(nid)
-    added: Set[NodeId] = set()
-    for nid in candidates:
-        if skeleton.matches(new_doc, nid, star_matches_text):
-            at = order_index(patched, nid)
-            # A revalued node lies outside the cuts: it may still be there.
-            if at == len(patched) or patched[at] != nid:
-                patched.insert(at, nid)
-                added.add(nid)
-    moved = cut ^ added
-    return (tuple(patched) if moved else nodes), moved
+    def _select(
+        self, compiled: _Compiled, doc: XMLDocument, user: str
+    ) -> Dict[str, FrozenSet[NodeId]]:
+        """Each exception rule path's selection on ``doc``."""
+        selections: Dict[str, FrozenSet[NodeId]] = {}
+        for indices in compiled.exceptions.values():
+            for index in indices:
+                path = compiled.rules[index].path
+                if path not in selections:
+                    self.stats["path_evals"] += 1
+                    selections[path] = frozenset(
+                        self._engine.select(doc, path, variables={"USER": user})
+                    )
+        return selections

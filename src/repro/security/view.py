@@ -14,25 +14,28 @@ Selected nodes are *not renumbered* -- identifiers are internal and
 invisible to users, so sharing them between source and view creates no
 inference channel (paper, section 4.4.1) while letting the write layer
 map view selections straight back to source nodes.
+
+Views are grown top-down by :func:`grow`, which carries the user's
+permission automaton state from parent to child
+(:mod:`repro.security.perm`): each node costs one transition from its
+parent's state, and a node the user may not see is never descended
+into.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..xmltree.document import XMLDocument
-from ..xmltree.labels import DOCUMENT_ID, NodeId
+from ..xmltree.labels import DOCUMENT_ID, NodeId, document_order_key
 from ..xmltree.node import RESTRICTED, NodeKind
 from ..xmltree.serializer import serialize
-from .perm import PermissionResolver, PermissionTable
+from .perm import HIDDEN, POSITION_ONLY, PermissionResolver, PermissionTable
 from .policy import Policy
-from .privileges import Privilege
 
 __all__ = ["View", "ViewBuilder", "grow"]
-
-_NOTHING: FrozenSet[NodeId] = frozenset()
 
 
 @dataclass
@@ -125,7 +128,10 @@ def grow(
     views: a source node at or below a root enters the view iff the
     user holds ``read`` or ``position`` on it **and its parent is in
     the view** -- so a root whose parent is not in ``view_doc`` (or
-    that the source no longer has) contributes nothing.  Position-only
+    that the source no longer has) contributes nothing.  The
+    permission automaton's state is carried top-down, from each root's
+    parent, so a node's decision is one transition from its parent's;
+    a hidden node prunes its whole subtree unvisited.  Position-only
     nodes are masked here and nowhere else: label, and for attributes
     the value too (relabelling alone would leak it through
     serialization).  The roots must not be in ``view_doc`` yet.
@@ -133,21 +139,48 @@ def grow(
     Returns:
         The nodes installed with the RESTRICTED label.
     """
-    readable = table.granted.get(Privilege.READ, _NOTHING)
-    position_only = table.granted.get(Privilege.POSITION, _NOTHING) - readable
-    installed = view_doc.graft(
-        source,
-        [r for r in roots if r in source and r.parent() in view_doc],
-        readable | position_only if position_only else readable,
-    )
-    if not position_only:
-        return set()
-    restricted = position_only.intersection(installed)
+    step, login, get = table.automaton.step, table.login, source.get
+    named_children = table.named_children
+    # Without read or position exception rules a state alone decides.
+    shown = None if table.decided_by_state else table.shown
+    restricted: List[NodeId] = []
+
+    def admit(kids: Iterable[NodeId], state) -> Tuple[List[NodeId], list]:
+        """The ``kids`` that enter the view below a node in ``state``,
+        and their states."""
+        admitted: List[NodeId] = []
+        states = []
+        for kid in kids:
+            kid_state = step(state, get(kid), login)
+            status = kid_state.decision[1] if shown is None else shown(kid, kid_state)
+            if status != HIDDEN:
+                if status == POSITION_ONLY:
+                    restricted.append(kid)
+                admitted.append(kid)
+                states.append(kid_state)
+        return admitted, states
+
+    def expand(nid: NodeId, kids, state) -> Tuple[List[NodeId], list]:
+        # A node whose only showable children carry labels some rule
+        # names looks those up instead of testing every sibling.
+        labels = named_children(state) if kids else None
+        if labels is not None:
+            kids = [kid for label in labels for kid in source.children_named(nid, label)]
+            if len(labels) > 1:
+                kids.sort(key=document_order_key)
+        return admit(kids, state)
+
+    grafted = []
+    for root in roots:
+        if root in source and root.parent() in view_doc:
+            kept, states = admit([root], table.state(root.parent()))
+            grafted.append((root, states[0] if kept else None))
+    view_doc.graft(source, grafted, expand)
     for nid in restricted:
         view_doc.relabel(nid, RESTRICTED)
         if view_doc.kind(nid) is NodeKind.ATTRIBUTE:
             view_doc.set_value(nid, RESTRICTED)
-    return restricted
+    return set(restricted)
 
 
 class ViewBuilder:

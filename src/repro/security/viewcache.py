@@ -16,26 +16,29 @@ the view derived from it, in one entry per permission fingerprint:
 users whose applicable rules are identical and ``$USER``-free provably
 hold the same table and see byte-identical views, so one derivation
 serves them all.  Each caller receives a cheap per-user *facade* (same
-underlying document and permission dictionaries, its own ``user``
+underlying document and permission automaton, its own ``user``
 field) -- tables and views are treated as immutable once published,
 which the rest of the codebase already assumes (updates replace
 documents, never mutate views).
 
 **One staleness rule.** An entry holds one document generation (the
 document object, its mutation stamp and the database version), the
-table derived for it, the per-rule selections the table was replayed
-from, and the view, or None until one is asked for.  It is *current*
-when it was derived from the installed document at its present stamp.
-It is *behind* when the change log still holds every change-set since
-its version, none conservative, and their mutation stamps chain from
-the entry's to the installed document's: the table is then advanced by
-the composed change-set (:meth:`PermissionResolver.patch_table`) and a
-held view is patched on the dirty regions -- the change-set's touched
-roots plus the nodes whose read/position outcome the table patch
-flipped -- and only those subtrees are re-grown (the rest of the view
-document is carried).  Anything else -- a missing or conservative
-change-set, an entry older than the log, a document edited in place --
-derives both from scratch: patching is an optimization, never a
+table bound to it, and the view, or None until one is asked for.  It
+is *current* when it was derived from the installed document at its
+present stamp.  It is *behind* when the change log still holds every
+change-set since its version, none conservative, and their mutation
+stamps chain from the entry's to the installed document's.  The table
+is then rebound to the installed generation
+(:meth:`PermissionResolver.rebind`: the fingerprint's automaton reads
+no document, so only exception rule paths are evaluated again), and a
+held view is patched on the dirty regions -- the composed change-set's
+touched roots plus the nodes whose membership in a read or position
+exception selection changed -- and only those subtrees are re-grown
+(the rest of the view document is carried).  Outside a touched
+subtree no node's root-to-node chain changed, so no automaton decision
+did.  Anything else -- a missing or conservative change-set, an entry
+older than the log, a document edited in place -- binds the table and
+builds the view from scratch: patching is an optimization, never a
 correctness requirement; the differential property suite pins patched
 == from-scratch.
 
@@ -55,7 +58,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..xmltree.document import XMLDocument
 from ..xmltree.labels import DOCUMENT_ID, NodeId, document_order_key
 from ..xupdate.changeset import ChangeSet
-from .perm import Fingerprint, PermissionTable, Selections
+from .perm import Fingerprint, PermissionTable
 from .view import View, ViewBuilder, grow
 
 __all__ = ["CHANGE_LOG_SIZE", "VIEW_CACHE_SIZE", "ViewCache"]
@@ -80,7 +83,6 @@ class _Entry:
     stamp: int
     version: int
     table: PermissionTable
-    selections: Selections
     view: Optional[View] = None
 
 
@@ -97,10 +99,6 @@ class ViewCache:
         self._log: "OrderedDict[int, Tuple[Optional[ChangeSet], int, int]]" = (
             OrderedDict()
         )
-        # The latest commit's version and the $USER-free selections the
-        # resolver advanced across it, shared by every table patched at
-        # lag 1.
-        self._shared: Tuple[int, Optional[dict]] = (-1, None)
         # Serving happens from many reader threads at once and cache
         # bookkeeping (LRU moves, entry replacement) is not atomic, so
         # the whole serve/commit surface is one critical section.
@@ -122,16 +120,18 @@ class ViewCache:
     ) -> None:
         """Record the commit that installed ``database.document`` over
         ``old_doc`` as ``database.version`` (``changes`` None when the
-        committer did not track one), and advance the resolver's shared
-        path cache across it."""
+        committer did not track one); the resolver says whether the
+        change-set is usable."""
         with self._lock:
             doc, version = database.document, database.version
-            advanced = database.resolver.note_commit(old_doc, doc, changes)
-            usable = changes if advanced is not None else None
-            self._log[version] = (usable, old_doc.mutation_stamp, doc.mutation_stamp)
+            usable = database.resolver.note_commit(old_doc, doc, changes)
+            self._log[version] = (
+                changes if usable else None,
+                old_doc.mutation_stamp,
+                doc.mutation_stamp,
+            )
             while len(self._log) > CHANGE_LOG_SIZE:
                 self._log.popitem(last=False)
-            self._shared = (version, advanced)
 
     # ------------------------------------------------------------------
     # serving
@@ -185,10 +185,10 @@ class ViewCache:
             and entry.stamp == doc.mutation_stamp
         )
         if entry is not None and not current:
-            entry = self._advance(database, fp, entry, doc, version)
+            entry = self._advance(database, entry, doc, version)
         if entry is None:
-            table, selections = resolver.derive(doc, fp, user)
-            entry = _Entry(doc, doc.mutation_stamp, version, table, selections)
+            table = resolver.derive(doc, fp, user)
+            entry = _Entry(doc, doc.mutation_stamp, version, table)
         self._entries[fp] = entry
         self._entries.move_to_end(fp)
         while len(self._entries) > VIEW_CACHE_SIZE:
@@ -196,12 +196,7 @@ class ViewCache:
         return entry, current
 
     def _advance(
-        self,
-        database,
-        fp: Fingerprint,
-        entry: _Entry,
-        doc: XMLDocument,
-        version: int,
+        self, database, entry: _Entry, doc: XMLDocument, version: int
     ) -> Optional[_Entry]:
         """``entry`` carried onto ``doc`` (at ``version``) by the
         change-sets logged since it was derived, or None when it must be
@@ -220,17 +215,12 @@ class ViewCache:
             stamp = step[2]
         if stamp != doc.mutation_stamp:
             return None
-        if len(steps) == 1 and self._shared[0] == version:
-            changes, advanced = steps[0], self._shared[1]
-        else:
-            changes, advanced = ChangeSet.merge_all(steps), {}
+        changes = ChangeSet.merge_all(steps)
         # A patch that raises must not leave a half-patched entry
         # behind: discard it, count the degradation, and let the caller
         # re-derive from scratch.
         try:
-            table, selections = database.resolver.patch_table(
-                entry.table, entry.selections, fp, doc, changes, advanced
-            )
+            table = database.resolver.rebind(entry.table, doc)
             view = entry.view
             if view is not None:
                 view = self._patch(view, doc, database.policy, table, changes)
@@ -241,7 +231,7 @@ class ViewCache:
                 "incremental patch failed; discarding entry and rebuilding"
             )
             return None
-        return _Entry(doc, doc.mutation_stamp, version, table, selections, view)
+        return _Entry(doc, doc.mutation_stamp, version, table, view)
 
     @staticmethod
     def _facade(view: View, user: str) -> View:
@@ -267,15 +257,15 @@ class ViewCache:
 
         Dirty roots are (a) the change-set's touched subtree roots --
         structure or labels changed there -- and (b) every node whose
-        read/position outcome differs between the old and the new
-        permission table (rule paths may select differently after the
-        commit).  Everything outside those regions satisfies axioms
-        15-17 verbatim from the old view: its source node is unchanged
-        and its selection status depends only on its own privileges and
-        its ancestors' (both unchanged).
+        membership in a read or position exception selection changed
+        (a predicate may select differently after the commit).
+        Everything outside those regions satisfies axioms 15-17
+        verbatim from the old view: its source node and its
+        root-to-node chain are unchanged, so are its automaton state
+        and its exception memberships, and so are its ancestors'.
         """
         dirty: Set[NodeId] = set(changes.touched_roots())
-        dirty |= table.read_position_delta(old_view.permissions)
+        dirty |= table.exception_delta(old_view.permissions)
         dirty.discard(DOCUMENT_ID)  # the document node is always selected
         roots = _minimal_roots(dirty)
 

@@ -730,7 +730,8 @@ class WriteAheadLog:
                 epoch exists elsewhere and no reopen may resurrect it --
                 or pending appends could not be made durable.
             WalCorruptionError: the directory holds non-tail corruption
-                or quarantined segments; repair first.
+                or quarantined segments; repair first.  Like any other
+                failure to find the tail, it leaves the log failed.
         """
         with self._lock:
             if self._fenced:
@@ -754,10 +755,22 @@ class WriteAheadLog:
                         "fsync of pending appends", exc, "fsync"
                     ) from exc
             self.close()
+            disk = self._failed_disk
             self._failed = None
             self._failed_disk = None
             self._pending = 0
-            self._open_tail()
+            try:
+                self._open_tail()
+            except Exception as exc:
+                # No handle: stay failed, classified by the refusal
+                # itself when the disk refused the reopen, else by the
+                # fault the caller reopens after (a full disk whose
+                # segment the scan cannot open reads as damage), so
+                # every later append still reports that disk fault.
+                self._poison("reopen", exc, "open")
+                if self._failed_disk is None:
+                    self._failed_disk = disk
+                raise
 
     def __enter__(self) -> "WriteAheadLog":
         return self

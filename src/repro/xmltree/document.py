@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import (
-    Container,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -550,23 +550,30 @@ class XMLDocument:
     def graft(
         self,
         source: "XMLDocument",
-        roots: Iterable[NodeId],
-        keep: Container[NodeId],
+        roots: Iterable[Tuple[NodeId, object]],
+        expand: Callable[
+            [NodeId, Sequence[NodeId], object], Tuple[List[NodeId], List[object]]
+        ],
     ) -> List[NodeId]:
-        """Install the kept part of ``source``'s subtrees at ``roots``.
+        """Install the admitted part of ``source``'s subtrees at ``roots``.
 
-        A node of ``source`` at or below a root is installed --
-        *identifier preserved, node object shared* -- iff it is in
-        ``keep`` and its parent got installed (a root's parent must
-        already be here); nothing below an unkept node is looked at.
-        This is the one primitive views are grown with: a first build
-        grafts the document node's children into an empty document, a
-        cache patch grafts each dirty root back after cutting it out.
+        Each root comes with its state, or None to leave it out (it is
+        checked all the same); a root's parent must already be here.
+        For every installed node, ``expand(nid, kids, state)`` gets the
+        source's sibling list of ``nid`` (attributes included, document
+        order, shared: read it, do not mutate it) and returns the
+        children to install, in document order, and their own states,
+        as two lists; nothing below a child it leaves out is looked at.
+        Installed nodes keep their identifier and share the source's
+        node object.  This is the one primitive views are grown with: a
+        first build grafts the document node's children into an empty
+        document, a cache patch grafts each dirty root back after
+        cutting it out, and the state is the permission automaton's.
 
-        Each installed node's sibling list is the source's filtered by
-        ``keep``, so it is strictly increasing because the source's is:
-        only the roots themselves are placed by bisect and move the
-        mutation stamp.
+        Each installed node's sibling list is the source's filtered, so
+        it is strictly increasing because the source's is: only the
+        roots themselves are placed by bisect and move the mutation
+        stamp.
 
         Returns:
             The installed identifiers, parents before children.
@@ -580,7 +587,7 @@ class XMLDocument:
         nodes, children, owned = self._nodes, self._children, self._owned
         src_nodes, src_children = source._nodes, source._children
         installed: List[NodeId] = []
-        for root in roots:
+        for root, state in roots:
             if root.is_document:
                 raise DocumentError("the document node cannot be grafted")
             if root in nodes:
@@ -590,18 +597,19 @@ class XMLDocument:
                     f"cannot graft {root!r}: parent not in this document"
                 )
             node = source.node(root)
-            if root not in keep:
+            if state is None:
                 continue
             self._install(node)
-            grown = [root]
-            for nid in grown:  # extended as it is walked: breadth-first
-                kids = [kid for kid in src_children[nid] if kid in keep]
+            grown, states = [root], [state]
+            for at, nid in enumerate(grown):  # extended as walked: breadth-first
+                kids, kid_states = expand(nid, src_children[nid], states[at])
                 children[nid] = kids
                 if owned is not None:
                     owned.add(nid)
                 for kid in kids:
                     nodes[kid] = src_nodes[kid]
                 grown += kids
+                states += kid_states
             installed += grown
         return installed
 

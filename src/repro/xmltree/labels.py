@@ -50,14 +50,12 @@ __all__ = [
     "RenumberingScheme",
     "document_order_key",
     "order_index",
-    "subtree_span",
 ]
 
 
 #: Key tags.  Components of mixed types never occur within one document,
-#: but tagging them (rationals first) keeps comparisons total anyway; no
-#: component is ever tagged ``_END``, which therefore bounds a subtree.
-_RATIONAL, _OTHER, _END = 0, 1, 2
+#: but tagging them (rationals first) keeps comparisons total anyway.
+_RATIONAL, _OTHER = 0, 1
 
 
 def _key_part(component: object) -> Tuple[int, object]:
@@ -213,19 +211,6 @@ def order_index(ordered: Sequence[NodeId], nid: NodeId) -> int:
     """Where ``nid`` is -- or, when absent, belongs -- in ``ordered``, a
     sequence of distinct ids in document order (a bisect on the key)."""
     return bisect_left(ordered, nid._key, key=document_order_key)
-
-
-def subtree_span(ordered: Sequence[NodeId], root: NodeId) -> Tuple[int, int]:
-    """The slice ``[lo, hi)`` of ``ordered`` -- ids in document order --
-    that lies in the subtree of ``root`` (``root`` itself included).
-
-    The ids at or below a node are exactly those whose key starts with
-    the node's key, a contiguous run of any key-ordered sequence, so two
-    bisects find it without looking at the rest.
-    """
-    lo = order_index(ordered, root)
-    hi = bisect_left(ordered, root._key + (_END,), lo, key=document_order_key)
-    return lo, hi
 
 
 class NumberingScheme(ABC):

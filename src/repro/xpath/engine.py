@@ -69,8 +69,8 @@ class XPathEngine:
     @property
     def star_matches_text(self) -> bool:
         """Whether the paper-compat lone-``*`` reading is enabled (the
-        static path analysis in :mod:`repro.xpath.skeleton` must mirror
-        the evaluator's configuration)."""
+        permission automaton of :mod:`repro.security.automaton` must
+        mirror the evaluator's configuration)."""
         return self._star_matches_text
 
     @property

@@ -17,18 +17,17 @@ whole script) that makes that localization possible:
   in place;
 - ``labels`` -- every label touched by the update: old and new labels
   of relabelled nodes, and the labels of *every* node inside added or
-  removed subtrees.  A compiled rule path whose label skeleton is
-  disjoint from this set provably selects the same nodes before and
-  after the commit (see :mod:`repro.xpath.skeleton`).
+  removed subtrees.
 
 Its one consumer is :class:`~repro.security.viewcache.ViewCache`: it
-logs each commit's change-set, feeds it to the
-:class:`~repro.security.perm.PermissionResolver`'s shared path cache,
-and advances each cached permission table and view by the change-sets
-composed (:meth:`ChangeSet.merge_all`) since the entry was derived.  A
-missing or :attr:`conservative` change-set means "anything may have
-changed" and falls back to full re-derivation, so producing a
-change-set is always an optimization, never a correctness requirement.
+logs each commit's change-set and patches each cached view on the
+touched roots of the change-sets composed (:meth:`ChangeSet.merge_all`)
+since the entry was derived -- outside those subtrees no node's
+root-to-node label chain changed, so no permission automaton decision
+did (:mod:`repro.security.perm`).  A missing or :attr:`conservative`
+change-set means "anything may have changed" and falls back to full
+re-derivation, so producing a change-set is always an optimization,
+never a correctness requirement.
 """
 
 from __future__ import annotations

@@ -23,20 +23,28 @@ point read hash 376 -> 2,896 ids and rule 5's selection for one user
 
 The database is the benchmark's hospital (``tests/hospital.py``).
 
-A read two commits behind advances its table by the composed
-change-set, beside its view, instead of re-resolving it.
+A commit compiles no permission automaton and, for a predicate-free
+fingerprint, evaluates no rule path: a cached table is rebound to the
+new generation, and a read two commits behind patches its view by the
+composed change-set.
 
-A write's privilege checks are table lookups too: the view it selects
-on already holds the user's permission table, so no check replays a
-rule's chain automaton (``PathSkeleton.matches``) per node.
+A write's privilege checks ask the view's table, which walks the
+fingerprint's automaton down the node's ancestry: a warm check builds
+no transition, and a warm ``can`` steps at most depth + 1 times.  The
+table itself stores no decision, so its memory does not grow with the
+document.
 
 A served write encodes its script once: the text is parsed once, before
 the retry loop, and the log records that text, so the commit serializes
 no XML (``dump_xupdate`` used to serialize the script and re-parse it).
 """
 
+import gc
 import sys
+import tracemalloc
 
+from repro.security import PermissionResolver
+from repro.security.automaton import LabelAutomaton
 from repro.security.privileges import Privilege
 from repro.security.write import SecureWriteExecutor
 from repro.serving import DatabaseServer, GroupCommitter
@@ -44,7 +52,6 @@ from repro.wal import WriteAheadLog
 from repro.xmltree import XMLDocument
 from repro.xmltree.labels import NodeId
 from repro.xmltree.serializer import serialize
-from repro.xpath.skeleton import PathSkeleton
 from repro.xupdate.parser import parse_xupdate
 
 from tests.hospital import bench_hospital, update_script
@@ -150,8 +157,9 @@ def test_rule_5_selects_one_user_in_a_flat_count(monkeypatch):
 
 
 def test_a_commit_patches_tables_instead_of_resolving():
-    """The cycle re-resolves no table: each cached fingerprint is
-    carried or patched by the commit, and the reader's view is patched."""
+    """The cycle compiles no automaton and evaluates no rule path: the
+    reader's cached table is rebound to the new generation and its
+    view is patched."""
     db = bench_hospital(120)
     writer, reader = db.login("laporte"), db.login("beaufort")
     writer.execute(update_script("patient00007", "warm"))
@@ -161,18 +169,15 @@ def test_a_commit_patches_tables_instead_of_resolving():
     reader.query("/patients/patient00042/diagnosis")
     after = db.stats()
     assert after["full_resolves"] == before["full_resolves"]
-    assert after["delta_resolves"] == before["delta_resolves"]
-    assert (
-        after["tables_carried"] + after["tables_patched"]
-        > before["tables_carried"] + before["tables_patched"]
-    )
+    assert after["path_evals"] == before["path_evals"]
+    assert db.permissions_for("beaufort").doc is db.document
     assert after["view_incremental_patches"] > before["view_incremental_patches"]
     assert after["view_full_builds"] == before["view_full_builds"]
 
 
 def test_a_read_two_commits_behind_patches_its_table():
-    """The reader's entry is two commits behind: its table is advanced
-    by the composed change-set beside its view, not re-resolved."""
+    """The reader's entry is two commits behind: its table is rebound
+    and its view patched by the composed change-set, not derived."""
     db = bench_hospital(120)
     writer, reader = db.login("laporte"), db.login("beaufort")
     writer.execute(update_script("patient00007", "warm"))
@@ -183,27 +188,37 @@ def test_a_read_two_commits_behind_patches_its_table():
     reader.query("/patients/patient00042/diagnosis")
     after = db.stats()
     assert after["full_resolves"] == before["full_resolves"]
-    assert after["delta_resolves"] == before["delta_resolves"]
-    assert (
-        after["tables_carried"] + after["tables_patched"]
-        > before["tables_carried"] + before["tables_patched"]
-    )
+    assert after["path_evals"] == before["path_evals"]
     assert after["view_incremental_patches"] == before["view_incremental_patches"] + 1
     assert after["view_full_builds"] == before["view_full_builds"]
 
 
+def count_method(cls, name, patch, inside=None) -> list:
+    """Count calls to ``cls.name`` (only those made while ``inside``
+    returns true, when given)."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        if inside is None or inside():
+            calls[0] += 1
+        return original(*args, **kwargs)
+
+    patch.setattr(cls, name, counted)
+    return calls
+
+
 def test_write_checks_replay_no_rule_automaton(monkeypatch):
-    """A warm one-op write makes no ``PathSkeleton.matches`` call inside
-    ``SecureWriteExecutor.apply``: every check reads the view's table."""
+    """A warm one-op write builds no automaton transition inside
+    ``SecureWriteExecutor.apply``: every check walks transitions the
+    view's table already built."""
     db = bench_hospital(120)
     writer = db.login("laporte")
     for warm in range(3):
         writer.execute(update_script("patient00007", f"warm{warm}"))
 
     depth = [0]
-    matches = [0]
     original_apply = SecureWriteExecutor.apply
-    original_matches = PathSkeleton.matches
 
     def counted_apply(self, *args, **kwargs):
         depth[0] += 1  # apply recurses once per script operation
@@ -212,17 +227,58 @@ def test_write_checks_replay_no_rule_automaton(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_matches(self, *args, **kwargs):
-        if depth[0]:
-            matches[0] += 1
-        return original_matches(self, *args, **kwargs)
-
+    before = db.stats()
     with monkeypatch.context() as patch:
         patch.setattr(SecureWriteExecutor, "apply", counted_apply)
-        patch.setattr(PathSkeleton, "matches", counted_matches)
+        built = count_method(
+            LabelAutomaton, "_transition", patch, inside=lambda: depth[0]
+        )
+        steps = count_method(LabelAutomaton, "step", patch, inside=lambda: depth[0])
         result = writer.execute(update_script("patient00042", "dxnew"))
     assert len(result.affected) == 1
-    assert matches[0] == 0
+    assert steps[0] > 0  # the checks did ask the automaton
+    assert built[0] == 0
+    assert db.stats()["full_resolves"] == before["full_resolves"]
+
+
+def test_a_warm_can_walks_at_most_depth_plus_one_transitions(monkeypatch):
+    """``can`` on a node ``depth`` levels below the document node steps
+    the automaton at most depth + 1 times, and builds nothing."""
+    db = bench_hospital(120)
+    reader = db.login("beaufort")
+    (service,) = db.engine.select(db.document, "/patients/patient00042/service")
+    reader.can("read", service)
+    with monkeypatch.context() as patch:
+        steps = count_method(LabelAutomaton, "step", patch)
+        built = count_method(LabelAutomaton, "_transition", patch)
+        assert reader.can("read", service)
+    assert steps[0] <= service.level + 1
+    assert built[0] == 0
+
+
+def retained_table_bytes(patients: int) -> int:
+    """Bytes laporte's table keeps alive once every node was decided."""
+    db = bench_hospital(patients)
+    resolver = PermissionResolver(db.engine)
+    db.policy.applicable_rules("laporte")  # the subjects' closure is not the table
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = resolver.resolve(db.document, db.policy, "laporte")
+        assert len(table.nodes_with(Privilege.READ)) == len(db.document) - 1
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.holds(db.document.root, Privilege.READ)
+    return retained
+
+
+def test_a_table_retains_the_same_memory_at_any_size():
+    """The table stores no decision: 8x the patients, < 1.5x the bytes."""
+    small, large = retained_table_bytes(120), retained_table_bytes(960)
+    assert large < 1.5 * small, (small, large)
 
 
 def test_can_after_a_served_view_is_one_table_lookup():

@@ -2,8 +2,8 @@
 
 Every privilege check -- ``Session.can()``, ``SecureXMLDatabase.check``
 and the node checks inside a secured write -- reads the user's
-permission table, which ``perm._decide`` derives and every commit
-patches.  These tests pin that table-backed answer to the Datalog
+permission table, which decides on demand from the fingerprint's
+label automaton and which every commit rebinds to the new generation.  These tests pin that table-backed answer to the Datalog
 transcription in :mod:`repro.formal` for every user x node x privilege
 of the paper's hospital database (as built, after a commit, after a
 policy change), check that a probe never materializes a view, and
@@ -63,7 +63,7 @@ class TestCanMatchesTheory:
         _assert_can_matches_theory(db)
 
     def test_after_a_commit(self, db):
-        _assert_can_matches_theory(db)  # warm: the commit patches tables
+        _assert_can_matches_theory(db)  # warm: the commit rebinds tables
         db.admin_update(
             '<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">'
             '<xupdate:append select="/patients/franck">'
@@ -119,9 +119,10 @@ class TestZeroMaterialization:
         assert stats["view_full_builds"] == 0
 
     def test_rules_compiled_counts_engine_cache_misses(self, db):
-        # Resolving compiles each rule path once, into the engine's
-        # cache (the only compiled cache there is); resolving the same
-        # policy again compiles nothing.
+        # A rule outside the automaton's fragment is compiled once, into
+        # the engine's cache (the only compiled cache there is);
+        # resolving the same policy again compiles nothing.
+        db.policy.grant("read", "/patients/*[service='pneumology']", "patient")
         db.resolver.resolve(db.document, db.policy, "robert")
         compiled = db.stats()["rules_compiled"]
         assert compiled > 0

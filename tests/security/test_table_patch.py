@@ -1,17 +1,15 @@
-"""Permission tables patched across a commit == resolved from scratch.
+"""Permission tables carried across a commit == derived from scratch.
 
-After a commit the view cache advances each cached table on its first
-lookup instead of re-resolving it: each rule path's selection
-contributes the nodes whose membership changed, and axiom 14 is
-replayed on those only.  The
-properties here hold that patch to the full replay on every commit, and
-pin the sharing rules around it: a commit that changes no decision
-keeps the very same table object, a patch never mutates anything an
-already-served view (or its per-user facade) holds, and the patch's own
-read/position delta is the full symmetric difference.
+After a commit the view cache rebinds each cached table on its first
+lookup instead of deriving it: the fingerprint's automaton reads no
+document, so it is bound to the new generation as it is, and only
+exception (predicate) rule paths are evaluated again.  The properties
+here hold every carried table to the priority replay over whole
+selections (:mod:`repro.testing.perm_oracle`) on every node and
+privilege, and pin the rules around it: a commit compiles no automaton,
+a served view's table keeps answering for its own generation, and the
+exception delta the view patch uses is the full symmetric difference.
 """
-
-import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +17,11 @@ from hypothesis import strategies as st
 from repro.core import hospital_database
 from repro.errors import UpdateAborted
 from repro.security import PermissionResolver, Privilege
-from repro.security.policy import ACCEPT
+from repro.security.automaton import fragment_tokens
 from repro.security.view import ViewBuilder
+from repro.testing.perm_oracle import replay
 from repro.xmltree import element, serialize, text
 from repro.xmltree.document import DocumentError
-from repro.xpath import XPathEngine
 from repro.xupdate import (
     Append,
     InsertBefore,
@@ -39,8 +37,6 @@ from tests.security.test_view_maintenance_properties import (
     update_operations,
 )
 
-VIEW_PRIVILEGES = (Privilege.READ, Privilege.POSITION)
-
 
 def cached_tables(db, users):
     """user -> the table ``db.permissions_for`` serves (which advances
@@ -48,67 +44,54 @@ def cached_tables(db, users):
     return {user: db.permissions_for(user) for user in users}
 
 
-def resolve_oracle(db, user):
-    """The replay the resolver ran before tables were patched, kept as
-    the reference: every rule, in priority order, overwrites the outcome
-    on everything its path selects."""
-    engine = XPathEngine(lone_variable_name_test=True, star_matches_text=True)
-    granted, winning = {}, {}
+def assert_table_equals_oracle(table, db, user):
+    """Every node x privilege of ``table``'s generation, ``holds`` and
+    ``explain`` against the priority replay."""
+    doc = table.doc
+    winners = replay(db.engine, doc, db.policy.applicable_rules(user), user)
     for privilege in Privilege:
-        outcome = {}
-        for rule in db.policy.rules_for(user, privilege):
-            selected = engine.select(db.document, rule.path, variables={"USER": user})
-            outcome.update(dict.fromkeys(selected, rule))
-        winning[privilege] = outcome
-        granted[privilege] = {n for n, r in outcome.items() if r.effect == ACCEPT}
-    return granted, winning
-
-
-def snapshot(table):
-    return copy.deepcopy((table.granted, table.winning_rule))
-
-
-def full_delta(new, old):
-    out = set()
-    for privilege in VIEW_PRIVILEGES:
-        out |= new.granted.get(privilege, set()) ^ old.granted.get(privilege, set())
-    return out
+        outcome = winners[privilege]
+        for nid in doc.all_nodes():
+            rule = outcome.get(nid)
+            assert table.explain(nid, privilege) is rule, (user, nid, privilege)
+            held = rule is not None and rule.effect == "accept"
+            assert table.holds(nid, privilege) == held, (user, nid, privilege)
 
 
 def commit_and_check(db, users, commit):
     """Warm every user's table and view, run ``commit``, and check each
-    cached table against a from-scratch resolve.  Returns False when the
-    commit did not apply."""
+    cached table against the oracle.  Returns False when the commit did
+    not apply."""
     served = {user: db.build_view(user) for user in users}
-    held = {user: snapshot(view.permissions) for user, view in served.items()}
-    before = cached_tables(db, users)
+    held = {user: view.permissions.facts() for user, view in served.items()}
     try:
         commit()
     except (XUpdateError, UpdateAborted, DocumentError):
         return False
-    resolves = (db.stats()["full_resolves"], db.stats()["delta_resolves"])
+    compiled = db.stats()["full_resolves"]
     after = cached_tables(db, users)
-    # Every table held across the commit was patched, none re-resolved.
-    assert (db.stats()["full_resolves"], db.stats()["delta_resolves"]) == resolves
-    fresh = PermissionResolver()
-    for user, patched in after.items():
-        scratch = fresh.resolve(db.document, db.policy, user)
-        assert patched.granted == scratch.granted, user
-        assert patched.winning_rule == scratch.winning_rule, user
-        assert (scratch.granted, scratch.winning_rule) == resolve_oracle(db, user)
-        old = before.get(user)
-        if old is None:
-            continue
-        # The same shared table (a per-user facade shares its dicts)
-        # exactly when no decision changed.
-        assert (patched.winning_rule is old.winning_rule) == (
-            patched.winning_rule == old.winning_rule
-        )
-        assert patched.read_position_delta(old) == full_delta(patched, old)
+    # Every table held across the commit was rebound, none compiled.
+    assert db.stats()["full_resolves"] == compiled
+    for user, table in after.items():
+        assert table.doc is db.document
+        assert_table_equals_oracle(table, db, user)
+        scratch = PermissionResolver().resolve(db.document, db.policy, user)
+        assert table.facts() == scratch.facts()
+        old = served[user].permissions
+        # The exception delta is exactly what moved in the read and
+        # position exception selections.
+        moved = set()
+        for privilege in (Privilege.READ, Privilege.POSITION):
+            for rule in db.policy.rules_for(user, privilege):
+                if fragment_tokens(rule.path) is None:
+                    variables = {"USER": user}
+                    was = db.engine.select(old.doc, rule.path, variables=variables)
+                    now = db.engine.select(table.doc, rule.path, variables=variables)
+                    moved |= set(was) ^ set(now)
+        assert table.exception_delta(old) == moved
     for user, view in served.items():
-        # What a served view (a shared table or a per-user facade of
-        # it) holds is never written to by a patch.
-        assert snapshot(view.permissions) == held[user], user
+        # A served view's table still answers for its own generation.
+        assert view.permissions.facts() == held[user], user
     return True
 
 
@@ -128,8 +111,8 @@ HOSPITAL_USERS = ("laporte", "beaufort", "robert", "franck", "richard")
 
 
 def hospital_with_predicate_rule():
-    """The paper's hospital plus a predicate rule (never patchable by
-    skeleton: its selection is re-evaluated on every commit)."""
+    """The paper's hospital plus a predicate rule (an exception to the
+    automaton: its selection is evaluated again on every commit)."""
     db = hospital_database()
     db.policy.grant(
         "read", "/patients/*[service='pneumology']/diagnosis", "epidemiologist"
@@ -162,21 +145,38 @@ def test_hospital_commits_patch_doctor_secretary_patient_and_predicate_tables():
         ),
         lambda: db.admin_update(Remove("/patients/franck")),
     ]
+    for user in HOSPITAL_USERS:
+        db.build_view(user)
+    compiled = db.stats()["full_resolves"]
+    evaluated = db.stats()["path_evals"]
     for commit in commits:
         assert commit_and_check(db, HOSPITAL_USERS, commit)
     stats = db.stats()
-    assert stats["tables_patched"] > 0
-    assert stats["tables_carried"] > 0
+    assert stats["full_resolves"] == compiled
+    # Only the epidemiologist's predicate rule is evaluated again.
+    assert stats["path_evals"] > evaluated
 
 
 def test_a_commit_changing_no_decision_keeps_the_table_object():
+    """Tables are per generation, but a commit carries each one's
+    automaton over unchanged: nothing compiled, no exception moved, and
+    every surviving node decided as before."""
     db = hospital_database()
     doctor = db.login("laporte")
     tables = {user: db.permissions_for(user) for user in HOSPITAL_USERS}
+    compiled = db.stats()["full_resolves"]
     doctor.execute(UpdateContent("/patients/robert/diagnosis", "flu"))
     for user, table in tables.items():
-        assert db.permissions_for(user) is table
-        assert db.permissions_for(user).read_position_delta(table) == set()
+        now = db.permissions_for(user)
+        assert now.doc is db.document and table.doc is not db.document
+        assert now.exception_delta(table) == set()
+        for nid in table.doc.all_nodes():
+            if nid in now.doc and now.doc.label(nid) == table.doc.label(nid):
+                for privilege in Privilege:
+                    assert now.explain(nid, privilege) is table.explain(
+                        nid, privilege
+                    )
+    assert db.stats()["full_resolves"] == compiled
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +195,7 @@ def assert_lookup_equals_scratch(db, user, lookup):
     if lookup == "table":
         table = db.permissions_for(user)
         assert table.user == user
-        assert table.granted == scratch.granted
-        assert table.winning_rule == scratch.winning_rule
+        assert_table_equals_oracle(table, db, user)
     elif lookup == "can":
         session = db.login(user)
         for nid in db.document.all_nodes():
@@ -209,7 +208,7 @@ def assert_lookup_equals_scratch(db, user, lookup):
         assert served.facts() == fresh.facts()
         assert served.restricted == fresh.restricted
         assert serialize(served.doc) == serialize(fresh.doc)
-        assert served.permissions.granted == scratch.granted
+        assert served.permissions.facts() == scratch.facts()
 
 
 @settings(max_examples=50, deadline=None)
@@ -250,7 +249,6 @@ def test_a_lookup_two_commits_behind_advances_table_and_view():
     assert_lookup_equals_scratch(db, "beaufort", "table")
     after = db.stats()
     assert after["full_resolves"] == before["full_resolves"]
-    assert after["delta_resolves"] == before["delta_resolves"]
     # The held view was patched with its table, so the view lookup that
     # follows is a hit.
     assert after["view_incremental_patches"] == before["view_incremental_patches"] + 1
@@ -293,7 +291,7 @@ def test_an_in_place_edit_is_never_served_stale():
     (diagnosis,) = db.engine.select(db.document, "/patients/franck/diagnosis")
     db.document.relabel(diagnosis, "service")
     for user in users:
-        assert db.build_view(user).permissions.granted == db.permissions_for(user).granted
+        assert db.build_view(user).permissions.facts() == db.permissions_for(user).facts()
         for lookup in LOOKUPS:
             assert_lookup_equals_scratch(db, user, lookup)
     db.document.relabel(diagnosis, "diagnosis")

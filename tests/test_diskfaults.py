@@ -18,7 +18,9 @@ from repro.errors import (
     DiskError,
     DiskFullError,
     DiskIOError,
+    OverloadError,
     ReproError,
+    WalCorruptionError,
     WalWriteError,
     classify_disk_error,
 )
@@ -280,6 +282,44 @@ class TestWalClassification:
             assert wal.failed is not None
             with pytest.raises(WalWriteError):
                 wal.sync_group()
+
+    def test_a_reopen_that_cannot_open_the_tail_leaves_the_log_failed(
+        self, tmp_path
+    ):
+        """A full disk refuses the append, then the segment's open on
+        the reopen: the log must stay failed -- not closed and healthy --
+        and keep saying the disk is full."""
+        wal = WriteAheadLog(str(tmp_path / "db.wal"))
+        wal.append({"kind": "noop"})
+        disk.arm("write", "enospc", match=".wal")
+        disk.arm("open", "enospc", match=".wal")
+        with pytest.raises(WalWriteError):
+            wal.append({"kind": "noop"})
+        with pytest.raises(WalCorruptionError):
+            wal.reopen()
+        assert "enospc" in wal.failed
+        with pytest.raises(WalWriteError) as refused:
+            wal.append({"kind": "noop"})
+        assert isinstance(refused.value.disk, DiskFullError)
+
+    def test_a_served_log_whose_reopen_fails_never_detaches(self, tmp_path):
+        db = editors_database()
+        db.attach_wal(WriteAheadLog(str(tmp_path / "db.wal")))
+        db.wal.checkpoint(db)
+        server = DatabaseServer(db)
+        disk.arm("write", "enospc", match=".wal")
+        disk.arm("open", "enospc", match=".wal")
+        outcomes = []
+        for index in range(5):
+            try:
+                server.execute("w1", append_script(f"e{index}"))
+                outcomes.append("ok")
+            except OverloadError:
+                outcomes.append("shed")
+                assert "enospc" in server.stats()["wal_failed"]
+            assert db.wal is not None
+            assert server.stats()["wal_degraded"] == 0
+        assert outcomes[0] == "shed" and "ok" in outcomes
 
     def test_fenced_log_refuses_reopen(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "db.wal"))

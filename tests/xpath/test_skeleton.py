@@ -1,75 +1,81 @@
-"""Static path skeletons: stability proofs and the chain matcher.
+"""The rule-path fragment and its label automaton, node by node.
 
-The two contracts the incremental permission maintenance rests on:
-
-- ``may_intersect`` returning False must *prove* the selection stable
-  under a commit touching those labels;
-- ``matches`` on a patchable skeleton must agree with the evaluator on
-  every node of every document.
+Successor of the static path skeleton tests: the skeleton's stability
+proofs went with the selections they kept current, and what remains is
+the chain reading of a path.  ``fragment_tokens`` decides which rule
+paths the permission automaton answers (the rest are evaluated with the
+engine), the automaton names exactly the element labels its paths test
+(every other label is one node class), and :class:`LabelAutomaton`
+membership must agree with the evaluator on every node of every
+document.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro.security import Privilege
+from repro.security.automaton import LabelAutomaton, fragment_tokens
 from repro.xmltree import XMLDocument, element, parse_xml
 from repro.xmltree.labels import DOCUMENT_ID
 from repro.xpath.engine import XPathEngine
-from repro.xpath.skeleton import analyze_path
 
 from tests.strategies import documents
 
 ENGINE = XPathEngine(lone_variable_name_test=True, star_matches_text=True)
 
-#: (path, expected labels or None=unbounded, expected patchable)
+
+def selection(path, doc, nodes, user=None):
+    """The nodes among ``nodes`` the automaton of ``path`` accepts."""
+    tokens = fragment_tokens(path)
+    assert tokens is not None, path
+    automaton = LabelAutomaton([tokens], True)
+    return {n for n in nodes if 0 in automaton.state_of(doc, n, user).accepting}
+
+
+#: (path, the element labels its automaton names -- each its own node
+#: class -- or None when it names none, and whether the path is in the
+#: automaton's fragment rather than an exception rule)
 CASES = [
     ("//sickness", {"sickness"}, True),
     ("/patients/patient", {"patients", "patient"}, True),
     ("/a/descendant-or-self::b", {"a", "b"}, True),
     ("//a/descendant::b", {"a", "b"}, True),
-    ("/patients/*/descendant-or-self::*", None, True),
+    ("/patients/*/descendant-or-self::*", {"patients"}, True),
     ("//*", None, True),
     ("//text()", None, True),
     ("//node()", None, True),
-    ("//*[name()='d']", None, False),  # predicate: opaque to patching
+    ("//*[name()='d']", {"d"}, True),  # a name lookup, like child::d
     ("//a[b]", None, False),
-    ("/patients/*[$USER]/descendant-or-self::*", None, False),
+    # The login is a node class of its own, not a named label.
+    ("/patients/*[$USER]/descendant-or-self::*", {"patients"}, True),
+    ("/", None, True),
+    ("//*[name()='']", None, False),  # names text and comments too
+    ("//*[$USER][1]", None, False),  # a second predicate
+    ("//@x", None, False),
+    ("//a | //b", None, False),
+    ("//processing-instruction('a')", None, False),
 ]
 
 
-@pytest.mark.parametrize("path,labels,patchable", CASES)
-def test_static_analysis(path, labels, patchable):
-    skeleton = analyze_path(path)
-    assert skeleton is not None
-    assert skeleton.labels == (None if labels is None else frozenset(labels))
-    assert skeleton.patchable is patchable
-
-
-def test_union_keeps_labels_but_not_patchability():
-    skeleton = analyze_path("//a | //b")
-    assert skeleton is not None
-    assert skeleton.labels == frozenset({"a", "b"})
-    assert not skeleton.patchable
+@pytest.mark.parametrize("path,labels,in_fragment", CASES)
+def test_static_analysis(path, labels, in_fragment):
+    tokens = fragment_tokens(path)
+    assert (tokens is not None) is in_fragment
+    if tokens is not None:
+        names = LabelAutomaton([tokens], True).names
+        assert names == (frozenset(labels) if labels else frozenset())
 
 
 def test_opaque_expressions_analyze_to_none():
-    assert analyze_path("count(//a)") is None
-    assert analyze_path("not-even-xpath((") is None
-
-
-def test_bounded_skeleton_disjointness():
-    skeleton = analyze_path("//sickness")
-    assert not skeleton.may_intersect({"diagnosis", "note"})
-    assert skeleton.may_intersect({"sickness"})
-    # Unbounded skeletons can never rule an intersection out.
-    assert analyze_path("//*").may_intersect({"anything"})
+    assert fragment_tokens("count(//a)") is None
+    assert fragment_tokens("not-even-xpath((") is None
 
 
 def test_sibling_axes_with_wildcards_stay_unbounded():
     # //node()/following-sibling::c can gain selections when ANY node
-    # is inserted before a c, so its label set must not be {c}.
-    skeleton = analyze_path("//node()/following-sibling::c")
-    assert skeleton is None or skeleton.labels is None
+    # is inserted before a c: no label chain decides it, so the rule is
+    # evaluated again on every commit.
+    assert fragment_tokens("//node()/following-sibling::c") is None
 
 
 PATCHABLE_PATHS = [
@@ -88,6 +94,8 @@ PATCHABLE_PATHS = [
     "//*",
     "/a/self::a",
     "/patients/descendant-or-self::node()",
+    "//*[$USER]",
+    "/*/*[name()='b']/node()",
 ]
 
 
@@ -96,10 +104,8 @@ PATCHABLE_PATHS = [
 def test_matches_agrees_with_engine_everywhere(doc: XMLDocument):
     all_nodes = [DOCUMENT_ID] + list(doc.subtree(doc.root))
     for path in PATCHABLE_PATHS:
-        skeleton = analyze_path(path)
-        assert skeleton is not None and skeleton.patchable, path
-        truth = set(ENGINE.select(doc, path))
-        mine = {n for n in all_nodes if skeleton.matches(doc, n, True)}
+        truth = set(ENGINE.select(doc, path, variables={"USER": "a"}))
+        mine = selection(path, doc, all_nodes, user="a")
         assert mine == truth, f"{path}: {mine ^ truth}"
 
 
@@ -116,21 +122,19 @@ def test_matches_agrees_with_engine_everywhere(doc: XMLDocument):
 def test_attributes_are_on_no_child_or_descendant_chain(path):
     """``node()`` is true of any *child*, and an attribute is nobody's
     child: the chain matcher used to select ``@x`` where the engine
-    does not."""
+    does not, and the automaton sends every attribute to its dead state."""
     doc = parse_xml('<r><b x="1">t</b></r>')
-    skeleton = analyze_path(path)
-    assert skeleton is not None and skeleton.patchable
     truth = set(ENGINE.select(doc, path))
-    mine = {n for n in doc.all_nodes() if skeleton.matches(doc, n, True)}
+    mine = selection(path, doc, doc.all_nodes())
     assert mine == truth
     (attribute,) = doc.attributes(doc.children(doc.root)[0])
     assert attribute not in mine
 
 
 def test_patched_selection_and_static_check_skip_a_committed_attribute():
-    """After a commit that adds ``<b x="1">`` the patched ``//node()``
-    selection, and the permission table ``check`` reads, agree with a
-    fresh evaluation: the attribute is on no child chain."""
+    """After a commit that adds ``<b x="1">`` the rebound permission
+    table ``check`` reads agrees with a fresh evaluation of
+    ``//node()``: the attribute is on no child chain."""
     from repro.security import Policy, SecureXMLDatabase, SubjectHierarchy
     from repro.xupdate import Append
 
@@ -139,9 +143,10 @@ def test_patched_selection_and_static_check_skip_a_committed_attribute():
     policy = Policy(subjects)
     policy.grant("read", "//node()", "u")
     db = SecureXMLDatabase(parse_xml("<r/>"), subjects, policy)
-    db.build_view("u")  # warm: the selection is cached, then patched
+    db.build_view("u")  # warm: the table is rebound, the view patched
     db.admin_update(Append("/r", element("b", "t", attributes={"x": "1"})))
-    assert db.stats()["paths_patched"] == 1
+    db.build_view("u")
+    assert db.stats()["view_incremental_patches"] == 1
     (b,) = db.document.children(db.document.root)
     (attribute,) = db.document.attributes(b)
     fresh = set(db.engine.select(db.document, "//node()"))
@@ -153,8 +158,18 @@ def test_patched_selection_and_static_check_skip_a_committed_attribute():
 
 
 def test_matches_refuses_non_patchable_skeletons():
-    skeleton = analyze_path("//a[b]")
+    """A predicate rule is no automaton path: its table decisions come
+    from the engine's selection, and they agree with it."""
+    assert fragment_tokens("//a[b]") is None
+    from repro.security import Policy, SecureXMLDatabase, SubjectHierarchy
+
+    subjects = SubjectHierarchy()
+    subjects.add_user("u")
+    policy = Policy(subjects)
+    policy.grant("read", "//a[b]", "u")
     doc = XMLDocument()
-    doc.add_root("a")
-    with pytest.raises(ValueError):
-        skeleton.matches(doc, doc.root)
+    root = doc.add_root("a")
+    element("a", element("b")).attach(doc, root)
+    db = SecureXMLDatabase(doc, subjects, policy)
+    expected = set(ENGINE.select(doc, "//a[b]"))
+    assert db.permissions_for("u").nodes_with(Privilege.READ) == expected
