@@ -6,7 +6,8 @@ write paths.  The headline row is the pair of selection counts:
 insecure probe selects 1 node (the leak), secure probe selects 0.
 """
 
-from repro.security import InsecureWriteExecutor, SecureWriteExecutor
+from repro.security import SecureWriteExecutor
+from repro.security.insecure import InsecureWriteExecutor
 from repro.xupdate import Rename
 
 PROBE = Rename("/patients/*[diagnosis/text()='pneumonia']", "flagged")

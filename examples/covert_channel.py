@@ -22,8 +22,9 @@ Run with::
     python examples/covert_channel.py
 """
 
-from repro import InsecureWriteExecutor, Rename
+from repro import Rename
 from repro.core import hospital_database
+from repro.security.insecure import InsecureWriteExecutor
 
 CANDIDATE_ILLNESSES = [
     "influenza",

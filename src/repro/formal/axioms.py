@@ -220,6 +220,8 @@ class FormalModel:
                 program.fact("view_element", nid)
             elif kind is NodeKind.TEXT:
                 program.fact("view_text", nid)
+            elif kind is NodeKind.COMMENT:
+                program.fact("view_comment", nid)
         for nid in view_nodes:
             if nid.is_document:
                 continue

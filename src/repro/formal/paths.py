@@ -11,8 +11,8 @@ The supported subset is the fragment the paper's policies actually use
 - absolute location paths;
 - axes ``child``, ``descendant``, ``descendant-or-self``, ``self``,
   ``parent``;
-- node tests: names, ``*`` (with the paper's text-matching semantics),
-  ``text()``, ``node()``;
+- node tests: names, ``*`` (with the paper's semantics, also matching
+  text and comment nodes), ``text()``, ``node()``;
 - predicates: a lone ``$USER`` (the paper's rule-5 shorthand for
   ``name() = $USER``), ``name() = 'literal'`` and ``name() = $USER``.
 
@@ -56,8 +56,9 @@ class PathCompiler:
             the geometry theory under the same ``prefix``).
         prefix: geometry predicate prefix -- ``""`` compiles against the
             source theory, ``"view_"`` against a view theory.
-        star_matches_text: the paper's wildcard semantics (also used by
-            the procedural security engine), on by default.
+        star_matches_text: the paper's wildcard semantics, where ``*``
+            also matches text and comment nodes (as the engine's does),
+            on by default.
     """
 
     _ids = itertools.count(1)
@@ -148,7 +149,10 @@ class PathCompiler:
         if test.is_wildcard:
             variants = [[pos(self._prefix + "element", n)]]
             if self._star_matches_text:
+                # The kinds of the engine's paper-compat ``*``
+                # (``repro.xpath.compiler._STAR_KINDS``).
                 variants.append([pos(self._prefix + "text", n)])
+                variants.append([pos(self._prefix + "comment", n)])
             return variants
         v = Var("V_test")
         return [

@@ -108,9 +108,9 @@ def _require_clean(directory: str, what: str, reason: str) -> None:
         )
 
 
-def _recover(directory: str, scheme, what: str, reason: str):
+def _recover(directory: str, what: str, reason: str):
     try:
-        return recover(directory, scheme=scheme)
+        return recover(directory)
     except Exception as exc:
         raise RepairError(
             f"{what} does not recover: {exc}", reason=reason
@@ -147,7 +147,6 @@ def repair_from_peer(
     peer_directory: str,
     *,
     verify_state: bool = True,
-    scheme=None,
 ) -> RepairReport:
     """Replace ``directory``'s log with a verified copy of the peer's.
 
@@ -162,7 +161,6 @@ def repair_from_peer(
             damaged node is out of rotation); pass False when the peer
             is taking writes mid-copy, where the deep scrub of the
             staged bytes is the integrity check.
-        scheme: numbering scheme forwarded to recovery.
 
     Returns:
         A :class:`RepairReport`; after it returns the directory
@@ -190,7 +188,7 @@ def repair_from_peer(
     expected_digest: Optional[str] = None
     if verify_state:
         expected_digest = _digest(
-            _recover(peer_directory, scheme, peer, "peer-damaged").database
+            _recover(peer_directory, peer, "peer-damaged").database
         )
 
     # 2. Stage the copy on the damaged node's own filesystem.
@@ -219,7 +217,7 @@ def repair_from_peer(
         #    to the peer's state.
         staged = "staged copy (disk fault during staging?)"
         _require_clean(staging, staged, "stage-damaged")
-        staged_result = _recover(staging, scheme, staged, "stage-damaged")
+        staged_result = _recover(staging, staged, "stage-damaged")
         report.digest = _digest(staged_result.database)
         report.epoch = staged_result.epoch
         report.last_lsn = staged_result.last_lsn

@@ -8,7 +8,9 @@ and maintained exclusively from a primary's write-ahead-log directory:
    primary's files): newest loadable checkpoint plus the committed
    suffix.  The same path is the fallback whenever incremental
    following becomes impossible -- the stream position pruned away,
-   the tail torn, the replica quarantined.
+   the tail torn, the replica quarantined.  Like every load in the
+   durability stack, the replayed document takes the default
+   persistent Dewey numbering; a replica has no scheme of its own.
 2. **Following** tails the segment files with a
    :class:`~repro.wal.WalStream` and applies each record through
    :func:`repro.wal.apply_record` -- the real secured update path, so
@@ -70,8 +72,6 @@ class Replica:
             on first open).
         replica_id: name used in stats and errors (defaults to the
             directory basename plus a counter).
-        scheme: numbering scheme for replayed documents (storage
-            default if omitted).
         clock: monotonic time source, injectable for tests.
 
     Construction seeds the replica immediately (one full catch-up);
@@ -88,7 +88,6 @@ class Replica:
         directory: str,
         *,
         replica_id: Optional[str] = None,
-        scheme=None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self._directory = os.path.abspath(directory)
@@ -100,7 +99,6 @@ class Replica:
                     f"#{Replica._counter}"
                 )
         self._id = replica_id
-        self._scheme = scheme
         self._clock = clock
         self._lock = RWLock()
         self._sessions = SessionCache(lambda user: self._database.login(user))
@@ -244,7 +242,7 @@ class Replica:
         # recover() is lenient and repair=False: it never writes to the
         # primary's directory -- a torn live tail is simply where the
         # replay stops, and the stream picks up from there.
-        result = recover(self._directory, scheme=self._scheme)
+        result = recover(self._directory)
         database = result.database
         database.set_read_only(True)
         checkpoint_lsn = (
@@ -354,7 +352,7 @@ class Replica:
         database.set_read_only(False)
         try:
             replaced = apply_record(
-                database, record, self._scheme, result_sink=self._remember
+                database, record, result_sink=self._remember
             )
         except InjectedFault:
             raise  # a simulated crash, not a divergence

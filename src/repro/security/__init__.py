@@ -3,16 +3,17 @@
 Subject hierarchy, prioritized accept/deny policy, conflict resolution
 (axiom 14), authorized views with RESTRICTED labels (axioms 15-17),
 view-evaluated secure writes (axioms 18-25), sessions, audit, and the
-:class:`SecureXMLDatabase` facade.  :mod:`repro.security.insecure`
-provides the deliberately vulnerable source-evaluated semantics of
-section 2.2 for comparison experiments.
+:class:`SecureXMLDatabase` facade, over one document (section 3.2) and
+without an administration model (section 4.3 leaves it out).
+
+:mod:`repro.security.insecure` provides the deliberately vulnerable
+source-evaluated semantics of section 2.2 for comparison experiments.
+It is not re-exported here, so the serving stack never loads it; import
+it from its module.
 """
 
 from .audit import AuditLog, AuditRecord
-from .collection import CollectionError, CollectionSession, SecureCollection
 from .database import SecureXMLDatabase, Transaction
-from .delegation import AdministeredPolicy, DelegationError, Grant
-from .insecure import InsecureWriteExecutor
 from .perm import PermissionResolver, PermissionTable
 from .policy import (
     ACCEPT,
@@ -39,15 +40,9 @@ __all__ = [
     "AccessDenied",
     "AuditLog",
     "AuditRecord",
-    "AdministeredPolicy",
-    "CollectionError",
-    "CollectionSession",
     "DENY",
-    "DelegationError",
     "Denial",
     "ExplainEntry",
-    "Grant",
-    "InsecureWriteExecutor",
     "PermissionResolver",
     "PermissionTable",
     "Policy",
@@ -55,7 +50,6 @@ __all__ = [
     "PolicyLintWarning",
     "Privilege",
     "READ_PRIVILEGES",
-    "SecureCollection",
     "SecureUpdateResult",
     "SecureWriteExecutor",
     "SecureXMLDatabase",

@@ -96,11 +96,6 @@ class Transaction:
         """True until the transaction commits or rolls back."""
         return self._state == "active"
 
-    @property
-    def base_version(self) -> int:
-        """The database version this transaction started from."""
-        return self._base_version
-
     def commit(
         self,
         document: XMLDocument,

@@ -317,9 +317,8 @@ class SecureWriteExecutor:
                     "RESTRICTED nodes cannot be renamed",
                 ):
                     continue
-                old_label = new_doc.label(nid)
                 new_doc.relabel(nid, operation.new_name)
-                changes.note_relabelled(nid, old_label, operation.new_name)
+                changes.note_relabelled(nid)
                 affected.append(nid)
         elif isinstance(operation, UpdateContent):
             # Axioms 20-21: children *in the view* need update and read.
@@ -337,11 +336,8 @@ class SecureWriteExecutor:
                         "update requires the read privilege on the child",
                     )
                     if ok:
-                        old_label = new_doc.label(child)
                         new_doc.relabel(child, operation.new_value)
-                        changes.note_relabelled(
-                            child, old_label, operation.new_value
-                        )
+                        changes.note_relabelled(child)
                         affected.append(child)
         elif isinstance(operation, Append):
             # Axiom 22: insert privilege on the selected node itself.
@@ -353,7 +349,7 @@ class SecureWriteExecutor:
                     "append requires the insert privilege",
                 ):
                     root = operation.tree.attach(new_doc, nid)
-                    changes.note_added(new_doc, root)
+                    changes.note_added(root)
                     affected.append(root)
         elif isinstance(operation, (InsertBefore, InsertAfter)):
             # Axioms 23-24: insert privilege on the *parent* of the node.
@@ -387,7 +383,7 @@ class SecureWriteExecutor:
                         root = operation.tree.attach_before(new_doc, nid)
                     else:
                         root = operation.tree.attach_after(new_doc, nid)
-                    changes.note_added(new_doc, root)
+                    changes.note_added(root)
                     affected.append(root)
         elif isinstance(operation, Remove):
             # Axiom 25: delete privilege on the selected node; the whole
@@ -407,7 +403,7 @@ class SecureWriteExecutor:
                     "remove requires the delete privilege",
                 ):
                     if nid in new_doc:
-                        changes.note_removed(new_doc, nid)
+                        changes.note_removed(nid)
                         new_doc.remove_subtree(nid)
                         affected.append(nid)
         else:

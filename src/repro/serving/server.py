@@ -236,7 +236,6 @@ class DatabaseServer:
         durability: str = "always",
         wal_dir: Optional[str] = None,
         backup_count: int = 1,
-        scheme=None,
         **server_options,
     ) -> "DatabaseServer":
         """Open a served database from disk, recovering if needed.
@@ -271,7 +270,6 @@ class DatabaseServer:
             wal_dir: the log directory (default ``path + ".wal"``).
             backup_count: rolling ``.bak`` generations kept by
                 checkpoints' ``save_to_file``.
-            scheme: numbering scheme for loaded documents.
             **server_options: any :class:`DatabaseServer` constructor
                 option (``retry``, ``max_in_flight``,
                 ``checkpoint_every``, ...).
@@ -287,14 +285,14 @@ class DatabaseServer:
         database = None
         recovered = None
         if os.path.isdir(wal_dir) and os.listdir(wal_dir):
-            recovered = recover(wal_dir, repair=True, scheme=scheme)
+            recovered = recover(wal_dir, repair=True)
             database = recovered.database
             if not recovered.report.clean:
                 logger.warning(
                     "recovery of %s: %s", wal_dir, recovered.report
                 )
         if database is None:
-            database = load_from_file(path, scheme)
+            database = load_from_file(path)
         wal = WriteAheadLog(wal_dir, fsync=durability)
         database.attach_wal(wal)
         server = cls(database, **server_options)

@@ -23,7 +23,13 @@ single self-describing XML file::
 Node identifiers are regenerated on load -- they are internal and never
 visible to users (paper section 4.4.1), so this is safe; anything that
 must survive a reload (views, permissions) is re-derived from the
-reloaded theory.
+reloaded theory.  A reloaded document always takes the default
+persistent Dewey numbering scheme.
+
+The file holds exactly one document, as the paper's database does
+(section 3.2), and this is the only persistence format: the write-ahead
+log's checkpoint snapshots are :func:`dump_database` files and its
+``state`` records carry :func:`dump_state` bodies.
 """
 
 from __future__ import annotations
@@ -40,14 +46,11 @@ from typing import List, Optional, Tuple
 
 from .errors import DiskError, StorageCorrupt, StorageError, classify_disk_error
 from .faults import faults, kill_point
-from .security.collection import SecureCollection
 from .security.database import SecureXMLDatabase
-from .security.delegation import AdministeredPolicy, Grant
 from .security.policy import ACCEPT, Policy
 from .security.subjects import SubjectHierarchy
 from .xmltree.document import XMLDocument
 from .xmltree.fragments import Fragment, element, fragment_from_subtree
-from .xmltree.labels import NumberingScheme
 from .xmltree.node import NodeKind
 from .xmltree.parser import XMLSyntaxError, parse_fragment
 from .xmltree.serializer import serialize
@@ -65,10 +68,6 @@ __all__ = [
     "save_to_file",
     "load_from_file",
     "backup_path",
-    "dump_administration",
-    "load_administration",
-    "dump_collection",
-    "load_collection",
 ]
 
 _FORMAT_VERSION = "1"
@@ -411,7 +410,6 @@ def _parse_root(text: str, expected_label: str, source: str) -> Fragment:
 
 def load_database(
     text: str,
-    scheme: Optional[NumberingScheme] = None,
     mode: str = "strict",
     report: Optional[LoadReport] = None,
     source: str = "<string>",
@@ -421,7 +419,6 @@ def load_database(
 
     Args:
         text: the file content.
-        scheme: numbering scheme for the rebuilt document.
         mode: ``"strict"`` (default) raises on the first problem;
             ``"lenient"`` recovers everything readable from a partially
             corrupt ``<securedb>``, dropping broken subjects, rules or
@@ -481,7 +478,7 @@ def load_database(
             report if lenient else None,
         )
 
-        document = XMLDocument(scheme)
+        document = XMLDocument()
         doc_section = _section(root, "document", lenient, report)
         roots = _child_elements(doc_section)
         if len(roots) > 1:
@@ -520,7 +517,6 @@ def _section(
 
 def load_from_file(
     path: str,
-    scheme: Optional[NumberingScheme] = None,
     mode: str = "strict",
     report: Optional[LoadReport] = None,
 ) -> SecureXMLDatabase:
@@ -528,7 +524,6 @@ def load_from_file(
 
     Args:
         path: the database file.
-        scheme: numbering scheme for the rebuilt document.
         mode: ``"strict"`` (default) or ``"lenient"``; see
             :func:`load_database`.
         report: a :class:`LoadReport` filled with everything a lenient
@@ -549,91 +544,11 @@ def load_from_file(
         if isinstance(exc, _NOT_DISK_FAULTS):
             raise
         raise classify_disk_error(exc, path=path, op="read") from exc
-    return load_database(text, scheme, mode=mode, report=report, source=path)
+    return load_database(text, mode=mode, report=report, source=path)
 
 
 # ---------------------------------------------------------------------------
-# administration (delegation) state
-# ---------------------------------------------------------------------------
-def dump_administration(admin: AdministeredPolicy) -> str:
-    """Serialize an :class:`AdministeredPolicy`'s grant history.
-
-    The underlying policy is *not* included -- persist it with
-    :func:`dump_database`; grants reference their rules by priority,
-    which the policy format preserves.
-    """
-    grants = [
-        element(
-            "grant",
-            attributes={
-                "id": str(g.grant_id),
-                "grantor": g.grantor,
-                "priority": str(g.rule.priority),
-                "option": "true" if g.grant_option else "false",
-                "authority": str(g.authority) if g.authority else "",
-            },
-        )
-        for g in admin.grants()
-    ]
-    bundle = element(
-        "administration", *grants, attributes={"owner": admin.owner}
-    )
-    return _serialize_bundle(bundle)
-
-
-def load_administration(
-    text: str,
-    subjects: SubjectHierarchy,
-    policy: Policy,
-) -> AdministeredPolicy:
-    """Rebuild an :class:`AdministeredPolicy` over an existing policy.
-
-    Args:
-        text: output of :func:`dump_administration`.
-        subjects: the (already loaded) subject hierarchy.
-        policy: the (already loaded) policy whose rules the grants
-            reference by priority.
-
-    Raises:
-        StorageError: malformed input, or a grant referencing a rule
-            priority that is not in the policy.
-    """
-    root = parse_fragment(text)
-    if root.label != "administration":
-        raise StorageError(f"expected <administration>, got <{root.label}>")
-    owner = _attr(root, "owner", "administration owner")
-    admin = AdministeredPolicy(subjects, owner, policy)
-    rules_by_priority = {rule.priority: rule for rule in policy}
-    max_id = 0
-    for entry in _child_elements(root):
-        if entry.label != "grant":
-            raise StorageError(f"unexpected <{entry.label}> in administration")
-        grant_id = int(_attr(entry, "id", "grant id"))
-        priority = int(_attr(entry, "priority", "grant rule priority"))
-        rule = rules_by_priority.get(priority)
-        if rule is None:
-            raise StorageError(
-                f"grant #{grant_id} references unknown rule priority {priority}"
-            )
-        authority_raw = _attr(entry, "authority", "grant authority")
-        grant = Grant(
-            grant_id=grant_id,
-            grantor=_attr(entry, "grantor", "grantor"),
-            rule=rule,
-            grant_option=_attr(entry, "option", "grant option") == "true",
-            authority=int(authority_raw) if authority_raw else None,
-        )
-        admin._grants[grant.grant_id] = grant
-        max_id = max(max_id, grant_id)
-    # Continue numbering after the highest persisted id.
-    import itertools
-
-    admin._ids = itertools.count(max_id + 1)
-    return admin
-
-
-# ---------------------------------------------------------------------------
-# collections
+# sections shared by dump_state and load_database
 # ---------------------------------------------------------------------------
 def _subjects_fragment(subjects: SubjectHierarchy) -> Fragment:
     entries: List[Fragment] = []
@@ -662,38 +577,6 @@ def _policy_fragment(policy: Policy) -> Fragment:
         for effect, privilege, path, subject, priority in policy.facts()
     ]
     return element("policy", *rules)
-
-
-def dump_collection(collection: SecureCollection) -> str:
-    """Serialize a multi-document collection to XML text.
-
-    Format: like :func:`dump_database` but with one named ``<document>``
-    per collection member::
-
-        <securecollection version="1">
-          <subjects>...</subjects>
-          <policy>...</policy>
-          <document name="patients"><patients>...</patients></document>
-          <document name="payroll"><payroll>...</payroll></document>
-        </securecollection>
-    """
-    documents: List[Fragment] = []
-    for name in collection.names():
-        db = collection.database(name)
-        content: List[Fragment] = []
-        if db.document.root is not None:
-            content.append(fragment_from_subtree(db.document, db.document.root))
-        documents.append(
-            element("document", *content, attributes={"name": name})
-        )
-    bundle = element(
-        "securecollection",
-        _subjects_fragment(collection.subjects),
-        _policy_fragment(collection.policy),
-        *documents,
-        attributes={"version": _FORMAT_VERSION},
-    )
-    return _serialize_bundle(bundle)
 
 
 def _load_subjects(
@@ -789,32 +672,3 @@ def _load_policy(
             ) from exc
     return policy
 
-
-def load_collection(text: str) -> SecureCollection:
-    """Rebuild a :class:`SecureCollection` from :func:`dump_collection`.
-
-    Raises:
-        StorageError: for structural problems.
-    """
-    root = parse_fragment(text)
-    if root.label != "securecollection":
-        raise StorageError(f"expected <securecollection>, got <{root.label}>")
-    if _attr(root, "version", "format version") != _FORMAT_VERSION:
-        raise StorageError("unsupported securecollection version")
-    subjects = _load_subjects(_find_section(root, "subjects"))
-    policy = _load_policy(_find_section(root, "policy"), subjects)
-    collection = SecureCollection(subjects, policy)
-    for entry in _child_elements(root):
-        if entry.label != "document":
-            continue
-        name = _attr(entry, "name", "document name")
-        roots = _child_elements(entry)
-        if len(roots) > 1:
-            raise StorageError(
-                f"document {name!r} may contain at most one root element"
-            )
-        document = XMLDocument()
-        if roots:
-            roots[0].attach(document, document.document_node.nid)
-        collection.add_document(name, document)
-    return collection

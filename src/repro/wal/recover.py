@@ -30,6 +30,12 @@ as epoch 0 on both paths, so old logs replay unchanged.  Recovery also
 rebuilds the exactly-once dedup ledger: every replayed ``update``
 record carrying an ``idem`` annotation contributes its
 (key -> commit summary) entry to :attr:`RecoveryResult.dedup`.
+
+Every document recovery loads -- checkpoint snapshot or bootstrap
+``state`` record -- takes the default persistent Dewey numbering
+(:class:`~repro.xmltree.PersistentDeweyScheme`); the durability stack
+has no scheme argument, so a recovered, replicated or promoted
+database always numbers its nodes the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ..errors import RecoveryError, WalCorruptionError
 from ..storage import LoadReport, load_database, load_from_file
-from ..xmltree.labels import NumberingScheme
 from ..xupdate.parser import parse_xupdate
 from .log import (
     Checkpoint,
@@ -107,7 +112,6 @@ def recover(
     *,
     strict: bool = False,
     repair: bool = False,
-    scheme: Optional[NumberingScheme] = None,
 ) -> RecoveryResult:
     """Rebuild the database from a write-ahead-log directory.
 
@@ -123,8 +127,6 @@ def recover(
             unreachable later segments) so the directory can be
             re-opened for appending.  Lenient-mode only; the scan
             itself never needs it.
-        scheme: numbering scheme for loaded documents (storage default
-            if omitted).
 
     Returns:
         A :class:`RecoveryResult`; its database has *no* log attached.
@@ -168,7 +170,7 @@ def recover(
         )
 
     checkpoint, database = load_newest_checkpoint(
-        directory, scheme=scheme, strict=strict, report=result.report
+        directory, strict=strict, report=result.report
     )
     result.checkpoint = checkpoint
     start_lsn = checkpoint.lsn if checkpoint is not None else 0
@@ -227,9 +229,7 @@ def recover(
             )
             break
         try:
-            database = apply_record(
-                database, record, scheme, result_sink=remember
-            )
+            database = apply_record(database, record, result_sink=remember)
         except Exception as exc:
             stop(
                 f"replay of lsn {record.lsn} ({record.kind}) failed: {exc}",
@@ -276,7 +276,6 @@ def recover(
 def load_newest_checkpoint(
     directory: str,
     *,
-    scheme: Optional[NumberingScheme] = None,
     strict: bool = False,
     report: Optional[LoadReport] = None,
 ):
@@ -294,7 +293,6 @@ def load_newest_checkpoint(
 
     Args:
         directory: the log directory holding the snapshots.
-        scheme: numbering scheme for the loaded document.
         strict: raise :class:`RecoveryError` if the *newest* snapshot
             fails to load, instead of degrading to an older one.
         report: a :class:`~repro.storage.LoadReport` collecting what
@@ -309,7 +307,7 @@ def load_newest_checkpoint(
     checkpoints = list_checkpoints(directory)
     for index, checkpoint in enumerate(reversed(checkpoints)):
         try:
-            database = load_from_file(checkpoint.path, scheme)
+            database = load_from_file(checkpoint.path)
         except Exception as exc:
             message = (
                 f"checkpoint {os.path.basename(checkpoint.path)} failed to "
@@ -330,7 +328,6 @@ def load_newest_checkpoint(
 def apply_record(
     database,
     record: WalRecord,
-    scheme=None,
     result_sink: Optional[
         Callable[[WalRecord, Dict[str, Any]], None]
     ] = None,
@@ -367,7 +364,7 @@ def apply_record(
     kind, payload = record.kind, record.payload
     if kind == "state":
         rebuilt = load_database(
-            payload["data"], scheme, mode="strict",
+            payload["data"], mode="strict",
             source=f"wal lsn {record.lsn}",
         )
         rebuilt.restore_version(int(payload["version"]))

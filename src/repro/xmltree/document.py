@@ -339,11 +339,6 @@ class XMLDocument:
         """The paper's set ``F`` of ``node(n, v)`` facts (equation 1)."""
         return {node.fact() for node in self._nodes.values()}
 
-    def labelled_facts(self) -> Set[Tuple[str, str]]:
-        """``F`` with human-readable ids -- used when matching the paper's
-        printed examples, where ids are written ``n1, n2, ...``."""
-        return {(self.path_string(n), v) for (n, v) in self.facts()}
-
     def child_facts(self) -> Set[Tuple[NodeId, NodeId]]:
         """All ``child(x, y)`` facts (x is a child of y), as in section 3.3."""
         out: Set[Tuple[NodeId, NodeId]] = set()

@@ -245,10 +245,6 @@ class NumberingScheme(ABC):
         """
 
     # -- convenience helpers used by the document layer ---------------------
-    def first_child_id(self, parent: NodeId) -> NodeId:
-        """Id for the first child inserted under a childless ``parent``."""
-        return parent.child(self.initial_component())
-
     def child_id_between(
         self,
         parent: NodeId,
@@ -424,8 +420,3 @@ class RenumberingRequired(Exception):
     The document layer catches this and renumbers the sibling run; the
     renumbering cost is what benchmark E13 measures.
     """
-
-
-def default_scheme() -> NumberingScheme:
-    """The numbering scheme used unless a caller picks another one."""
-    return PersistentDeweyScheme()

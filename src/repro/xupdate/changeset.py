@@ -14,10 +14,11 @@ whole script) that makes that localization possible:
 
 - ``added`` / ``removed`` -- roots of inserted / deleted subtrees;
 - ``relabelled`` / ``revalued`` -- nodes whose label / value changed
-  in place;
-- ``labels`` -- every label touched by the update: old and new labels
-  of relabelled nodes, and the labels of *every* node inside added or
-  removed subtrees.
+  in place.
+
+Only roots are recorded, so recording costs O(1) per affected node
+however large an inserted or deleted subtree is; a consumer that needs
+the nodes below a root walks the generation that holds them.
 
 Its one consumer is :class:`~repro.security.viewcache.ViewCache`: it
 logs each commit's change-set and patches each cached view on the
@@ -35,15 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Set
 
-from ..xmltree.document import XMLDocument
 from ..xmltree.labels import NodeId
 
-__all__ = ["ChangeSet", "subtree_labels"]
-
-
-def subtree_labels(doc: XMLDocument, root: NodeId) -> Set[str]:
-    """Every label in the subtree of ``root`` (attributes included)."""
-    return {doc.node(nid).label for nid in doc.subtree(root)}
+__all__ = ["ChangeSet"]
 
 
 @dataclass
@@ -55,7 +50,6 @@ class ChangeSet:
         removed: roots of deleted subtrees.
         relabelled: nodes whose label changed in place.
         revalued: nodes whose value changed in place.
-        labels: all labels touched (see module docstring).
         conservative: True when the extent of the change is unknown;
             consumers must treat the whole document as touched.
     """
@@ -64,7 +58,6 @@ class ChangeSet:
     removed: Set[NodeId] = field(default_factory=set)
     relabelled: Set[NodeId] = field(default_factory=set)
     revalued: Set[NodeId] = field(default_factory=set)
-    labels: Set[str] = field(default_factory=set)
     conservative: bool = False
 
     @classmethod
@@ -89,26 +82,21 @@ class ChangeSet:
     # ------------------------------------------------------------------
     # recording helpers (called by the executors)
     # ------------------------------------------------------------------
-    def note_added(self, doc: XMLDocument, root: NodeId) -> None:
-        """Record an inserted subtree (``doc`` already contains it)."""
+    def note_added(self, root: NodeId) -> None:
+        """Record the root of an inserted subtree."""
         self.added.add(root)
-        self.labels |= subtree_labels(doc, root)
 
-    def note_removed(self, doc: XMLDocument, root: NodeId) -> None:
-        """Record a removal; call *before* the subtree is deleted."""
+    def note_removed(self, root: NodeId) -> None:
+        """Record the root of a deleted subtree."""
         self.removed.add(root)
-        self.labels |= subtree_labels(doc, root)
 
-    def note_relabelled(self, nid: NodeId, old: str, new: str) -> None:
+    def note_relabelled(self, nid: NodeId) -> None:
         """Record an in-place relabel (rename / update-content)."""
         self.relabelled.add(nid)
-        self.labels.add(old)
-        self.labels.add(new)
 
-    def note_revalued(self, nid: NodeId, label: str) -> None:
+    def note_revalued(self, nid: NodeId) -> None:
         """Record an in-place value change (attribute value, PI data)."""
         self.revalued.add(nid)
-        self.labels.add(label)
 
     # ------------------------------------------------------------------
     # composition
@@ -126,7 +114,6 @@ class ChangeSet:
             removed=self.removed | other.removed,
             relabelled=self.relabelled | other.relabelled,
             revalued=self.revalued | other.revalued,
-            labels=self.labels | other.labels,
             conservative=self.conservative or other.conservative,
         )
 

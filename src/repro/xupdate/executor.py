@@ -54,8 +54,8 @@ class UpdateResult:
             fragment roots (the paper's ``create_number`` outputs).
         denied: nodes selected but skipped -- always empty for the
             unsecured executor; the secure executor fills it.
-        changes: the structural delta (added/removed/relabelled node
-            ids plus touched labels) the serving layer uses for
+        changes: the structural delta (roots of added and removed
+            subtrees, relabelled nodes) the serving layer uses for
             incremental view maintenance.
     """
 
@@ -197,9 +197,8 @@ class XUpdateExecutor:
         for nid in targets:
             if nid.is_document:
                 continue  # the document node has no renameable label
-            old = doc.label(nid)
             doc.relabel(nid, new_name)
-            changes.note_relabelled(nid, old, new_name)
+            changes.note_relabelled(nid)
             affected.append(nid)
         return UpdateResult(doc, list(targets), affected, changes=changes)
 
@@ -218,9 +217,8 @@ class XUpdateExecutor:
         changes = ChangeSet()
         for nid in targets:
             for child in doc.children(nid):
-                old = doc.label(child)
                 doc.relabel(child, new_value)
-                changes.note_relabelled(child, old, new_value)
+                changes.note_relabelled(child)
                 affected.append(child)
         return UpdateResult(doc, list(targets), affected, changes=changes)
 
@@ -232,7 +230,7 @@ class XUpdateExecutor:
         changes = ChangeSet()
         for nid in targets:
             root = tree.attach(doc, nid)
-            changes.note_added(doc, root)
+            changes.note_added(root)
             affected.append(root)
         return UpdateResult(doc, list(targets), affected, changes=changes)
 
@@ -245,7 +243,7 @@ class XUpdateExecutor:
         for nid in targets:
             self._check_sibling_target(doc, nid)
             root = tree.attach_before(doc, nid)
-            changes.note_added(doc, root)
+            changes.note_added(root)
             affected.append(root)
         return UpdateResult(doc, list(targets), affected, changes=changes)
 
@@ -258,7 +256,7 @@ class XUpdateExecutor:
         for nid in targets:
             self._check_sibling_target(doc, nid)
             root = tree.attach_after(doc, nid)
-            changes.note_added(doc, root)
+            changes.note_added(root)
             affected.append(root)
         return UpdateResult(doc, list(targets), affected, changes=changes)
 
@@ -281,7 +279,7 @@ class XUpdateExecutor:
             if nid.is_document:
                 raise XUpdateError("cannot remove the document node")
             if nid in doc:
-                changes.note_removed(doc, nid)
+                changes.note_removed(nid)
                 doc.remove_subtree(nid)
                 affected.append(nid)
         return UpdateResult(doc, list(targets), affected, changes=changes)

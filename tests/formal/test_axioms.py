@@ -7,9 +7,10 @@ from repro.security import (
     PermissionResolver,
     Privilege,
     SecureWriteExecutor,
+    SecureXMLDatabase,
     ViewBuilder,
 )
-from repro.xmltree import RESTRICTED, element
+from repro.xmltree import RESTRICTED, NodeKind, element
 from repro.xupdate import (
     Append,
     InsertAfter,
@@ -127,3 +128,40 @@ class TestWriteAxioms18To25:
         formal = fm2.derive_dbnew("richard", op)
         assert procedural.affected == []  # all targets RESTRICTED
         assert formal == doc.facts()  # formally unchanged too
+
+
+class TestStarMatchesComments:
+    """The paper-compat ``*`` matches elements, text and comments in the
+    Datalog transcription exactly as in the engine."""
+
+    @staticmethod
+    def commented_database():
+        db = SecureXMLDatabase.from_xml("<a><b/></a>")
+        db.document.append_child(db.document.root, NodeKind.COMMENT, "x")
+        db.subjects.add_user("u")
+        return db
+
+    def test_star_grants_comments_like_the_engine(self):
+        db = self.commented_database()
+        db.policy.grant("read", "//*", "u")
+        (comment,) = db.document.nodes_with_kind(NodeKind.COMMENT)
+        table = db.permissions_for("u")
+        assert table.holds(comment, Privilege.READ)
+        held = {(nid, "read") for nid in table.nodes_with(Privilege.READ)}
+        assert FormalModel(db.document, db.subjects, db.policy).derive_perm(
+            "u"
+        ) == held
+
+    def test_star_removes_comments_on_the_view_like_the_engine(self):
+        db = self.commented_database()
+        for privilege in ("read", "delete"):
+            db.policy.grant(privilege, "//*", "u")
+        op = Remove("/a/*")
+        procedural = SecureWriteExecutor().apply(db.build_view("u"), op)
+        assert procedural.document.facts() == {
+            (nid, label)
+            for nid, label in db.document.facts()
+            if nid.level < 2
+        }
+        formal = FormalModel(db.document, db.subjects, db.policy)
+        assert formal.derive_dbnew("u", op) == procedural.document.facts()

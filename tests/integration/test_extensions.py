@@ -1,10 +1,9 @@
 """Integration tests across the beyond-the-paper layers: lazy views,
-XSLT processor after updates, storage + delegation + sessions."""
+XSLT processor after updates, storage + sessions."""
 
 import pytest
 
 from repro.core import hospital_database
-from repro.security import SecureCollection
 from repro.security.lazy import build_lazy_view
 from repro.storage import dump_database, load_database
 from repro.xmltree import element, render_tree, serialize, text
@@ -129,34 +128,3 @@ class TestStoragePlusSessions:
         )
         assert result.fully_applied
 
-
-class TestCollectionIntegration:
-    def test_paper_policy_in_a_collection(self):
-        from repro.core import MEDICAL_XML, PAPER_POLICY_RULES
-
-        collection = SecureCollection()
-        subjects = collection.subjects
-        subjects.add_role("staff")
-        subjects.add_role("secretary", member_of="staff")
-        subjects.add_role("doctor", member_of="staff")
-        subjects.add_role("epidemiologist", member_of="staff")
-        subjects.add_role("patient")
-        subjects.add_user("beaufort", member_of="secretary")
-        subjects.add_user("laporte", member_of="doctor")
-        for effect, privilege, path, subject in PAPER_POLICY_RULES:
-            if effect == "accept":
-                collection.policy.grant(privilege, path, subject)
-            else:
-                collection.policy.deny(privilege, path, subject)
-        collection.add_document("site-a", MEDICAL_XML)
-        collection.add_document("site-b", MEDICAL_XML)
-
-        session = collection.login("beaufort")
-        for name in ("site-a", "site-b"):
-            assert "RESTRICTED" in session.read_xml(name)
-        # A write at site-a leaves site-b untouched.
-        session.execute(
-            "site-a", Rename("/patients/franck", "francois"), strict=True
-        )
-        assert "francois" in session.read_xml("site-a")
-        assert "francois" not in session.read_xml("site-b")

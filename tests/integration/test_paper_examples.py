@@ -7,7 +7,8 @@ Each test class corresponds to one experiment id in DESIGN.md's index
 import pytest
 
 from repro.core import hospital_database
-from repro.security import InsecureWriteExecutor, Privilege
+from repro.security import Privilege
+from repro.security.insecure import InsecureWriteExecutor
 from repro.xmltree import RESTRICTED, element, render_tree
 from repro.xupdate import Append, Remove, Rename, UpdateContent
 

@@ -3,10 +3,8 @@ closed by the secure executor."""
 
 import pytest
 
-from repro.security import (
-    InsecureWriteExecutor,
-    SecureWriteExecutor,
-)
+from repro.security import SecureWriteExecutor
+from repro.security.insecure import InsecureWriteExecutor
 from repro.xmltree import serialize
 from repro.xupdate import Remove, Rename, UpdateContent
 

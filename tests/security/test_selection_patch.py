@@ -176,7 +176,7 @@ class TestForcedShapes:
             before = selected(db)
             (holder,) = db.engine.select(db.document, "/r/c")
             changes = ChangeSet()
-            changes.note_revalued(holder, "c")
+            changes.note_revalued(holder)
             patch_and_check(db, path, lambda: db.commit(db.document.copy(), changes))
             assert selected(db) == before
 

@@ -327,7 +327,9 @@ class TestOracleStaysOutOfServingProcesses:
     """The oracle is loaded by arming differential mode and by nothing
     else: fresh interpreters, so this process's own imports don't count.
     The same goes for the view oracles (the lazy view, the generated
-    stylesheet): libraries the serving path never names."""
+    stylesheet), the source-evaluated write baseline and the Datalog
+    model (:mod:`repro.formal` over :mod:`repro.logic`): libraries the
+    serving path never names."""
 
     QUERY = (
         "from repro.core import hospital_database; "
@@ -381,7 +383,16 @@ assert server.query("laporte", "count(//note)") == 1.0
     def test_serving_entry_points_do_not_import_it(self):
         assert not self._oracle_loaded(self.ENTRY_POINTS, "")
 
-    @pytest.mark.parametrize("module", ["repro.security.lazy", "repro.xslt"])
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.security.lazy",
+            "repro.xslt",
+            "repro.security.insecure",
+            "repro.formal",
+            "repro.logic",
+        ],
+    )
     def test_serving_entry_points_do_not_import_the_view_oracles(self, module):
         assert not self._loaded(self.ENTRY_POINTS, "", module)
         assert not self._loaded(self.QUERY, "", module)

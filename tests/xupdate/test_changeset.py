@@ -13,7 +13,6 @@ from repro.xupdate import (
     UpdateScript,
     XUpdateExecutor,
 )
-from repro.xupdate.changeset import subtree_labels
 
 
 @pytest.fixture
@@ -32,38 +31,44 @@ def executor():
 
 
 class TestRecording:
-    def test_rename_records_old_and_new_labels(self, doc, executor):
+    def test_rename_records_the_relabelled_nodes(self, doc, executor):
         result = executor.apply(doc, Rename("//service", "svc"))
         cs = result.changes
         assert cs.relabelled == set(result.affected)
-        assert {"service", "svc"} <= cs.labels
+        assert {result.document.label(n) for n in cs.relabelled} == {"svc"}
         assert not cs.added and not cs.removed and not cs.conservative
 
     def test_update_content_records_each_child(self, doc, executor):
         result = executor.apply(doc, UpdateContent("//service", "neuro"))
         cs = result.changes
         assert cs.relabelled == set(result.affected)
-        assert {"cardio", "neuro"} <= cs.labels
+        # The text child is the relabelled node, not its element parent.
+        assert {result.document.label(n) for n in cs.relabelled} == {"neuro"}
+        assert cs.touched_roots() == cs.relabelled
 
-    def test_append_records_whole_inserted_subtree_labels(self, doc, executor):
+    def test_append_records_the_inserted_root(self, doc, executor):
         fragment = element("note", element("author", text("dr")))
         result = executor.apply(doc, Append("//diagnosis", fragment))
         cs = result.changes
         assert cs.added == set(result.affected)
-        assert {"note", "author", "dr"} <= cs.labels
+        # Only the fragment's root is recorded, not its descendants.
+        (root,) = cs.added
+        assert result.document.label(root) == "note"
+        assert cs.touched_roots() == {root}
 
-    def test_remove_records_labels_before_deletion(self, doc, executor):
+    def test_remove_records_the_deleted_root(self, doc, executor):
+        (patient,) = doc.children(doc.root)
         result = executor.apply(doc, Remove("//patient"))
         cs = result.changes
-        assert cs.removed == set(result.affected)
-        # The subtree is gone from the result document, yet its labels
-        # were captured (they gate rule-path invalidation).
-        assert {"patient", "service", "cardio", "diagnosis"} <= cs.labels
+        assert cs.removed == set(result.affected) == {patient}
+        # Only the deleted root is recorded; it is gone from the result.
+        assert cs.touched_roots() == {patient}
+        assert patient not in result.document
 
     def test_insert_after_records_added_root(self, doc, executor):
         result = executor.apply(doc, InsertAfter("//diagnosis", element("extra")))
         assert result.changes.added == set(result.affected)
-        assert "extra" in result.changes.labels
+        assert [result.document.label(n) for n in result.changes.added] == ["extra"]
 
     def test_script_merges_per_operation_changes(self, doc, executor):
         script = UpdateScript(
@@ -75,12 +80,13 @@ class TestRecording:
         result = executor.apply(doc, script)
         cs = result.changes
         assert cs.relabelled and cs.added
-        assert {"service", "svc", "note"} <= cs.labels
+        assert {result.document.label(n) for n in cs.relabelled} == {"svc"}
+        assert {result.document.label(n) for n in cs.added} == {"note"}
 
     def test_no_targets_means_empty_changeset(self, doc, executor):
         result = executor.apply(doc, Rename("//nonexistent", "x"))
         assert not result.changes
-        assert result.changes.labels == set()
+        assert result.changes.touched_roots() == set()
 
 
 class TestChangeSetAlgebra:
@@ -94,40 +100,35 @@ class TestChangeSetAlgebra:
     def test_merge_unions_everything(self, doc):
         root = doc.root
         a = ChangeSet()
-        a.note_added(doc, root)
+        a.note_added(root)
+        kid = doc.children(root)[0]
         b = ChangeSet()
-        b.note_relabelled(root, "patients", "people")
+        b.note_relabelled(kid)
         merged = a.merge(b)
-        assert merged.added == {root} and merged.relabelled == {root}
-        assert "people" in merged.labels and "patients" in merged.labels
+        assert merged.added == {root} and merged.relabelled == {kid}
+        assert merged.touched_roots() == {root, kid}
         assert not merged.conservative
         assert a.merge(ChangeSet.unknown()).conservative
 
     def test_merge_all_folds(self, doc):
         root = doc.root
         parts = []
-        for label in ("x", "y"):
+        kid = doc.children(root)[0]
+        for nid in (root, kid):
             cs = ChangeSet()
-            cs.note_relabelled(root, "patients", label)
+            cs.note_relabelled(nid)
             parts.append(cs)
         merged = ChangeSet.merge_all(parts)
-        assert {"x", "y", "patients"} <= merged.labels
+        assert merged.relabelled == {root, kid}
 
     def test_touched_roots_covers_every_category(self, doc):
         root = doc.root
         kid = doc.children(root)[0]
         cs = ChangeSet()
-        cs.note_added(doc, root)
-        cs.note_removed(doc, kid)
-        cs.note_revalued(kid, "patient")
+        cs.note_added(root)
+        cs.note_removed(kid)
+        cs.note_revalued(kid)
         assert cs.touched_roots() == {root, kid}
-
-    def test_subtree_labels_include_attributes(self):
-        d = XMLDocument()
-        root = d.add_root("r")
-        eid = element("e", attributes={"id": "42"}).attach(d, root)
-        assert {"r", "e", "id"} <= subtree_labels(d, root)
-        assert "id" in subtree_labels(d, eid)
 
 
 class TestSecureExecutorChanges:
@@ -138,12 +139,14 @@ class TestSecureExecutorChanges:
         doctor = db.login("laporte")
         result = doctor.execute(UpdateContent("/patients/franck/diagnosis", "flu"))
         assert result.changes.relabelled
-        assert "flu" in result.changes.labels
+        assert {
+            result.document.label(n) for n in result.changes.relabelled
+        } == {"flu"}
         assert not result.changes.conservative
 
     def test_insecure_executor_is_conservative(self):
         from repro.core import hospital_database
-        from repro.security import InsecureWriteExecutor
+        from repro.security.insecure import InsecureWriteExecutor
 
         db = hospital_database()
         view = db.build_view("laporte")
