@@ -51,6 +51,10 @@ replication:
 # amortization, isolation, crash-window semantics (group-* and
 # net-mid-frame kill-points), and its one retry schedule driven both
 # by the blocking GroupCommitter.commit and by the server over a socket.
+# The commit window is demand plus a constant 2 ms cap, not a setting:
+# a leader waits only for writes counted as coming, so a lone write
+# seals at once and a burst is one group; the suites form their groups
+# by count, never by the clock.
 # Malformed and non-Unicode requests never reach the circuit breaker: a
 # script that does not parse fails alone before admission, and a frame
 # whose JSON spells a lone surrogate is a protocol error.

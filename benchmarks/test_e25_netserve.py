@@ -25,8 +25,8 @@ Here the one-fsync-per-group amortization is the whole bill, and the
 grouped mode must clear **>= 5x** the ``max_batch=1`` throughput.
 
 Both series also report p50/p99 per-request write latency: grouping
-trades the leader's max_delay_ms window for throughput, and the tails
-show the trade staying bounded.
+trades the leader's commit window (demand, capped at 2 ms) for
+throughput, and the tails show the trade staying bounded.
 
 The smoke variant (``-k smoke``) runs tiny versions of both modes and
 asserts the invariants (every write acknowledged, groups actually

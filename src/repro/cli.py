@@ -18,9 +18,7 @@ single-file format of :mod:`repro.storage`::
     python -m repro.cli scrub db.xml.wal --deep
     python -m repro.cli scrub db.xml.wal --repair-from peer.xml.wal
     python -m repro.cli replica db.xml.wal --query beaufort 'count(//*)'
-    python -m repro.cli stress db.xml laporte updates.xupdate.xml --writers 4
     python -m repro.cli serve db.xml --port 7915
-    python -m repro.cli stress db.xml laporte updates.xupdate.xml --net
 
 Every mutating command rewrites the database file crash-safely (temp
 file + fsync + atomic rename, keeping the previous content in a
@@ -511,7 +509,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         max_pipeline=args.max_pipeline,
         executor_workers=args.workers,
     )
@@ -529,189 +526,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("stopped")
     return 0
-
-
-#: Serving-layer refusals: governed outcomes of an overloaded server,
-#: not harness failures (the same set ``cmd_stress`` absorbs locally).
-_GOVERNED_KINDS = frozenset(
-    ["OverloadError", "DeadlineExceeded", "RetryExhausted",
-     "CircuitOpenError"]
-)
-
-
-def _stress_over_network(args, script: str, reader_user: str) -> int:
-    """The ``stress --net`` body: same load shape, but every request
-    crosses a socket to a spawned ``repro serve`` subprocess.
-
-    The subprocess serves a *temp copy* of the database file (serving
-    attaches a write-ahead log and checkpoints, and stress must keep
-    its never-modifies-the-file promise).
-    """
-    import re
-    import shutil
-    import subprocess
-    import tempfile
-    import time as time_module
-
-    from .errors import NetworkError, RemoteError
-    from .netserve import NetClient
-    from .testing.faults import run_threads
-
-    workdir = tempfile.mkdtemp(prefix="repro-stress-")
-    copy = os.path.join(workdir, os.path.basename(args.database))
-    shutil.copy(args.database, copy)
-    command = [
-        sys.executable, "-m", "repro.cli", "serve", copy,
-        "--port", "0",
-        "--durability", args.durability,
-        "--max-delay-ms", str(args.max_delay_ms),
-    ]
-    if args.max_in_flight is not None:
-        command += ["--max-in-flight", str(args.max_in_flight)]
-    if args.overload != "block":
-        command += ["--overload", args.overload]
-    if args.deadline is not None:
-        command += ["--deadline", str(args.deadline)]
-    proc = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-    )
-    try:
-        line = proc.stdout.readline()
-        match = re.match(r"listening on (\S+):(\d+)", line)
-        if not match:
-            proc.terminate()
-            _, stderr = proc.communicate(timeout=10)
-            raise CliError(
-                f"serve subprocess failed to start: {line!r} {stderr!r}"
-            )
-        host, port = match.group(1), int(match.group(2))
-
-        def worker(index: int) -> None:
-            with NetClient(host, port, timeout=60) as client:
-                if index < args.writers:
-                    client.open_session(args.user)
-                    for _ in range(args.rounds):
-                        try:
-                            client.execute(script)
-                        except RemoteError as exc:
-                            if exc.kind not in _GOVERNED_KINDS:
-                                raise
-                else:
-                    client.open_session(reader_user)
-                    for _ in range(args.rounds):
-                        try:
-                            client.read_xml()
-                        except RemoteError as exc:
-                            if exc.kind not in _GOVERNED_KINDS:
-                                raise
-
-        total = args.writers + args.readers
-        started = time_module.perf_counter()
-        errors = [e for e in run_threads(worker, total, timeout=300.0)
-                  if e is not None]
-        elapsed = time_module.perf_counter() - started
-        with NetClient(host, port, timeout=30) as client:
-            client.open_session(args.user)
-            stats = client.stats()
-        requests = stats["reads"] + stats["writes"] + stats["shed"] + stats[
-            "deadline_exceeded"] + stats["retry_exhausted"]
-        print(f"{total} connections, {requests} requests in {elapsed:.3f}s "
-              f"({requests / elapsed:.0f} req/s) over {host}:{port}")
-        for key in ("reads", "writes", "commits", "retries", "commit_races",
-                    "shed", "deadline_exceeded", "retry_exhausted",
-                    "group_commits", "grouped_records", "group_fsyncs_saved",
-                    "net_frames_in", "net_frames_out",
-                    "net_connections_opened", "breaker_state", "version"):
-            print(f"  {key}: {stats[key]}")
-        for error in errors:
-            print(f"  UNGOVERNED: {type(error).__name__}: {error}",
-                  file=sys.stderr)
-        return 5 if errors else 0
-    finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-def cmd_stress(args: argparse.Namespace) -> int:
-    """Hammer the database through the concurrent serving layer.
-
-    Spawns writer threads (each applying the XUpdate script ``--rounds``
-    times through :meth:`~repro.serving.DatabaseServer.execute`, the
-    same one-seat group-commit path and retry schedule a socket write
-    takes, so commit races are absorbed by backoff) alongside reader
-    threads, then prints the serving ledger.  Purely in-memory: the database file is
-    never modified.  With ``--net``, the same load instead crosses
-    sockets to a spawned ``repro serve`` subprocess (serving a temp
-    copy), one connection per thread.
-    """
-    import time as time_module
-
-    from .errors import (
-        CircuitOpenError,
-        DeadlineExceeded,
-        OverloadError,
-        RetryExhausted,
-    )
-    from .serving import DatabaseServer, RetryPolicy
-    from .testing.faults import run_threads
-
-    if os.path.exists(args.xupdate):
-        with open(args.xupdate, "r", encoding="utf-8") as handle:
-            net_script = handle.read()
-    else:
-        net_script = args.xupdate
-    if args.net:
-        return _stress_over_network(
-            args, net_script, args.reader or args.user
-        )
-
-    db = _load(args.database)
-    server = DatabaseServer(
-        db,
-        retry=RetryPolicy(max_attempts=args.attempts),
-        max_in_flight=args.max_in_flight,
-        overload=args.overload,
-        default_deadline=args.deadline,
-    )
-    script = net_script
-    reader_user = args.reader or args.user
-    governed = (OverloadError, DeadlineExceeded, RetryExhausted, CircuitOpenError)
-
-    def worker(index: int) -> None:
-        if index < args.writers:
-            for _ in range(args.rounds):
-                try:
-                    server.execute(args.user, script)
-                except governed:
-                    pass  # shed/expired: governed outcomes, counted below
-        else:
-            for _ in range(args.rounds):
-                try:
-                    server.read_xml(reader_user)
-                except governed:
-                    pass
-
-    total = args.writers + args.readers
-    started = time_module.perf_counter()
-    errors = [e for e in run_threads(worker, total) if e is not None]
-    elapsed = time_module.perf_counter() - started
-    stats = server.stats()
-    requests = stats["reads"] + stats["writes"] + stats["shed"] + stats[
-        "deadline_exceeded"] + stats["retry_exhausted"]
-    print(f"{total} threads, {requests} requests in {elapsed:.3f}s "
-          f"({requests / elapsed:.0f} req/s)")
-    for key in ("reads", "writes", "commits", "retries", "commit_races",
-                "shed", "deadline_exceeded", "retry_exhausted",
-                "breaker_state", "version"):
-        print(f"  {key}: {stats[key]}")
-    for error in errors:
-        print(f"  UNGOVERNED: {type(error).__name__}: {error}",
-              file=sys.stderr)
-    return 5 if errors else 0
 
 
 def cmd_audit_demo(args: argparse.Namespace) -> int:
@@ -880,8 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="WAL fsync policy: always | os")
     p.add_argument("--max-batch", type=int, default=128,
                    help="commit group size ceiling")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="how long a commit group waits for followers")
     p.add_argument("--max-pipeline", type=int, default=32,
                    help="in-flight requests allowed per connection")
     p.add_argument("--workers", type=int, default=8,
@@ -894,35 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=None,
                    help="auto-checkpoint after this many commits")
     p.set_defaults(handler=cmd_serve)
-
-    p = sub.add_parser("stress",
-                       help="hammer the database through the concurrent "
-                            "serving layer (in-memory; the file is never "
-                            "modified)")
-    p.add_argument("database")
-    p.add_argument("user", help="user issuing the write load")
-    p.add_argument("xupdate", help="file path or inline XUpdate XML")
-    p.add_argument("--reader", help="user issuing the read load "
-                                    "(default: USER)")
-    p.add_argument("--writers", type=int, default=2)
-    p.add_argument("--readers", type=int, default=2)
-    p.add_argument("--rounds", type=int, default=5,
-                   help="requests per thread")
-    p.add_argument("--attempts", type=int, default=8,
-                   help="retry budget per write")
-    p.add_argument("--max-in-flight", type=int, default=None,
-                   help="admission budget (default: unlimited)")
-    p.add_argument("--overload", choices=["block", "shed"], default="block")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-request deadline, seconds")
-    p.add_argument("--net", action="store_true",
-                   help="drive the load over sockets against a spawned "
-                        "'repro serve' subprocess (temp copy of the file)")
-    p.add_argument("--durability", default="always",
-                   help="[--net] the spawned server's WAL fsync policy")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="[--net] the spawned server's group window")
-    p.set_defaults(handler=cmd_stress)
 
     p = sub.add_parser("audit-demo",
                        help="replay one operation and print the decisions")

@@ -3,8 +3,7 @@
 Two shapes, one wire format:
 
 - :class:`NetClient` -- a plain blocking socket client.  One
-  request/response at a time; what the CLI, tests and the threaded
-  stress harness use.
+  request/response at a time; what the tests and scripts use.
 - :class:`AsyncNetClient` -- the asyncio twin, for callers that hold
   thousands of concurrent connections in one process (the E25
   benchmark drives 10k connections from a single event loop).

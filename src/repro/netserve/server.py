@@ -37,7 +37,18 @@ checkpoints) -- the client's budget rides all the way down.
 :class:`~repro.serving.group.GroupCommitter`: concurrently arriving
 scripts from different connections batch into one WAL fsync, and
 ``max_batch=1`` gives one fsync per commit through the same path --
-the path an in-process :meth:`DatabaseServer.execute` takes too.
+the path an in-process :meth:`DatabaseServer.execute` takes too.  The
+window is demand plus a constant cap, not a setting: the frame loop
+counts each decoded ``execute`` frame as *coming*
+(:meth:`~repro.serving.group.GroupCommitter.expect`) before its
+dispatch task exists, and a leader waits only while a counted write
+has not joined yet (at most 2 ms) -- so a lone write seals at once,
+and frames decoded from one read are one group.  A connection whose
+last request was a write is counted from that write's acknowledgement
+on: a client that waits for each ack answers it with its next request,
+so the writers one group acknowledged form the next group whole even
+when their requests arrive spread over the cap (its first frame of
+another kind, or a hang-up, stops counting it).
 Each reply is the summary taken under the write lock when its member
 committed, so it carries that commit's own version.
 The front end drives the committer's one retry schedule
@@ -67,7 +78,7 @@ import contextlib
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ProtocolError
 from ..serving.group import CommitTicket, GroupCommitter
@@ -98,12 +109,21 @@ _PAUSE_POLL = 0.001
 class _Connection:
     """Per-connection protocol state."""
 
-    __slots__ = ("user", "tasks", "closing")
+    __slots__ = ("user", "tasks", "closing", "acked")
 
     def __init__(self) -> None:
         self.user: Optional[str] = None
         self.tasks: Set[asyncio.Task] = set()
         self.closing = False
+        # One coming-write token per write acknowledged since this
+        # connection last sent a frame: its next write, counted early.
+        self.acked: List[Any] = []
+
+    def forget_acked(self) -> None:
+        """The client sent something else, or left: stop expecting."""
+        for coming in self.acked:
+            coming.release()
+        self.acked.clear()
 
 
 class NetServer:
@@ -114,8 +134,9 @@ class NetServer:
         host: bind address (default loopback).
         port: bind port; 0 picks a free one (read :attr:`port` after
             :meth:`start`).
-        max_batch / max_delay_ms: the group committer's window (see
-            :class:`GroupCommitter`).
+        max_batch: the group committer's size ceiling (see
+            :class:`GroupCommitter`; its window is demand plus a
+            constant 2 ms cap, not a setting).
         max_frame: per-frame byte ceiling, both directions.
         max_pipeline: in-flight requests allowed per connection.
         executor_workers: pool threads for blocking database work.
@@ -128,7 +149,6 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 128,
-        max_delay_ms: float = 2.0,
         max_frame: int = DEFAULT_MAX_FRAME,
         max_pipeline: int = 32,
         executor_workers: int = 8,
@@ -140,9 +160,7 @@ class NetServer:
         self._server = server
         self._host = host
         self._port = port
-        self._group = GroupCommitter(
-            server, max_batch=max_batch, max_delay_ms=max_delay_ms
-        )
+        self._group = GroupCommitter(server, max_batch=max_batch)
         self._max_frame = max_frame
         self._max_pipeline = max_pipeline
         self._executor_workers = executor_workers
@@ -259,8 +277,20 @@ class NetServer:
                 for frame in frames:
                     self._count("frames_in")
                     await slots.acquire()  # bounded pipeline depth
+                    # A decoded write is coming: a leader waits for it
+                    # (counted since its predecessor's ack, if any).
+                    coming = None
+                    if frame.get("op") == "execute":
+                        coming = (
+                            conn.acked.pop() if conn.acked
+                            else self._group.expect()
+                        )
+                    elif conn.acked:
+                        conn.forget_acked()
                     task = asyncio.get_running_loop().create_task(
-                        self._dispatch(conn, frame, writer, send_lock, slots)
+                        self._dispatch(
+                            conn, frame, writer, send_lock, slots, coming
+                        )
                     )
                     conn.tasks.add(task)
                     task.add_done_callback(conn.tasks.discard)
@@ -269,6 +299,7 @@ class NetServer:
         finally:
             if conn.tasks:
                 await asyncio.gather(*conn.tasks, return_exceptions=True)
+            conn.forget_acked()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -289,11 +320,17 @@ class NetServer:
             self._count("reads_paused")
             await asyncio.sleep(_PAUSE_POLL)
 
-    async def _dispatch(self, conn, frame, writer, send_lock, slots) -> None:
+    async def _dispatch(
+        self, conn, frame, writer, send_lock, slots, coming
+    ) -> None:
         request_id: Optional[int] = None
         try:
-            request_id = self._request_id(frame)
-            result = await self._respond(conn, frame)
+            try:
+                request_id = self._request_id(frame)
+                result = await self._respond(conn, frame, coming)
+            finally:
+                if coming is not None:  # a no-op once it joined a group
+                    coming.release()
             response = ok_response(request_id, result)
         except ProtocolError as exc:
             await self._fail_connection(writer, send_lock, request_id, exc)
@@ -305,6 +342,11 @@ class NetServer:
         await self._send(writer, send_lock, response)
         if conn.closing:
             writer.close()
+        elif coming is not None:
+            # A client that waits for each ack answers it with its next
+            # request: count that write from now (the cap bounds a guess
+            # that does not come true).
+            conn.acked.append(self._group.expect())
 
     def _request_id(self, frame: Dict[str, Any]) -> int:
         request_id = frame.get("id")
@@ -350,7 +392,9 @@ class NetServer:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    async def _respond(self, conn: _Connection, frame: Dict[str, Any]) -> Any:
+    async def _respond(
+        self, conn: _Connection, frame: Dict[str, Any], coming
+    ) -> Any:
         op = frame.get("op")
         if op not in OPS:
             raise ProtocolError(f"unknown operation {op!r}")
@@ -370,7 +414,7 @@ class NetServer:
             )
             return stats
         if op == "execute":
-            return await self._execute(user, frame, deadline)
+            return await self._execute(user, frame, deadline, coming)
         if op == "query":
             path = self._field(frame, "path")
             return await self._blocking(
@@ -406,7 +450,7 @@ class NetServer:
             "protocol": PROTOCOL_VERSION,
         }
 
-    async def _execute(self, user, frame, deadline) -> Dict[str, Any]:
+    async def _execute(self, user, frame, deadline, coming) -> Dict[str, Any]:
         script = self._field(frame, "script")
         strict = frame.get("strict", False)
         if not isinstance(strict, bool):
@@ -416,7 +460,9 @@ class NetServer:
             raise ProtocolError(
                 "idempotency_key must be a non-empty string"
             )
-        result = await self._commit(user, script, strict, deadline, idem)
+        result = await self._commit(
+            user, script, strict, deadline, idem, coming
+        )
         # The summary was taken under the write lock at commit time (or
         # is the original acknowledgement, for a ledger replay): the
         # live version may already include later members of the group.
@@ -424,12 +470,14 @@ class NetServer:
         reply["deduped"] = getattr(result, "deduped", False)
         return reply
 
-    async def _commit(self, user, script, strict, budget, idem):
+    async def _commit(self, user, script, strict, budget, idem, coming):
         """Drive :meth:`GroupCommitter.schedule` on the event loop:
         lead on a pool thread, follow on an awaited ticket callback,
         sleep each backoff here."""
         group = self._group
-        for step in group.schedule(user, script, strict, budget, idem):
+        for step in group.schedule(
+            user, script, strict, budget, idem, coming
+        ):
             if not isinstance(step, CommitTicket):
                 await asyncio.sleep(step)
             elif step.leader:

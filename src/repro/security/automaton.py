@@ -1,8 +1,9 @@
 """Rule paths as one lazily built label automaton (after Cheney 2013).
 
-Most rule paths are predicate-free location paths: eleven of the twelve
-equation-13 rules, and rule 5's ``*[$USER]`` is a name test once the
-login is bound.  Whether such a path selects a node depends only on the
+Every equation-13 rule path is in the fragment below: eleven of the
+twelve are predicate-free location paths, and rule 5's ``*[$USER]`` is
+a name test once the login is bound.  Whether such a path selects a
+node depends only on the
 kinds and labels on the node's root-to-node chain, so the set of nodes
 it selects is a regular language over those chains (Cheney, *Static
 Enforceability of XPath-Based Access Control Policies*).  This module

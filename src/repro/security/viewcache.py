@@ -281,10 +281,9 @@ class ViewCache:
                 new_doc.remove_subtree(root)
         restricted |= grow(new_doc, new_source, roots, table)
 
-        # Carry label/value edits of clean, still-visible nodes: a
-        # rename of a readable node inside an otherwise clean region
-        # only touches that node (it *is* a touched root, so it was
-        # handled above); nothing else can differ.
+        # A rename or a text rewrite inside an otherwise clean region
+        # relabels only that node, a touched root regrown above; no
+        # other node of a clean region can differ.
         return View(
             user=old_view.user,
             doc=new_doc,

@@ -12,9 +12,14 @@ The shape here:
 - :meth:`GroupCommitter.submit` joins the open group (creating one
   when none is open).  The first member in becomes the **leader**; the
   rest are **followers** who park on their :class:`CommitTicket`.
-- The leader calls :meth:`GroupCommitter.drive`: it waits up to
-  ``max_delay_ms`` for followers (or until ``max_batch`` members),
-  seals the group, executes every member through
+- The leader calls :meth:`GroupCommitter.drive`: it waits only for
+  writes that are *coming* -- counted from the moment a write enters
+  :meth:`GroupCommitter.schedule` (a socket write: from the moment its
+  ``execute`` frame is decoded or its predecessor acknowledged,
+  :meth:`GroupCommitter.expect`) until it joins a group or fails
+  first -- and seals at once when none is, when ``max_batch`` members
+  have joined, or after a constant 2 ms cap.  It then executes every
+  member through
   :meth:`DatabaseServer.execute_once` inside the log's
   :meth:`~repro.wal.WriteAheadLog.group` window (appends deferred),
   issues the group's single :meth:`~repro.wal.WriteAheadLog.sync_group`,
@@ -59,6 +64,13 @@ leader once the tickets are resolved); a member answered from the
 exactly-once ledger appended nothing and counts toward neither the
 checkpoint nor the group counters.
 
+The window is demand, not a clock: a lone write never waits for
+followers that are not coming, and a burst already decoded is one
+group (PostgreSQL's ``commit_siblings`` rule; E25 measured a fixed
+window and a zero window).  A group that seals on submit -- every group
+of a ``max_batch=1`` committer, :meth:`DatabaseServer.execute`'s --
+goes straight to the run without touching the committer's condition.
+
 Thread-agnostic by design: the retry schedule exists once, as the
 :meth:`GroupCommitter.schedule` generator (submit, settle, re-submit a
 re-submittable member after a backoff, give up with
@@ -91,6 +103,12 @@ if TYPE_CHECKING:  # server.py builds its own committer from this module
     from .server import DatabaseServer
 
 __all__ = ["CommitTicket", "GroupCommitter"]
+
+#: The longest a leader waits for writes that are coming, in seconds.
+#: A write is coming only from its decode (or its predecessor's ack) to
+#: its join, so a group normally seals well inside it; the cap bounds a
+#: slow parse and a predicted write that does not come.
+_WAIT_CAP = 0.002
 
 
 class CommitTicket:
@@ -159,6 +177,23 @@ class CommitTicket:
             callback(self)
 
 
+class _Coming:
+    """One write counted as coming until it joins a group or its
+    request fails first; :meth:`release` is idempotent."""
+
+    __slots__ = ("_committer", "live")
+
+    def __init__(self, committer: "GroupCommitter") -> None:
+        self._committer = committer
+        self.live = True
+
+    def release(self) -> None:
+        """Stop counting this write (a no-op once it joined a group)."""
+        if self.live:  # settled tokens skip the lock
+            with self._committer._cond:
+                self._committer._settle(self)
+
+
 class _Group:
     """One batch of members awaiting a shared fsync."""
 
@@ -178,11 +213,13 @@ class GroupCommitter:
             :meth:`~DatabaseServer.execute_once` applies each member
             (and whose retry policy / rng / sleep / clock pace the
             re-submits and time the window).
-        max_batch: seal a group at this many members even if the window
-            has time left.
-        max_delay_ms: how long a leader waits for followers before
-            flushing a non-full group -- the latency the first writer
-            donates to throughput.
+        max_batch: seal a group at this many members even if writes
+            are still coming.
+
+    The window is demand plus a constant cap: a leader seals at once
+    when no write is coming (:attr:`coming`), and otherwise waits until
+    every coming write has joined, ``max_batch`` is reached, or 2 ms
+    have passed since the group opened.
 
     Counters land in the server's ledger: ``group_commits`` (groups
     flushed with at least one durable commit), ``grouped_records``
@@ -198,17 +235,45 @@ class GroupCommitter:
         server: "DatabaseServer",
         *,
         max_batch: int = 128,
-        max_delay_ms: float = 2.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
         self._server = server
         self.max_batch = max_batch
-        self.max_delay = max_delay_ms / 1000.0
         self._cond = threading.Condition()
         self._open: Optional[_Group] = None
+        self._coming = 0
+
+    # ------------------------------------------------------------------
+    # demand
+    # ------------------------------------------------------------------
+    @property
+    def coming(self) -> int:
+        """Writes counted as coming that have not joined a group yet."""
+        return self._coming
+
+    def expect(self) -> _Coming:
+        """Count one write as coming before :meth:`schedule` sees it.
+
+        The socket front end calls this when it decodes an ``execute``
+        frame -- or, on a connection that waits for each ack, when it
+        acknowledges the write before it -- and hands the token to
+        :meth:`schedule`; the count ends when the write joins a group,
+        or at the token's :meth:`~_Coming.release` when its request
+        fails first or never comes.
+        """
+        with self._cond:
+            self._coming += 1
+        return _Coming(self)
+
+    def _settle(self, coming: _Coming) -> None:
+        """Stop counting ``coming`` once (under ``_cond``); wake a
+        waiting leader when nothing else is coming."""
+        if coming.live:
+            coming.live = False
+            self._coming -= 1
+            if not self._coming:
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # joining
@@ -233,7 +298,18 @@ class GroupCommitter:
             user, operation, strict, self._server._deadline(deadline),
             idempotency_key,
         )
+        self._join(ticket)
+        return ticket
+
+    def _join(
+        self, ticket: CommitTicket, coming: Optional[_Coming] = None
+    ) -> None:
+        """:meth:`submit`'s body; a write counted as ``coming`` stops
+        counting in the same critical section, so a waiting leader
+        always sees it either coming or joined."""
         with self._cond:
+            if coming is not None:
+                self._settle(coming)
             group = self._open
             if group is None or group.sealed or (
                 len(group.members) >= self.max_batch
@@ -248,32 +324,36 @@ class GroupCommitter:
                 if self._open is group:
                     self._open = None
                 self._cond.notify_all()  # wake the waiting leader
-        return ticket
 
     # ------------------------------------------------------------------
     # leading
     # ------------------------------------------------------------------
     def drive(self, ticket: CommitTicket) -> None:
-        """Leader duty: wait out the window, seal, run the batch.
+        """Leader duty: wait for the writes that are coming, seal, run
+        the batch.
 
-        Blocks for up to ``max_delay_ms`` plus the batch's execution;
-        every ticket in the group -- the leader's included -- is
-        resolved by the time this returns.  Never raises: failures land
-        on the tickets.
+        Seals at once when nothing is coming; otherwise blocks until
+        every coming write has joined, ``max_batch`` is reached, or the
+        2 ms cap has passed since the group opened, then for the
+        batch's execution.  A group that sealed on submit goes straight
+        to the run.  Every ticket in the group -- the leader's included
+        -- is resolved by the time this returns.  Never raises:
+        failures land on the tickets.
         """
         if not ticket.leader:
             raise ValueError("drive() is the leader's job")
         group = ticket.group
-        with self._cond:
-            seal_at = group.opened_at + self.max_delay
-            while not group.sealed:
-                remaining = seal_at - self._server._clock()
-                if remaining <= 0:
-                    group.sealed = True
-                    break
-                self._cond.wait(remaining)
-            if self._open is group:
-                self._open = None
+        if not group.sealed:  # only submit and this leader ever seal
+            with self._cond:
+                seal_at = group.opened_at + _WAIT_CAP
+                while self._coming and not group.sealed:
+                    remaining = seal_at - self._server._clock()
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(remaining)
+                group.sealed = True
+                if self._open is group:
+                    self._open = None
         self._run(group)
 
     def _run(self, group: _Group) -> None:
@@ -392,6 +472,7 @@ class GroupCommitter:
         strict: bool = False,
         deadline: "Optional[float | Deadline]" = None,
         idempotency_key: Optional[str] = None,
+        coming: Optional[_Coming] = None,
     ) -> Iterator["CommitTicket | float"]:
         """The one retry schedule of a group-committed write.
 
@@ -412,19 +493,34 @@ class GroupCommitter:
         submit: a malformed script fails only this request (its parse
         error is raised before admission or the breaker see it), and a
         raced member re-submits the parsed script.
+
+        The write counts as coming (see :meth:`drive`) from the first
+        step until its first ticket joins a group or its parse fails;
+        ``coming`` is the token of a caller that counted it earlier
+        with :meth:`expect`.  A re-submit is not counted, and neither
+        is a write to a ``max_batch=1`` committer, whose groups seal on
+        submit.
         """
-        if isinstance(operation, str):
-            operation = parse_xupdate(operation)
+        if coming is None and self.max_batch > 1:
+            coming = self.expect()  # a one-seat group never waits for it
         server = self._server
-        deadline = server._deadline(deadline)
-        opname, oppath = server._describe(operation)
+        try:
+            if isinstance(operation, str):
+                operation = parse_xupdate(operation)
+            deadline = server._deadline(deadline)
+            opname, oppath = server._describe(operation)
+        except BaseException:
+            if coming is not None:
+                coming.release()
+            raise
         policy = server.retry
         backoff = policy.delays(server._rng)
         last: Optional[BaseException] = None
         for attempt in range(1, policy.max_attempts + 1):
-            ticket = self.submit(
+            ticket = CommitTicket(
                 user, operation, strict, deadline, idempotency_key
             )
+            self._join(ticket, coming)
             yield ticket
             if not ticket.done:
                 # The group never resolved inside the budget; the

@@ -193,8 +193,8 @@ class DatabaseServer:
         self._fenced_at: Optional[int] = None
         self._sessions = SessionCache(database.login)
         # One seat per group: a group seals on submit, so an in-process
-        # write never waits out a batching window.
-        self._committer = GroupCommitter(self, max_batch=1, max_delay_ms=0.0)
+        # write goes straight to its run and never waits for followers.
+        self._committer = GroupCommitter(self, max_batch=1)
         self._counters_lock = threading.Lock()
         self._counters: Dict[str, int] = {
             "reads": 0,  # read requests served

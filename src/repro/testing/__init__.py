@@ -6,8 +6,7 @@ lives here drives or checks the library from outside:
 
 - :mod:`repro.testing.faults` -- :class:`~repro.testing.faults.ChaosRunner`
   (seeded schedules arming kill-points and disk faults on the seam) and
-  :func:`~repro.testing.faults.run_threads` (real-thread soaks; also
-  behind ``repro stress``);
+  :func:`~repro.testing.faults.run_threads` (real-thread soaks);
 - :mod:`repro.testing.diskfaults` -- :func:`~repro.testing.diskfaults.flip_bit`,
   bit rot at rest;
 - :mod:`repro.testing.xpath_oracle` -- the AST interpreter the compiled

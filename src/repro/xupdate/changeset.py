@@ -13,8 +13,8 @@ A :class:`ChangeSet` is the structural summary of one update (or one
 whole script) that makes that localization possible:
 
 - ``added`` / ``removed`` -- roots of inserted / deleted subtrees;
-- ``relabelled`` / ``revalued`` -- nodes whose label / value changed
-  in place.
+- ``relabelled`` -- nodes whose label changed in place (a value edit
+  such as ``xupdate:update`` relabels the text child it rewrites).
 
 Only roots are recorded, so recording costs O(1) per affected node
 however large an inserted or deleted subtree is; a consumer that needs
@@ -49,7 +49,6 @@ class ChangeSet:
         added: roots of freshly inserted subtrees.
         removed: roots of deleted subtrees.
         relabelled: nodes whose label changed in place.
-        revalued: nodes whose value changed in place.
         conservative: True when the extent of the change is unknown;
             consumers must treat the whole document as touched.
     """
@@ -57,7 +56,6 @@ class ChangeSet:
     added: Set[NodeId] = field(default_factory=set)
     removed: Set[NodeId] = field(default_factory=set)
     relabelled: Set[NodeId] = field(default_factory=set)
-    revalued: Set[NodeId] = field(default_factory=set)
     conservative: bool = False
 
     @classmethod
@@ -68,16 +66,12 @@ class ChangeSet:
     def __bool__(self) -> bool:
         """True when the change-set records any change at all."""
         return bool(
-            self.conservative
-            or self.added
-            or self.removed
-            or self.relabelled
-            or self.revalued
+            self.conservative or self.added or self.removed or self.relabelled
         )
 
     def touched_roots(self) -> Set[NodeId]:
         """Roots of every region whose view/selection state may differ."""
-        return self.added | self.removed | self.relabelled | self.revalued
+        return self.added | self.removed | self.relabelled
 
     # ------------------------------------------------------------------
     # recording helpers (called by the executors)
@@ -94,10 +88,6 @@ class ChangeSet:
         """Record an in-place relabel (rename / update-content)."""
         self.relabelled.add(nid)
 
-    def note_revalued(self, nid: NodeId) -> None:
-        """Record an in-place value change (attribute value, PI data)."""
-        self.revalued.add(nid)
-
     # ------------------------------------------------------------------
     # composition
     # ------------------------------------------------------------------
@@ -113,7 +103,6 @@ class ChangeSet:
             added=self.added | other.added,
             removed=self.removed | other.removed,
             relabelled=self.relabelled | other.relabelled,
-            revalued=self.revalued | other.revalued,
             conservative=self.conservative or other.conservative,
         )
 

@@ -41,6 +41,7 @@ no XML (``dump_xupdate`` used to serialize the script and re-parse it).
 
 import gc
 import sys
+import threading
 import tracemalloc
 
 from repro.security import PermissionResolver
@@ -325,7 +326,7 @@ def served_hospital(tmp_path):
     db.attach_wal(WriteAheadLog(str(tmp_path / "db.wal")))
     db.wal.checkpoint(db)
     server = DatabaseServer(db)
-    committer = GroupCommitter(server, max_delay_ms=0.0)
+    committer = GroupCommitter(server)
     for warm in range(3):
         committer.commit("laporte", update_script("patient00007", f"w{warm}"))
     return server, committer
@@ -374,3 +375,35 @@ def test_a_raced_member_is_resubmitted_without_reparsing(
     # The interloper's own text is parsed too; the member's, once.
     assert [call for call in parses if call == (script,)] == [(script,)]
     assert serializes == []
+
+
+def test_an_in_process_write_never_waits_on_a_condition(
+    tmp_path, monkeypatch
+):
+    """``DatabaseServer.execute``'s committer has one seat per group: a
+    group seals on submit and goes straight to its run, so a write
+    neither waits for followers nor polls for them -- no
+    ``threading.Condition.wait`` anywhere on the path (a ticket
+    ``Event.wait`` would be one too).  A lone write through a
+    many-seat committer seals at once as well: nothing is coming."""
+    server, committer = served_hospital(tmp_path)
+    waits = []
+    original = threading.Condition.wait
+    me = threading.get_ident()
+
+    def wait(self, timeout=None):
+        if threading.get_ident() == me:
+            waits.append(timeout)
+        return original(self, timeout)
+
+    monkeypatch.setattr(threading.Condition, "wait", wait)
+    for index in range(5):
+        result = server.execute(
+            "laporte", update_script("patient00042", f"dx{index}")
+        )
+        assert len(result.affected) == 1
+    assert committer.commit(
+        "laporte", update_script("patient00043", "dx")
+    ).fully_applied
+    assert waits == []
+    assert committer.coming == 0

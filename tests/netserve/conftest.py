@@ -1,6 +1,7 @@
 """Shared fixtures for the network front-end suites."""
 
 import contextlib
+import time
 
 import pytest
 
@@ -39,6 +40,7 @@ def served(wal_dir, *, database=None, server_options=None, **net_options):
         yield handle, server
     finally:
         handle.stop()
+        wal.close()
 
 
 def connect(handle, user=None, timeout=10.0):
@@ -47,3 +49,24 @@ def connect(handle, user=None, timeout=10.0):
     if user is not None:
         client.open_session(user)
     return client
+
+
+def until(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds; True once it does, False when
+    ``timeout`` seconds pass first (for server-side effects that trail
+    the reply a client already read)."""
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= give_up:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def all_hung_up(handle):
+    """Wait until the server has closed every connection it accepted
+    (a client's ``close`` reaches the server asynchronously)."""
+    def settled():
+        stats = handle.net.stats()
+        return stats["connections_closed"] == stats["connections_opened"]
+    return until(settled)

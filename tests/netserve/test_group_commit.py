@@ -12,6 +12,8 @@ from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog, recover
 from repro.xupdate import XUpdateParseError
 
+from tests.groups import commit_together
+
 from .conftest import append_script, editors_database
 
 pytestmark = pytest.mark.netserve
@@ -29,7 +31,7 @@ def stack(wal_dir):
 class TestLeaderFollower:
     def test_first_member_leads_followers_park(self, stack):
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=4, max_delay_ms=50.0)
+        committer = GroupCommitter(server, max_batch=4)
         leader = committer.submit("w1", append_script("a"))
         follower = committer.submit("w2", append_script("b"))
         assert leader.leader is True
@@ -42,7 +44,7 @@ class TestLeaderFollower:
 
     def test_group_seals_at_max_batch_and_next_submit_leads_anew(self, stack):
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=2, max_delay_ms=50.0)
+        committer = GroupCommitter(server, max_batch=2)
         first = committer.submit("w1", append_script("a"))
         second = committer.submit("w1", append_script("b"))
         third = committer.submit("w1", append_script("c"))
@@ -57,7 +59,7 @@ class TestLeaderFollower:
         self, stack
     ):
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+        committer = GroupCommitter(server, max_batch=1)
         seen = []
         ticket = committer.submit("w1", append_script("a"))
         ticket.add_done_callback(lambda t: seen.append("before"))
@@ -69,29 +71,29 @@ class TestLeaderFollower:
 class TestAmortization:
     def test_one_fsync_per_group_not_per_commit(self, stack):
         db, wal, server = stack
-        committer = GroupCommitter(server, max_batch=8, max_delay_ms=25.0)
+        committer = GroupCommitter(server, max_batch=8)
         fsyncs_before = wal.stats["fsyncs"]
-        errors = run_threads(
-            lambda i: committer.commit("w1", append_script(f"t{i}")), 8
+        results = commit_together(
+            committer, [("w1", append_script(f"t{i}")) for i in range(8)]
         )
-        assert not any(errors)
+        assert all(result.fully_applied for result in results)
         stats = server.stats()
         assert stats["commits"] == 8
         assert stats["grouped_records"] == 8
         fsyncs_spent = wal.stats["fsyncs"] - fsyncs_before
-        # 8 acknowledged durable commits, fewer than 8 fsyncs.
-        assert fsyncs_spent < 8
-        assert stats["group_fsyncs_saved"] > 0
-        assert stats["group_commits"] >= 1
-        assert stats["group_commits"] == fsyncs_spent
+        # 8 acknowledged durable commits, one group, one fsync.
+        assert fsyncs_spent == 1
+        assert stats["group_fsyncs_saved"] == 7
+        assert stats["group_commits"] == 1
 
     def test_acknowledged_group_commits_are_durable(self, stack, wal_dir):
         db, wal, server = stack
-        committer = GroupCommitter(server, max_batch=4, max_delay_ms=10.0)
-        errors = run_threads(
-            lambda i: committer.commit("w1", append_script(f"d{i}")), 8
+        committer = GroupCommitter(server, max_batch=4)
+        results = commit_together(
+            committer, [("w1", append_script(f"d{i}")) for i in range(8)]
         )
-        assert not any(errors)
+        assert all(result.fully_applied for result in results)
+        assert server.stats()["group_commits"] == 2  # sealed by count
         result = recover(wal_dir, repair=True)
         assert result.database.version == db.version
         from repro.xmltree.serializer import serialize
@@ -102,7 +104,7 @@ class TestAmortization:
 
     def test_single_member_group_still_fsyncs_before_ack(self, stack):
         db, wal, server = stack
-        committer = GroupCommitter(server, max_batch=8, max_delay_ms=0.0)
+        committer = GroupCommitter(server, max_batch=8)
         before = wal.stats["fsyncs"]
         committer.commit("w1", append_script("solo"))
         assert wal.stats["fsyncs"] == before + 1
@@ -113,15 +115,17 @@ class TestAmortization:
         while groups run -- the deferral is scoped to the leader's
         thread, not the log."""
         db, wal, server = stack
-        committer = GroupCommitter(server, max_batch=4, max_delay_ms=10.0)
+        committer = GroupCommitter(server, max_batch=4)
 
         def worker(i):
-            if i % 2:
+            if i:
                 server.execute("w2", append_script(f"plain{i}"))
-            else:
-                committer.commit("w1", append_script(f"grouped{i}"))
+                return
+            grouped = [("w1", append_script(f"grouped{j}")) for j in range(4)]
+            for result in commit_together(committer, grouped):
+                assert result.fully_applied, result
 
-        errors = run_threads(worker, 8)
+        errors = run_threads(worker, 5)
         assert not any(errors)
         assert server.stats()["commits"] == 8
         # Every plain commit fsynced individually: total appends that
@@ -137,7 +141,7 @@ class TestMemberIsolation:
         own error; every other member of the same group commits and is
         acknowledged."""
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=3, max_delay_ms=60.0)
+        committer = GroupCommitter(server, max_batch=3)
         good_a = committer.submit("w1", append_script("good0"))
         bad = committer.submit("w1", "<not-xupdate/>")
         good_b = committer.submit("w1", append_script("good1"))
@@ -150,7 +154,7 @@ class TestMemberIsolation:
 
     def test_commit_wrapper_raises_the_member_error(self, stack):
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+        committer = GroupCommitter(server, max_batch=1)
         with pytest.raises(XUpdateParseError):
             committer.commit("w1", "<not-xupdate/>")
 
@@ -165,14 +169,14 @@ def retry_stack(wal_dir, **server_options):
 
 def commit_blocking(server, script):
     """Drive the retry schedule on this thread (GroupCommitter.commit)."""
-    committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+    committer = GroupCommitter(server, max_batch=1)
     return committer.commit("w1", script).fully_applied
 
 
 def commit_over_socket(server, script):
     """Drive the retry schedule on NetServer's event loop, over a real
     socket."""
-    with serve_in_thread(server, max_batch=1, max_delay_ms=0.0) as handle:
+    with serve_in_thread(server, max_batch=1) as handle:
         with NetClient(handle.host, handle.port, timeout=10.0) as client:
             client.open_session("w1")
             return client.execute(script)["fully_applied"]
@@ -255,12 +259,12 @@ class TestValidation:
         _, _, server = stack
         with pytest.raises(ValueError):
             GroupCommitter(server, max_batch=0)
-        with pytest.raises(ValueError):
-            GroupCommitter(server, max_delay_ms=-1.0)
+        with pytest.raises(TypeError):  # the window is not a setting
+            GroupCommitter(server, max_delay_ms=2.0)
 
     def test_drive_refuses_followers(self, stack):
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=4, max_delay_ms=50.0)
+        committer = GroupCommitter(server, max_batch=4)
         leader = committer.submit("w1", append_script("a"))
         follower = committer.submit("w1", append_script("b"))
         with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ import pytest
 from repro.errors import NetworkError
 from repro.faults import InjectedFault, faults
 from repro.serving import DatabaseServer, GroupCommitter
-from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog, recover
 from repro.xmltree.serializer import serialize
+
+from tests.groups import commit_together
 
 from .conftest import append_script, connect, editors_database, served
 
@@ -39,7 +40,7 @@ class TestGroupBeforeFsync:
         outcome), and recovery still holds every commit acknowledged
         before and after the crash window."""
         db, wal, server = stack
-        committer = GroupCommitter(server, max_batch=3, max_delay_ms=30.0)
+        committer = GroupCommitter(server, max_batch=3)
         committer.commit("w1", append_script("acked0"))
 
         faults.arm("group-before-fsync")
@@ -69,7 +70,7 @@ class TestGroupBeforeFsync:
 
     def test_commit_wrapper_relays_the_group_failure(self, stack):
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+        committer = GroupCommitter(server, max_batch=1)
         faults.arm("group-before-fsync")
         with pytest.raises(InjectedFault):
             committer.commit("w1", append_script("gone"))
@@ -82,7 +83,7 @@ class TestGroupAfterLeaderAppend:
         rest: the leader's member has unknown outcome; members the
         batch never reached committed nothing and are safe to retry."""
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=3, max_delay_ms=30.0)
+        committer = GroupCommitter(server, max_batch=3)
         tickets = [
             committer.submit("w1", append_script(f"m{i}")) for i in range(3)
         ]
@@ -103,21 +104,18 @@ class TestGroupAfterLeaderAppend:
         into a later group and is acknowledged -- and every
         acknowledged label survives recovery."""
         db, wal, server = stack
-        committer = GroupCommitter(server, max_batch=4, max_delay_ms=20.0)
+        committer = GroupCommitter(server, max_batch=4)
         faults.arm("group-after-leader-append")
-        outcomes = {}
-
-        def writer(i):
-            try:
-                committer.commit("w1", append_script(f"w{i}"))
-                outcomes[i] = "acked"
-            except InjectedFault:
-                outcomes[i] = "unknown"
-
-        errors = run_threads(writer, 4)
-        assert not any(errors)
-        assert sorted(outcomes.values()).count("unknown") == 1
-        assert sorted(outcomes.values()).count("acked") == 3
+        results = commit_together(
+            committer, [("w1", append_script(f"w{i}")) for i in range(4)]
+        )
+        outcomes = {
+            i: "unknown" if isinstance(result, InjectedFault)
+            else "acked" if result.fully_applied else result
+            for i, result in enumerate(results)
+        }
+        assert outcomes == {0: "unknown", 1: "acked", 2: "acked", 3: "acked"}
+        assert server.stats()["retries"] == 3  # the leader's groupmates
 
         final = recovered_doc(wal_dir)
         for i, outcome in outcomes.items():
@@ -130,7 +128,7 @@ class TestGroupAfterLeaderAppend:
         group, a fresh group with one bad member still isolates that
         member."""
         _, _, server = stack
-        committer = GroupCommitter(server, max_batch=2, max_delay_ms=20.0)
+        committer = GroupCommitter(server, max_batch=2)
         faults.arm("group-before-fsync")
         with pytest.raises(InjectedFault):
             committer.commit("w1", append_script("poisoned"))

@@ -2,6 +2,7 @@
 typed results, error relay, deadlines, pipelining and the protocol's
 close-on-violation rule."""
 
+import contextlib
 import socket
 import threading
 
@@ -10,6 +11,9 @@ import pytest
 from repro.errors import NetworkError, RemoteError
 from repro.netserve import NetClient, encode_frame
 from repro.netserve.framing import HEADER
+from repro.netserve.protocol import request, unwrap_response
+
+from tests.groups import execute_burst
 
 from .conftest import append_script, connect, served
 
@@ -194,31 +198,84 @@ class TestDeadlinesAndClose:
             client.read_xml()
 
 
+@contextlib.contextmanager
+def loop_held(handle):
+    """Hold the server's event loop while the body runs: frames sent
+    meanwhile wait in the kernel, and the loop decodes them all from
+    one poll once released."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        held.set()
+        release.wait(30)
+
+    handle._loop.call_soon_threadsafe(hold)
+    assert held.wait(30)
+    try:
+        yield
+    finally:
+        release.set()
+
+
 class TestConcurrentClients:
     def test_many_threaded_writers_one_connection_each(self, wal_dir):
-        with served(wal_dir, max_delay_ms=3.0) as (handle, server):
-            errors = []
+        """Twelve connections, one writer thread each, all sending
+        while the event loop is held: the loop decodes the twelve frames
+        from one poll, counts them as coming, and they ride one
+        group."""
+        with served(wal_dir) as (handle, server):
+            clients = [connect(handle, "w1", timeout=30) for _ in range(12)]
+            sent = [threading.Event() for _ in clients]
+            replies = [None] * len(clients)
 
             def writer(i):
-                try:
-                    with connect(handle, "w1", timeout=30) as client:
-                        client.execute(append_script(f"c{i}"))
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(exc)
+                client = clients[i]
+                client._next_id += 1
+                client._sock.sendall(encode_frame(request(
+                    client._next_id, "execute", script=append_script(f"c{i}")
+                )))
+                sent[i].set()
+                replies[i] = unwrap_response(client._receive(client._next_id))
 
             threads = [
-                threading.Thread(target=writer, args=(i,)) for i in range(12)
+                threading.Thread(target=writer, args=(i,))
+                for i in range(len(clients))
             ]
-            for t in threads:
-                t.start()
+            with loop_held(handle):
+                for t in threads:
+                    t.start()
+                for event in sent:
+                    assert event.wait(30)
             for t in threads:
                 t.join(30)
-            assert not errors
+                assert not t.is_alive()
+            for client in clients:
+                client.close()
+            assert all(reply["fully_applied"] for reply in replies)
             stats = server.stats()
             assert stats["commits"] == 12
             assert stats["grouped_records"] == 12
-            # The whole point: far fewer group fsyncs than commits.
-            assert stats["group_fsyncs_saved"] > 0
+            # The whole point: one group fsync for twelve commits.
+            assert stats["group_commits"] == 1
+            assert stats["group_fsyncs_saved"] == 11
+
+    @pytest.mark.parametrize("k", [2, 5, 16])
+    def test_a_burst_in_one_sendall_is_one_group(self, wal_dir, k):
+        """k ``execute`` frames in one ``sendall``: the frame loop
+        counts all k as coming before the first joins, so the leader
+        waits for the rest and the burst is one group."""
+        with served(wal_dir) as (handle, server):
+            before = server.stats()
+            replies = execute_burst(
+                handle.host, handle.port, "w1",
+                [append_script(f"b{i}") for i in range(k)],
+            )
+            after = server.stats()
+        assert [reply["version"] for reply in replies] == list(
+            range(1, k + 1)
+        )
+        assert after["group_commits"] - before["group_commits"] == 1
+        assert after["grouped_records"] - before["grouped_records"] == k
 
     def test_pipelined_requests_on_one_connection(self, wal_dir):
         """Several requests written before any response is read; every

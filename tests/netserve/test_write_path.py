@@ -16,18 +16,16 @@ from repro.errors import ConcurrentUpdateError, RemoteError
 from repro.faults import faults
 from repro.netserve import NetClient, serve_in_thread
 from repro.serving import DatabaseServer, GroupCommitter, RetryPolicy
-from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog, recover
 from repro.xmltree.serializer import serialize
+
+from tests.groups import commit_together, execute_burst
 
 from .conftest import append_script, editors_database
 
 pytestmark = pytest.mark.netserve
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: A commit window no test run comes near: groups seal by count.
-LONG_WINDOW_MS = 60_000.0
 
 
 def stack(wal_dir, fsync="always", **server_options):
@@ -46,13 +44,13 @@ def via_execute(server):
 
 @contextlib.contextmanager
 def via_commit(server):
-    committer = GroupCommitter(server, max_batch=1, max_delay_ms=0.0)
+    committer = GroupCommitter(server, max_batch=1)
     yield lambda script: committer.commit("w1", script)
 
 
 @contextlib.contextmanager
 def via_socket(server):
-    with serve_in_thread(server, max_batch=1, max_delay_ms=0.0) as handle:
+    with serve_in_thread(server, max_batch=1) as handle:
         with NetClient(handle.host, handle.port, timeout=10.0) as client:
             client.open_session("w1")
             yield client.execute
@@ -193,44 +191,26 @@ class TestDoubleFault:
 
     def test_blocking_commit(self, wal_dir):
         _, _, server = stack(wal_dir)
-        committer = GroupCommitter(
-            server, max_batch=2, max_delay_ms=LONG_WINDOW_MS
-        )
+        committer = GroupCommitter(server)
         self.arm()
-        outcomes = [None, None]
-
-        def writer(i):
-            outcomes[i] = outcome(
-                lambda s: committer.commit("w1", s), append_script(f"d{i}")
-            )
-
-        assert run_threads(writer, 2) == [None, None]
+        results = commit_together(
+            committer, [("w1", append_script(f"d{i}")) for i in range(2)]
+        )
+        outcomes = [type(result).__name__ for result in results]
         self.assert_nothing_acked(server, outcomes)
 
     def test_socket(self, wal_dir):
         _, _, server = stack(wal_dir)
-        outcomes = [None, None]
-        with serve_in_thread(
-            server, max_batch=2, max_delay_ms=LONG_WINDOW_MS
-        ) as handle:
-            clients = [
-                NetClient(handle.host, handle.port, timeout=10.0)
-                for _ in range(2)
-            ]
-            for client in clients:
-                client.open_session("w1")
+        with serve_in_thread(server) as handle:
             self.arm()
-
-            def writer(i):
-                outcomes[i] = outcome(
-                    clients[i].execute, append_script(f"d{i}")
-                )
-
-            try:
-                assert run_threads(writer, 2) == [None, None]
-            finally:
-                for client in clients:
-                    client.close()
+            replies = execute_burst(
+                handle.host, handle.port, "w1",
+                [append_script(f"d{i}") for i in range(2)],
+            )
+        outcomes = [
+            reply.kind if isinstance(reply, RemoteError) else "ok"
+            for reply in replies
+        ]
         self.assert_nothing_acked(server, outcomes)
 
 
@@ -240,33 +220,16 @@ class TestAcknowledgement:
         the version its own commit produced, and a replay of its key
         answers that same version."""
         _, _, server = stack(wal_dir)
-        with serve_in_thread(
-            server, max_batch=3, max_delay_ms=LONG_WINDOW_MS
-        ) as handle:
-            clients = [
-                NetClient(handle.host, handle.port, timeout=10.0)
-                for _ in range(3)
-            ]
-            for client in clients:
-                client.open_session("w1")
-            acked = [None] * 3
-            replayed = [None] * 3
-
-            def send(into):
-                def writer(i):
-                    into[i] = clients[i].execute(
-                        append_script(f"v{i}"), idempotency_key=f"key{i}"
-                    )
-                return writer
-
-            try:
-                assert run_threads(send(acked), 3) == [None] * 3
-                assert run_threads(send(replayed), 3) == [None] * 3
-            finally:
-                for client in clients:
-                    client.close()
+        scripts = [append_script(f"v{i}") for i in range(3)]
+        keys = [f"key{i}" for i in range(3)]
+        with serve_in_thread(server) as handle:
+            acked, replayed = (
+                execute_burst(handle.host, handle.port, "w1", scripts, keys)
+                for _ in range(2)
+            )
+        assert server.stats()["group_commits"] == 1  # replays append none
         versions = [reply["version"] for reply in acked]
-        assert sorted(versions) == [1, 2, 3]
+        assert versions == [1, 2, 3]
         assert [reply["version"] for reply in replayed] == versions
         assert all(reply["deduped"] for reply in replayed)
         assert not any(reply["deduped"] for reply in acked)
@@ -275,9 +238,7 @@ class TestAcknowledgement:
         """Replays append nothing: they ride no group's fsync, save
         none, and leave fsyncs spent + saved = commits."""
         _, wal, server = stack(wal_dir)
-        committer = GroupCommitter(
-            server, max_batch=3, max_delay_ms=LONG_WINDOW_MS
-        )
+        committer = GroupCommitter(server)
         before = wal.stats["fsyncs"]
         for _ in range(2):  # the writes, then their replays
             tickets = [

@@ -244,11 +244,12 @@ def run_grouped_schedule(seed, base, kill_rate):
     ``grouped_records`` count so callers can assert the groups really
     formed."""
     from repro.serving import GroupCommitter
-    from repro.testing.faults import run_threads
+
+    from tests.groups import commit_together
 
     rng = random.Random(seed)
     db, wal, wal_dir, router = build_stack(rng, base)
-    committer = GroupCommitter(router.primary, max_batch=4, max_delay_ms=3.0)
+    committer = GroupCommitter(router.primary, max_batch=4)
     label = 0
     for _ in range(rng.randint(6, 12)):
         action = rng.choice(
@@ -264,13 +265,12 @@ def run_grouped_schedule(seed, base, kill_rate):
                 for i in range(burst)
             ]
             label += burst
-            errors = run_threads(
-                lambda i: committer.commit(
-                    jobs[i][0], append_script(jobs[i][1])
-                ),
-                burst,
+            results = commit_together(committer, [
+                (user, append_script(name)) for user, name in jobs
+            ])
+            assert all(result.fully_applied for result in results), (
+                seed, results
             )
-            assert not any(errors), (seed, errors)
         elif action == "read":
             assert router.read_xml(rng.choice(USERS)) is not None
         elif action == "poll" and router.replicas:

@@ -42,6 +42,8 @@ from repro.testing.faults import run_threads
 from repro.wal import WriteAheadLog
 from repro.xmltree.serializer import serialize
 
+from tests.groups import commit_together
+
 from .conftest import USERS, append_script, editors_database, state_bytes
 
 pytestmark = pytest.mark.failover
@@ -234,7 +236,7 @@ def run_grouped_schedule(seed, base):
     """
     rng = random.Random(seed)
     db, wal, server, router, supervisor = build_stack(rng, base)
-    committer = GroupCommitter(server, max_batch=4, max_delay_ms=3.0)
+    committer = GroupCommitter(server, max_batch=4)
     acked = {}
     unknown = {}
     label = 0
@@ -247,15 +249,13 @@ def run_grouped_schedule(seed, base):
             for i in range(burst)
         ]
         label += burst
-        errors = run_threads(
-            lambda i: committer.commit(
-                jobs[i][0],
-                append_script(jobs[i][2]),
-                idempotency_key=jobs[i][1],
-            ),
-            burst,
+        results = commit_together(committer, [
+            (user, append_script(name), False, None, key)
+            for user, key, name in jobs
+        ])
+        assert all(result.fully_applied for result in results), (
+            seed, results
         )
-        assert not any(errors), (seed, errors)
         for _, key, name in jobs:
             acked[key] = name
 
@@ -268,22 +268,21 @@ def run_grouped_schedule(seed, base):
     ]
     label += burst
     # The burst must be *one* group: the kill-point is one-shot, so a
-    # straggler sealed into a second group would be acknowledged.  Seal
-    # by count, with a window no run comes near, never by the clock.
-    doomed = GroupCommitter(server, max_batch=burst, max_delay_ms=60_000.0)
+    # straggler sealed into a second group would be acknowledged.  Every
+    # member takes its ticket before the leader drives, and the group
+    # seals by count, never by the clock.
+    doomed = GroupCommitter(server, max_batch=burst)
     faults.arm(point, after=0)
     try:
-        errors = run_threads(
-            lambda i: doomed.commit(
-                jobs[i][0],
-                append_script(jobs[i][2]),
-                idempotency_key=jobs[i][1],
-            ),
-            burst,
-        )
+        errors = commit_together(doomed, [
+            (user, append_script(name), False, None, key)
+            for user, key, name in jobs
+        ])
     finally:
         faults.disarm()
-    assert all(errors), (seed, point, errors)
+    assert all(isinstance(error, Exception) for error in errors), (
+        seed, point, errors
+    )
     for user, key, name in jobs:
         unknown[key] = (user, name)
 

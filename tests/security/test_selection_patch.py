@@ -168,18 +168,6 @@ class TestForcedShapes:
         patch_and_check(db, "//b", lambda: db.commit(db.document.copy(), ChangeSet()))
         assert selected(db) == before
 
-    def test_revalued_node_survives_and_rematches_once(self):
-        # No operation publishes ``revalued`` yet, so build the delta by
-        # hand: the node lies outside every cut and is re-grown once.
-        for path in ("//c", "//node()", "//b", "//a[b]"):
-            db = self.db(path)
-            before = selected(db)
-            (holder,) = db.engine.select(db.document, "/r/c")
-            changes = ChangeSet()
-            changes.note_revalued(holder)
-            patch_and_check(db, path, lambda: db.commit(db.document.copy(), changes))
-            assert selected(db) == before
-
     def test_relabel_moves_a_node_between_selections(self):
         bs, ds = self.db("//b"), self.db("//d")
         old_bs, old_ds = selected(bs), selected(ds)

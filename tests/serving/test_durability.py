@@ -100,9 +100,9 @@ class TestCheckpoint:
         counts toward ``checkpoint_every`` as an ``execute`` does."""
         self.assert_auto_checkpoints_every_3(
             db_path,
-            lambda server, script: GroupCommitter(
-                server, max_delay_ms=0.0
-            ).commit("w1", script),
+            lambda server, script: GroupCommitter(server).commit(
+                "w1", script
+            ),
         )
 
     def test_auto_checkpoint_failure_never_fails_the_write(self, db_path):

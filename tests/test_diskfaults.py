@@ -350,9 +350,7 @@ class TestRotationFsync:
         db = editors_database()
         wal = WriteAheadLog(str(tmp_path / "db.wal"), segment_bytes=500)
         db.attach_wal(wal)
-        committer = GroupCommitter(
-            DatabaseServer(db), max_batch=4, max_delay_ms=30.0
-        )
+        committer = GroupCommitter(DatabaseServer(db), max_batch=4)
         disk.arm("fsync", "eio", match="segment-0000000001")
         tickets = [
             committer.submit("w1", append_script(f"g{i}")) for i in range(4)

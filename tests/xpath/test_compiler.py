@@ -404,8 +404,7 @@ assert server.query("laporte", "count(//note)") == 1.0
     def test_serving_loads_no_test_module(self, tmp_path):
         """The fault seam the serving stack consults is a production
         module: opening a served database, one write and one read load
-        nothing from ``repro.testing``.  (``repro stress`` imports
-        ``run_threads`` lazily; it is not on this path.)"""
+        nothing from ``repro.testing``."""
         code = self.ENTRY_POINTS + self.SERVE.format(directory=str(tmp_path))
         loaded = self._probe(
             code, "",

@@ -66,6 +66,16 @@ def test_static_analysis(path, labels, in_fragment):
         assert names == (frozenset(labels) if labels else frozenset())
 
 
+def test_every_equation_13_rule_path_is_in_the_fragment():
+    """All twelve rules of the paper's policy, rule 5's ``*[$USER]``
+    included, are answered by the automaton: none is an exception."""
+    from repro.core import hospital_policy, hospital_subjects
+
+    paths = [rule.path for rule in hospital_policy(hospital_subjects())]
+    assert len(paths) == 12
+    assert [path for path in paths if fragment_tokens(path) is None] == []
+
+
 def test_opaque_expressions_analyze_to_none():
     assert fragment_tokens("count(//a)") is None
     assert fragment_tokens("not-even-xpath((") is None

@@ -127,8 +127,9 @@ class TestChangeSetAlgebra:
         cs = ChangeSet()
         cs.note_added(root)
         cs.note_removed(kid)
-        cs.note_revalued(kid)
+        cs.note_relabelled(kid)
         assert cs.touched_roots() == {root, kid}
+        assert ChangeSet(relabelled={kid}).touched_roots() == {kid}
 
 
 class TestSecureExecutorChanges:
